@@ -21,7 +21,6 @@ from .densities import (
     OrderingViolation,
     kl_divergence,
     log_likelihood_ratio,
-    sample,
     validate_ordering,
 )
 from .engine import (
@@ -97,7 +96,6 @@ __all__ = [
     "resolve_truncation",
     "run_episode",
     "run_rss",
-    "sample",
     "set_threshold",
     "step",
     "trace_figure",

@@ -14,6 +14,7 @@ import argparse
 import io
 import json
 import math
+import re
 import sys
 from dataclasses import dataclass, replace
 from typing import Sequence, TextIO
@@ -36,6 +37,12 @@ from .metrics import (
 from .simulate import DEFAULT_INFINITE_HORIZON, Scenario, run_episode
 
 VARIANTS = ("cusum", "me-cusum", "de-me-cusum", "rss")
+
+_POLICY_FIELDS = {"variant", "A", "gamma", "m", "scales", "budgets", "mu", "top_truncation"}
+_RSS_FIELDS = {"variant", "A", "gamma", "p_hi"}
+
+# tradeoff labels become part of output file names
+_LABEL = re.compile(r"[A-Za-z0-9._-]+")
 
 
 @dataclass(frozen=True)
@@ -69,6 +76,12 @@ class RunConfig:
     tradeoff: TradeoffSpec | None
 
 
+def _reject_unknown(data: dict, allowed, where: str) -> None:
+    extra = set(data) - set(allowed)
+    if extra:
+        raise ValueError(f"unknown {where} fields: {sorted(extra)}")
+
+
 def _require(data: dict, key: str, where: str):
     if key not in data:
         raise ValueError(f"{where} is missing required field {key!r}")
@@ -88,6 +101,7 @@ def _change_point_to(value) -> object:
 
 
 def _scenario_from_dict(data: dict) -> Scenario:
+    _reject_unknown(data, {"models", "change_point", "horizon"}, "scenario")
     models = tuple(model_from_dict(m) for m in _require(data, "models", "scenario"))
     change_point = _change_point_from(_require(data, "change_point", "scenario"))
     horizon = data.get("horizon")
@@ -125,6 +139,8 @@ def _policy_from_dict(data: dict, n_models: int) -> tuple[str, PolicyParams | Rs
     variant = _require(data, "variant", "policy")
     if variant not in VARIANTS:
         raise ValueError(f"policy variant must be one of {VARIANTS}, got {variant!r}")
+    _reject_unknown(data, _RSS_FIELDS if variant == "rss" else _POLICY_FIELDS,
+                    f"{variant} policy")
     threshold = _threshold_from(data, "policy")
     if variant == "rss":
         if n_models != 2:
@@ -190,9 +206,7 @@ def _calibration_from_dict(data: dict) -> tuple[CalibrationTarget, CalibrationCo
         if name in data:
             value = data[name]
             kwargs[name] = int(value) if name.endswith(("cycles", "evaluations")) else float(value)
-    extra = set(data) - set(_CALIB_FIELDS) - {"gamma", "betas", "data_efficient"}
-    if extra:
-        raise ValueError(f"unknown calibration fields: {sorted(extra)}")
+    _reject_unknown(data, {*_CALIB_FIELDS, "gamma", "betas", "data_efficient"}, "calibration")
     return target, CalibrationConfig(**kwargs)
 
 
@@ -209,6 +223,7 @@ def _calibration_to_dict(target: CalibrationTarget, config: CalibrationConfig) -
 
 def _tradeoff_from_dict(data: dict, cfg_variant: str | None,
                         cfg_policy, n_models: int) -> TradeoffSpec:
+    _reject_unknown(data, {"gammas", "policies"}, "tradeoff")
     gammas = tuple(float(g) for g in _require(data, "gammas", "tradeoff"))
     raw_policies = data.get("policies")
     policies = []
@@ -225,6 +240,12 @@ def _tradeoff_from_dict(data: dict, cfg_variant: str | None,
                 pdata["A"] = 1.0  # placeholder; the curve re-thresholds per gamma
             variant, params = _policy_from_dict(pdata, n)
             label = entry.get("label", variant)
+            if not (isinstance(label, str) and _LABEL.fullmatch(label)):
+                raise ValueError(
+                    f"tradeoff label must match {_LABEL.pattern}, got {label!r}")
+            if any(pol.label == label for pol in policies):
+                raise ValueError(f"tradeoff label {label!r} is used twice; "
+                                 "give each policy its own label")
             policies.append(
                 TradeoffPolicySpec(label, variant, params,
                                    None if ids is None else tuple(int(i) for i in ids))
@@ -244,25 +265,21 @@ def _tradeoff_to_dict(spec: TradeoffSpec) -> dict:
 
 
 def parse_config(data: dict) -> RunConfig:
-    extra = set(data) - {"scenario", "policy", "simulation", "output", "calibration", "tradeoff"}
-    if extra:
-        raise ValueError(f"unknown config sections: {sorted(extra)}")
+    _reject_unknown(data, {"scenario", "policy", "simulation", "output", "calibration",
+                           "tradeoff"}, "top-level config")
     scenario = _scenario_from_dict(_require(data, "scenario", "config"))
     variant = None
     policy = None
     if "policy" in data and data["policy"] is not None:
         variant, policy = _policy_from_dict(data["policy"], len(scenario.models))
     sim = data.get("simulation", {})
-    extra = set(sim) - {"trials", "horizon", "seed", "confidence", "por_method", "cycles"}
-    if extra:
-        raise ValueError(f"unknown simulation fields: {sorted(extra)}")
+    _reject_unknown(sim, {"trials", "horizon", "seed", "confidence", "por_method", "cycles"},
+                    "simulation")
     por_method = sim.get("por_method", "direct")
     if por_method not in ("direct", "renewal"):
         raise ValueError(f"por_method must be 'direct' or 'renewal', got {por_method!r}")
     out = data.get("output", {})
-    extra = set(out) - {"path"}
-    if extra:
-        raise ValueError(f"unknown output fields: {sorted(extra)}")
+    _reject_unknown(out, {"path"}, "output")
     calibration_target = None
     calibration_config = None
     if "calibration" in data and data["calibration"] is not None:

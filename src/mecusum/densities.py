@@ -1,4 +1,4 @@
-"""Observation models: density pairs, likelihood ratios, divergences, sampling.
+"""Observation models: density pairs, likelihood ratios, divergences.
 
 Each experiment is a pre-change / post-change density pair. Everything else in
 the package touches observations only through the log-likelihood ratio, so
@@ -11,9 +11,6 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-import numpy as np
-from scipy import integrate
-
 GAUSSIAN = "gaussian"
 
 _FAMILIES = (GAUSSIAN,)
@@ -21,12 +18,7 @@ _FAMILIES = (GAUSSIAN,)
 
 @dataclass(frozen=True)
 class DensitySpec:
-    """A single observation density.
-
-    Gaussian is the only built-in family. New families plug in through the
-    dispatch points below: logpdf, sample, and _closed_form_kl (return None
-    there to fall back to numeric integration).
-    """
+    """A single observation density. Gaussian is the only family."""
 
     family: str
     mean: float
@@ -43,9 +35,6 @@ class DensitySpec:
     def logpdf(self, x: float) -> float:
         z = (x - self.mean) / self.std
         return -0.5 * z * z - math.log(self.std) - 0.5 * math.log(2.0 * math.pi)
-
-    def sample(self, rng: np.random.Generator) -> float:
-        return float(rng.normal(self.mean, self.std))
 
 
 @dataclass(frozen=True)
@@ -103,58 +92,13 @@ def log_likelihood_ratio(model: ExperimentModel, x: float) -> float:
     return llr_from_terms(llr_terms(model), x)
 
 
-def _closed_form_kl(pre: DensitySpec, post: DensitySpec) -> float | None:
-    if pre.family == GAUSSIAN and post.family == GAUSSIAN:
-        dm = post.mean - pre.mean
-        v0 = pre.std * pre.std
-        v1 = post.std * post.std
-        return math.log(pre.std / post.std) + (v1 + dm * dm) / (2.0 * v0) - 0.5
-    return None
-
-
-def _numeric_kl(pre: DensitySpec, post: DensitySpec) -> float:
-    # Adaptive quadrature at relative tolerance 1e-8; KL is never in a hot loop.
-    def integrand(x: float) -> float:
-        lp = post.logpdf(x)
-        return math.exp(lp) * (lp - pre.logpdf(x))
-
-    value, _ = integrate.quad(integrand, -math.inf, math.inf, epsrel=1e-8, limit=200)
-    return value
-
-
-def kl_divergence(model: ExperimentModel, method: str = "auto") -> float:
-    """D(f1 || f0) for the experiment's post/pre pair.
-
-    method "auto" uses the closed form when the family pair has one and falls
-    back to numeric integration; "closed" and "numeric" force one route.
-    """
-    if method not in ("auto", "closed", "numeric"):
-        raise ValueError(f"method must be 'auto', 'closed' or 'numeric', got {method!r}")
-    if method != "numeric":
-        value = _closed_form_kl(model.pre, model.post)
-        if value is not None:
-            return value
-        if method == "closed":
-            raise ValueError(
-                f"no closed-form KL for family pair "
-                f"({model.pre.family!r}, {model.post.family!r})"
-            )
-    value = _numeric_kl(model.pre, model.post)
-    if not math.isfinite(value):
-        raise ValueError(
-            f"experiment {model.id}: KL divergence is not finite ({value}); "
-            "the detection delay guarantees require 0 < KL < inf"
-        )
-    return value
-
-
-def sample(model: ExperimentModel, regime: str, rng: np.random.Generator) -> float:
-    """Draw one observation: regime "pre" uses f0, "post" uses f1."""
-    if regime == "pre":
-        return model.pre.sample(rng)
-    if regime == "post":
-        return model.post.sample(rng)
-    raise ValueError(f"regime must be 'pre' or 'post', got {regime!r}")
+def kl_divergence(model: ExperimentModel) -> float:
+    """D(f1 || f0) for the experiment's post/pre pair, in closed form."""
+    pre, post = model.pre, model.post
+    dm = post.mean - pre.mean
+    v0 = pre.std * pre.std
+    v1 = post.std * post.std
+    return math.log(pre.std / post.std) + (v1 + dm * dm) / (2.0 * v0) - 0.5
 
 
 @dataclass(frozen=True)

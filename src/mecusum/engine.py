@@ -31,10 +31,6 @@ IDLE = Action("idle")
 STOP = Action("stop")
 
 
-def sample_experiment(i: int) -> Action:
-    return Action("sample", i)
-
-
 @dataclass(frozen=True)
 class PolicyParams:
     """Parameters of an m-experiment policy.

@@ -11,18 +11,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from statistics import NormalDist
 from typing import Sequence
 
 import numpy as np
-from scipy.stats import norm
 
-from .densities import GAUSSIAN, ExperimentModel, llr_from_terms, llr_terms
+from .densities import ExperimentModel, llr_from_terms, llr_terms
 from .engine import PolicyParams, RssParams, resolve_truncation
-from .simulate import Scenario, episode_summary, seed_entropy
+from .simulate import Scenario, _GaussianStream, episode_summary, seed_entropy
 
 RENEWAL_TAG = 3
-
-_BLOCK = 4096
 
 
 @dataclass(frozen=True)
@@ -65,7 +63,7 @@ class PorVector:
 def _z_value(confidence: float) -> float:
     if not (0.0 < confidence < 1.0):
         raise ValueError(f"confidence must be in (0, 1), got {confidence}")
-    return float(norm.ppf(0.5 + confidence / 2.0))
+    return NormalDist().inv_cdf(0.5 + confidence / 2.0)
 
 
 def _estimate(values: np.ndarray, confidence: float, horizon_hits: int = 0) -> MetricEstimate:
@@ -86,6 +84,36 @@ def _default_safety_horizon(A: float) -> int:
     return int(10_000.0 * math.exp(min(A, 700.0)))
 
 
+def _stopping_time_estimate(
+    params: PolicyParams | RssParams,
+    models: Sequence[ExperimentModel],
+    change_point: float,
+    trials: int,
+    base_seed: int | Sequence[int],
+    confidence: float,
+    safety_horizon: int | None,
+) -> MetricEstimate:
+    """Mean stopping time of seeded episodes with the change at change_point;
+    episodes cut at the safety horizon count at the horizon."""
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
+    if not math.isfinite(params.A):
+        raise ValueError("stopping-time estimation needs a finite threshold")
+    if safety_horizon is None:
+        safety_horizon = _default_safety_horizon(params.A)
+    scenario = Scenario(tuple(models), change_point, horizon=safety_horizon)
+    taus = np.empty(trials)
+    hits = 0
+    for t in range(trials):
+        summary = episode_summary(params, scenario, _trial_seed(base_seed, t))
+        if summary.stopping_time is None:
+            hits += 1
+            taus[t] = safety_horizon
+        else:
+            taus[t] = summary.stopping_time
+    return _estimate(taus, confidence, hits)
+
+
 def estimate_arlfa(
     params: PolicyParams | RssParams,
     models: Sequence[ExperimentModel],
@@ -100,23 +128,8 @@ def estimate_arlfa(
     Episodes still running at the safety horizon are counted at the horizon
     and reported in horizon_hits, making the estimate a lower bound.
     """
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
-    if not math.isfinite(params.A):
-        raise ValueError("false-alarm estimation needs a finite threshold")
-    if safety_horizon is None:
-        safety_horizon = _default_safety_horizon(params.A)
-    scenario = Scenario(tuple(models), math.inf, horizon=safety_horizon)
-    taus = np.empty(trials)
-    hits = 0
-    for t in range(trials):
-        summary = episode_summary(params, scenario, _trial_seed(base_seed, t))
-        if summary.stopping_time is None:
-            hits += 1
-            taus[t] = safety_horizon
-        else:
-            taus[t] = summary.stopping_time
-    return _estimate(taus, confidence, hits)
+    return _stopping_time_estimate(params, models, math.inf, trials, base_seed,
+                                   confidence, safety_horizon)
 
 
 def wadd_penalty(params: PolicyParams | RssParams) -> float:
@@ -147,23 +160,8 @@ def estimate_wadd(
     safety_horizon: int | None = None,
 ) -> WaddEstimate:
     """Worst-case average detection delay: change at n = 1 plus the budget penalty."""
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
-    if not math.isfinite(params.A):
-        raise ValueError("delay estimation needs a finite threshold")
-    if safety_horizon is None:
-        safety_horizon = _default_safety_horizon(params.A)
-    scenario = Scenario(tuple(models), 1, horizon=safety_horizon)
-    taus = np.empty(trials)
-    hits = 0
-    for t in range(trials):
-        summary = episode_summary(params, scenario, _trial_seed(base_seed, t))
-        if summary.stopping_time is None:
-            hits += 1
-            taus[t] = safety_horizon
-        else:
-            taus[t] = summary.stopping_time
-    base = _estimate(taus, confidence, hits)
+    base = _stopping_time_estimate(params, models, 1, trials, base_seed,
+                                   confidence, safety_horizon)
     penalty = wadd_penalty(params)
     return WaddEstimate(
         mean=base.mean + penalty,
@@ -214,24 +212,6 @@ def estimate_por_direct(
     return PorVector({k: _estimate(fractions[k], confidence) for k in keys})
 
 
-class _BlockNormal:
-    __slots__ = ("gen", "buf", "pos")
-
-    def __init__(self, gen: np.random.Generator) -> None:
-        self.gen = gen
-        self.buf = gen.standard_normal(_BLOCK).tolist()
-        self.pos = 0
-
-    def next(self) -> float:
-        i = self.pos
-        if i == _BLOCK:
-            self.buf = self.gen.standard_normal(_BLOCK).tolist()
-            i = 0
-        v = self.buf[i]
-        self.pos = i + 1
-        return v
-
-
 class _RenewalKernel:
     """One regenerative cycle at a time, written straight from the cycle
     structure: a zero-floor excursion at the top level, then the recursive
@@ -251,17 +231,12 @@ class _RenewalKernel:
         by_id = sorted(models, key=lambda mdl: mdl.id)
         entropy = seed_entropy(base_seed) + (RENEWAL_TAG,)
         children = np.random.SeedSequence(entropy).spawn(m + 1)
+        # pre-change draws only: each entry is called with post=False
         self.draw = [None]
         self.terms = [None]
         for idx, mdl in enumerate(by_id):
             gen = np.random.Generator(np.random.Philox(children[idx]))
-            if mdl.pre.family == GAUSSIAN:
-                block = _BlockNormal(gen)
-                mean, std = mdl.pre.mean, mdl.pre.std
-                self.draw.append(lambda b=block, mn=mean, sd=std: mn + sd * b.next())
-            else:
-                spec = mdl.pre
-                self.draw.append(lambda s=spec, g=gen: s.sample(g))
+            self.draw.append(_GaussianStream(mdl, gen).next)
             self.terms.append(llr_terms(mdl))
         self.budget_rng = np.random.Generator(np.random.Philox(children[m]))
 
@@ -273,7 +248,7 @@ class _RenewalKernel:
         terms = self.terms[m]
         d = 0.0
         while True:
-            d += llr_from_terms(terms, draw())
+            d += llr_from_terms(terms, draw(False))
             out[m] += 1.0
             if d < 0.0:
                 break
@@ -299,7 +274,7 @@ class _RenewalKernel:
         terms = self.terms[j]
         reflects = j == 1 and not self.de
         while True:
-            d += llr_from_terms(terms, draw())
+            d += llr_from_terms(terms, draw(False))
             out[j] += 1.0
             used += 1
             if reflects and d < floor:

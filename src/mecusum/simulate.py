@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .densities import GAUSSIAN, ExperimentModel, validate_ordering
+from .densities import ExperimentModel, validate_ordering
 from .engine import (
     IDLE,
     Action,
@@ -89,26 +89,6 @@ class _GaussianStream:
         if post:
             return self.post_mean + self.post_std * z
         return self.pre_mean + self.pre_std * z
-
-
-class _GenericStream:
-    """Per-draw fallback for density families without a location-scale form."""
-
-    __slots__ = ("gen", "model")
-
-    def __init__(self, model: ExperimentModel, gen: np.random.Generator) -> None:
-        self.gen = gen
-        self.model = model
-
-    def next(self, post: bool) -> float:
-        spec = self.model.post if post else self.model.pre
-        return spec.sample(self.gen)
-
-
-def _make_stream(model: ExperimentModel, gen: np.random.Generator):
-    if model.pre.family == GAUSSIAN and model.post.family == GAUSSIAN:
-        return _GaussianStream(model, gen)
-    return _GenericStream(model, gen)
 
 
 @dataclass(frozen=True)
@@ -210,7 +190,8 @@ def _drive(params, scenario, seed, record):
     if math.isinf(nu) and horizon is None:
         raise ValueError("a horizon is required when change_point is infinite")
     by_id = sorted(scenario.models, key=lambda mdl: mdl.id)
-    streams = {mdl.id: _make_stream(mdl, observation_generator(seed, mdl.id)) for mdl in by_id}
+    streams = {mdl.id: _GaussianStream(mdl, observation_generator(seed, mdl.id))
+               for mdl in by_id}
     ctrl = control_generator(seed)
     counts = {0: 0, **{mdl.id: 0 for mdl in by_id}}
     if isinstance(params, RssParams):

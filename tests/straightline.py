@@ -18,6 +18,8 @@ experiment id and 0 for idle steps.
 
 from __future__ import annotations
 
+import math
+
 
 def run_2e(a_y, n_x, threshold, llr_y, llr_x, next_y, next_x, resolve,
            top_budget=None, max_steps=10_000_000):
@@ -152,3 +154,24 @@ def run_cusum(threshold, llr, next_x, max_steps=10_000_000):
         if d > threshold:
             return n
     return None
+
+
+def numeric_kl_gaussian(pre, post):
+    """D(post || pre) for (mean, std) pairs by adaptive quadrature.
+
+    An oracle for the closed form. scipy is imported here, not at the top,
+    so the other oracles do not need this test-only dependency.
+    """
+    from scipy import integrate
+
+    def logpdf(spec, x):
+        mean, std = spec
+        z = (x - mean) / std
+        return -0.5 * z * z - math.log(std) - 0.5 * math.log(2.0 * math.pi)
+
+    def integrand(x):
+        lp = logpdf(post, x)
+        return math.exp(lp) * (lp - logpdf(pre, x))
+
+    value, _ = integrate.quad(integrand, -math.inf, math.inf, epsrel=1e-8, limit=200)
+    return value

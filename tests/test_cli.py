@@ -66,6 +66,10 @@ def test_config_rejects_unknown_and_inconsistent_fields():
         {**base, "policyy": {}},
         {**base, "simulation": {"threads": 4}},
         {**base, "output": {"path": "x", "mode": "w"}},
+        {**base, "scenario": {**scenario_dict(2), "horizn": 5}},
+        {**base, "tradeoff": {"gammas": [5.0], "gama": [10.0]}},
+        {**base, "tradeoff": {"gammas": [5.0], "policies": [
+            {"variant": "cusum", "model_ids": [2], "labl": "single"}]}},
     ]
     for data in bad_cases:
         with pytest.raises(ValueError):
@@ -79,6 +83,9 @@ def test_config_rejects_unknown_and_inconsistent_fields():
         {"variant": "me-cusum", "A": 3.0, "m": 3},                    # m vs models
         {"variant": "cusum", "A": 3.0},                               # cusum needs m=1
         {"variant": "me-cusum", "A": 3.0, "budgets": {"one": 2}},     # bad key type
+        {"variant": "me-cusum", "A": 3.0, "scale": {"2": 5.0}},       # misspelt scales
+        {"variant": "me-cusum", "A": 3.0, "top_trunc": 3},            # misspelt truncation
+        {"variant": "rss", "A": 3.0, "p_hi": 0.5, "budgets": {"1": 2}},  # rss has no budgets
     ):
         with pytest.raises(ValueError):
             parse_config({"scenario": scenario_dict(2), "policy": policy})
@@ -310,6 +317,28 @@ def test_tradeoff_writes_one_file_per_policy(tmp_path):
         assert rows[0] == ["gamma", "log_arlfa", "wadd", "wadd_se"]
         assert [row[0] for row in rows[1:]] == ["5.0", "20.0"]
         assert float(rows[1][1]) < float(rows[2][1])
+
+
+def test_tradeoff_labels_must_be_distinct_file_names(tmp_path, capsys):
+    def config(policies):
+        return {
+            "scenario": scenario_dict(2, change_point=1),
+            "simulation": {"trials": 10, "seed": 1},
+            "tradeoff": {"gammas": [5.0], "policies": policies},
+        }
+
+    unlabelled_twice = [{"variant": "me-cusum", "budgets": {"1": 2}},
+                        {"variant": "me-cusum", "budgets": {"1": 4}}]
+    escaping = [{"label": "sub/../../x", "variant": "me-cusum", "budgets": {"1": 2}},
+                {"label": "pair", "variant": "me-cusum", "budgets": {"1": 4}}]
+    for name, policies in (("dup", unlabelled_twice), ("path", escaping)):
+        with pytest.raises(ValueError):
+            parse_config(config(policies))
+        path = write_config(tmp_path, config(policies), f"{name}.json")
+        assert main(["tradeoff", "--config", path,
+                     "--output", str(tmp_path / "curve.csv")]) == 1
+        assert "error:" in capsys.readouterr().err
+    assert not list(tmp_path.glob("curve*"))
 
 
 def test_tradeoff_falls_back_to_main_policy(tmp_path):

@@ -1,10 +1,9 @@
-"""Density pairs: likelihood ratios, divergences, sampling, serialization."""
+"""Density pairs: likelihood ratios, divergences, serialization."""
 
 from __future__ import annotations
 
 import math
 
-import numpy as np
 import pytest
 
 from mecusum import (
@@ -13,7 +12,6 @@ from mecusum import (
     OrderingViolation,
     kl_divergence,
     log_likelihood_ratio,
-    sample,
     validate_ordering,
 )
 from mecusum.densities import (
@@ -25,6 +23,7 @@ from mecusum.densities import (
     model_to_dict,
 )
 from conftest import gaussian_model, obs_for
+from straightline import numeric_kl_gaussian
 
 
 def test_llr_exact_unit_shift():
@@ -81,29 +80,9 @@ def test_kl_closed_vs_numeric():
         ),
     ]
     for model in cases:
-        closed = kl_divergence(model, method="closed")
-        numeric = kl_divergence(model, method="numeric")
-        assert closed == pytest.approx(numeric, abs=1e-6)
-        assert kl_divergence(model, method="auto") == closed
-
-
-def test_kl_method_validation():
-    model = gaussian_model(1, 1.0)
-    with pytest.raises(ValueError):
-        kl_divergence(model, method="quad")
-
-
-def test_sample_means():
-    model = gaussian_model(1, 1.0, pre_mean=-0.5)
-    rng = np.random.default_rng(7)
-    n = 1_000_000
-    pre = np.fromiter((sample(model, "pre", rng) for _ in range(1000)), float)
-    # spot-check the python path, then use the vectorized draw for the mean
-    assert abs(pre.mean() + 0.5) < 0.1
-    assert abs(rng.normal(-0.5, 1.0, n).mean() + 0.5) < 0.01
-    assert abs(rng.normal(1.0, 1.0, n).mean() - 1.0) < 0.01
-    with pytest.raises(ValueError):
-        sample(model, "during", rng)
+        numeric = numeric_kl_gaussian((model.pre.mean, model.pre.std),
+                                      (model.post.mean, model.post.std))
+        assert kl_divergence(model) == pytest.approx(numeric, abs=1e-6)
 
 
 def test_density_spec_validation():

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import math
+import subprocess
+import sys
 
 import pytest
 
@@ -16,6 +18,7 @@ from mecusum import (
     tradeoff_curve,
     wadd_penalty,
 )
+from mecusum.metrics import _z_value
 from conftest import gaussian_model
 
 
@@ -43,6 +46,23 @@ def test_estimate_arlfa_validation():
         estimate_arlfa(PolicyParams(m=1, A=math.inf), models, 10, 1)
     with pytest.raises(ValueError):
         estimate_arlfa(params, models, 10, 1, confidence=1.5)
+
+
+def test_z_value_matches_normal_quantiles():
+    # scipy.stats.norm.ppf(0.5 + c / 2) at each confidence c
+    quantiles = {
+        0.8: 1.2815515655446004,
+        0.9: 1.6448536269514722,
+        0.95: 1.959963984540054,
+        0.99: 2.5758293035489004,
+    }
+    for confidence, z in quantiles.items():
+        assert _z_value(confidence) == pytest.approx(z, rel=1e-15)
+
+
+def test_import_does_not_load_scipy():
+    code = "import sys, mecusum; sys.exit('scipy' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code]).returncode == 0
 
 
 def test_arlfa_meets_target():
