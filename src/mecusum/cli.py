@@ -14,10 +14,11 @@ import argparse
 import io
 import json
 import math
+import os
 import re
 import sys
-from dataclasses import dataclass, replace
-from typing import Sequence, TextIO
+from dataclasses import MISSING, asdict, dataclass, fields, replace
+from typing import Sequence
 
 from .calibrate import (
     CalibrationConfig,
@@ -25,7 +26,7 @@ from .calibrate import (
     calibrate,
     set_threshold,
 )
-from .densities import model_from_dict, model_to_dict
+from .densities import DensitySpec, ExperimentModel
 from .engine import PolicyParams, RssParams
 from .metrics import (
     estimate_arlfa,
@@ -37,9 +38,6 @@ from .metrics import (
 from .simulate import DEFAULT_INFINITE_HORIZON, Scenario, run_episode
 
 VARIANTS = ("cusum", "me-cusum", "de-me-cusum", "rss")
-
-_POLICY_FIELDS = {"variant", "A", "gamma", "m", "scales", "budgets", "mu", "top_truncation"}
-_RSS_FIELDS = {"variant", "A", "gamma", "p_hi"}
 
 # tradeoff labels become part of output file names
 _LABEL = re.compile(r"[A-Za-z0-9._-]+")
@@ -64,10 +62,11 @@ class RunConfig:
     scenario: Scenario
     variant: str | None
     policy: PolicyParams | RssParams | None
+    # the simulation section's fields, under their config names
     trials: int
+    horizon: int | None
     seed: int
     confidence: float
-    sim_horizon: int | None
     por_method: str
     cycles: int
     output_path: str | None
@@ -76,256 +75,305 @@ class RunConfig:
     tradeoff: TradeoffSpec | None
 
 
-def _reject_unknown(data: dict, allowed, where: str) -> None:
-    extra = set(data) - set(allowed)
-    if extra:
-        raise ValueError(f"unknown {where} fields: {sorted(extra)}")
+# Each config object is read by a table of (field, reader, default) rows. A
+# reader takes a JSON value and its path in the config, and returns the
+# parsed value or raises ValueError. A default is a JSON value for the
+# reader, _REQUIRED, or None for a field that may be left out or set to null.
+_REQUIRED = object()
 
 
-def _require(data: dict, key: str, where: str):
-    if key not in data:
-        raise ValueError(f"{where} is missing required field {key!r}")
-    return data[key]
+def _reader(kind: str, accepts, convert=None):
+    """Reader for a JSON scalar: accepts tests the value, convert parses it."""
+
+    def read(value, path: str):
+        if not accepts(value):
+            raise ValueError(f"{path} must be {kind}, got {value!r}")
+        return value if convert is None else convert(value)
+
+    return read
 
 
-def _change_point_from(value) -> float:
-    if isinstance(value, str):
-        if value.lower() in ("inf", "infinity"):
-            return math.inf
-        raise ValueError(f"change_point string must be 'inf', got {value!r}")
-    return float(value)
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
-def _change_point_to(value) -> object:
-    return "inf" if math.isinf(value) else int(value)
+def _choice(*options: str):
+    return _reader(f"one of {options}", lambda v: v in options)
 
 
-def _scenario_from_dict(data: dict) -> Scenario:
-    _reject_unknown(data, {"models", "change_point", "horizon"}, "scenario")
-    models = tuple(model_from_dict(m) for m in _require(data, "models", "scenario"))
-    change_point = _change_point_from(_require(data, "change_point", "scenario"))
-    horizon = data.get("horizon")
-    return Scenario(models, change_point, None if horizon is None else int(horizon))
+_number = _reader("a number", _is_number, float)
+_integer = _reader("an integer",
+                   lambda v: _is_number(v) and (isinstance(v, int) or v.is_integer()), int)
+_string = _reader("a string", lambda v: isinstance(v, str))
+_boolean = _reader("true or false", lambda v: isinstance(v, bool))
+_json_object = _reader("an object", lambda v: isinstance(v, dict))
+_number_or_inf = _reader(
+    "a number or 'inf'",
+    lambda v: _is_number(v) or (isinstance(v, str) and v.lower() in ("inf", "infinity")),
+    float,
+)
 
 
-def _scenario_to_dict(scenario: Scenario) -> dict:
-    out = {
-        "models": [model_to_dict(m) for m in scenario.models],
-        "change_point": _change_point_to(scenario.change_point),
-    }
-    if scenario.horizon is not None:
-        out["horizon"] = scenario.horizon
+def _index_map(value, path: str) -> dict[int, float]:
+    """An object from integer indices (JSON keys are strings) to numbers."""
+    out = {}
+    for key, item in _json_object(value, path).items():
+        # only the plain form, so that "01" or "0_1" cannot alias key "1"
+        if not (str(key).isdecimal() and str(int(key)) == str(key)):
+            raise ValueError(f"{path} must be keyed by integer indices, got {key!r}")
+        out[int(key)] = _number(item, f"{path}.{key}")
     return out
 
 
-def _threshold_from(data: dict, where: str) -> float:
-    has_a = "A" in data
-    has_gamma = "gamma" in data
-    if has_a == has_gamma:
-        raise ValueError(f"{where} needs exactly one of 'A' or 'gamma'")
-    if has_a:
-        return float(data["A"])
-    return set_threshold(float(data["gamma"]))
+def _list_of(read):
+    def read_list(value, path: str) -> tuple:
+        if not isinstance(value, list):
+            raise ValueError(f"{path} must be a list, got {value!r}")
+        return tuple(read(item, f"{path}[{i}]") for i, item in enumerate(value))
+
+    return read_list
 
 
-def _int_key_map(data: dict, where: str) -> dict[int, float]:
-    try:
-        return {int(k): float(v) for k, v in data.items()}
-    except (TypeError, ValueError):
-        raise ValueError(f"{where} must map integer indices to numbers, got {data!r}") from None
+def _read(data, table, path: str) -> dict:
+    """The fields of one config object: defaults filled in, unknown fields
+    and wrong JSON types rejected."""
+    where = path or "the config"
+    unknown = set(_json_object(data, where)) - {name for name, _, _ in table}
+    if unknown:
+        raise ValueError(f"unknown fields in {where}: {sorted(unknown)}")
+    out = {}
+    for name, read, default in table:
+        value = data.get(name, default)
+        field_path = f"{path}.{name}" if path else name
+        if value is _REQUIRED:
+            raise ValueError(f"{field_path} is required")
+        out[name] = None if value is None and default is None else read(value, field_path)
+    return out
 
 
-def _policy_from_dict(data: dict, n_models: int) -> tuple[str, PolicyParams | RssParams]:
-    variant = _require(data, "variant", "policy")
-    if variant not in VARIANTS:
-        raise ValueError(f"policy variant must be one of {VARIANTS}, got {variant!r}")
-    _reject_unknown(data, _RSS_FIELDS if variant == "rss" else _POLICY_FIELDS,
-                    f"{variant} policy")
-    threshold = _threshold_from(data, "policy")
+def _object(make, table):
+    """Reader for a JSON object laid out by table; make builds the result
+    from its fields."""
+    return lambda value, path: make(**_read(value, table, path))
+
+
+_READERS = {"str": _string, "int": _integer, "float": _number, "bool": _boolean,
+            "dict[int, float]": _index_map}
+
+
+def _dataclass_table(cls) -> tuple:
+    """Rows for the fields of a library dataclass, typed by its annotations
+    and defaulted by its defaults, so that neither is written twice."""
+    return tuple(
+        (f.name, _READERS[f.type], _REQUIRED if f.default is MISSING else f.default)
+        for f in fields(cls)
+    )
+
+
+_DENSITY = _dataclass_table(DensitySpec)
+_MODEL = (
+    ("id", _integer, _REQUIRED),
+    ("pre", _object(DensitySpec, _DENSITY), _REQUIRED),
+    ("post", _object(DensitySpec, _DENSITY), _REQUIRED),
+)
+_SCENARIO = (
+    ("models", _list_of(_object(ExperimentModel, _MODEL)), _REQUIRED),
+    ("change_point", _number_or_inf, _REQUIRED),
+    ("horizon", _integer, None),
+)
+# exactly one of A and gamma is given
+_ANY_POLICY = (
+    ("variant", _choice(*VARIANTS), _REQUIRED),
+    ("A", _number, None),
+    ("gamma", _number, None),
+)
+_RSS_POLICY = _ANY_POLICY + (("p_hi", _number, _REQUIRED),)
+_LEVEL_POLICY = _ANY_POLICY + (
+    ("m", _integer, None),  # the number of scenario models
+    ("scales", _index_map, {}),  # a scale left out is 1
+    ("budgets", _index_map, {}),
+    ("mu", _number, None),
+    ("top_truncation", _number, None),
+)
+# a tradeoff policies entry is a policy plus these; the label defaults to
+# the variant and model_ids to every scenario model
+_CURVE = (
+    ("label", _string, None),
+    ("model_ids", _list_of(_integer), None),
+)
+_SIMULATION = (
+    ("trials", _integer, 1000),
+    ("horizon", _integer, None),
+    ("seed", _integer, 0),
+    ("confidence", _number, 0.95),
+    ("por_method", _choice("direct", "renewal"), "direct"),
+    ("cycles", _integer, 200_000),
+)
+_OUTPUT = (("path", _string, None),)
+# the calibration section holds a CalibrationTarget and a CalibrationConfig
+_CALIBRATION_TARGET = _dataclass_table(CalibrationTarget)
+_CALIBRATION = _CALIBRATION_TARGET + _dataclass_table(CalibrationConfig)
+
+
+def _policy_fields(value, path: str, extra: tuple = ()) -> dict:
+    """The fields of a policy object, whose variant decides which it may have."""
+    rss = isinstance(value, dict) and value.get("variant") == "rss"
+    return _read(value, (_RSS_POLICY if rss else _LEVEL_POLICY) + extra, path)
+
+
+_TRADEOFF = (
+    ("gammas", _list_of(_number), _REQUIRED),
+    ("policies", _list_of(lambda value, path: _policy_fields(value, path, _CURVE)), None),
+)
+_CONFIG = (
+    ("scenario", _object(Scenario, _SCENARIO), _REQUIRED),
+    ("policy", _policy_fields, None),
+    ("simulation", _object(dict, _SIMULATION), {}),
+    ("output", _object(dict, _OUTPUT), {}),
+    ("calibration", _object(dict, _CALIBRATION), None),
+    ("tradeoff", _object(dict, _TRADEOFF), None),
+)
+
+
+def _policy(f: dict, n_models: int, path: str) -> tuple[str, PolicyParams | RssParams]:
+    variant = f["variant"]
+    if (f["A"] is None) == (f["gamma"] is None):
+        raise ValueError(f"{path} needs exactly one of 'A' or 'gamma'")
+    threshold = set_threshold(f["gamma"]) if f["A"] is None else f["A"]
     if variant == "rss":
         if n_models != 2:
             raise ValueError("the rss variant needs exactly two experiment models")
-        return variant, RssParams(A=threshold, p_hi=float(_require(data, "p_hi", "rss policy")))
-    de = variant == "de-me-cusum"
-    m = int(data.get("m", n_models))
+        return variant, RssParams(A=threshold, p_hi=f["p_hi"])
+    m = n_models if f["m"] is None else f["m"]
     if m != n_models:
-        raise ValueError(f"policy m={m} does not match the {n_models} scenario models")
+        raise ValueError(f"{path}.m={m} does not match the {n_models} scenario models")
     if variant == "cusum" and m != 1:
         raise ValueError("the cusum variant runs on exactly one experiment model")
-    scales = _int_key_map(data.get("scales", {}), "policy scales")
-    for i in range(2, m + 1):
+    de = variant == "de-me-cusum"
+    scales = f["scales"]
+    for i in range(1 if de else 2, m + 1):
         scales.setdefault(i, 1.0)
-    if de:
-        scales.setdefault(1, 1.0)
-    budgets = _int_key_map(data.get("budgets", {}), "policy budgets")
-    mu = data.get("mu")
-    top = data.get("top_truncation")
     params = PolicyParams(
         m=m,
         A=threshold,
         scales=scales,
-        budgets=budgets,
-        mu=None if mu is None else float(mu),
+        budgets=f["budgets"],
+        mu=f["mu"],
         data_efficient=de,
-        top_truncation=None if top is None else float(top),
+        top_truncation=f["top_truncation"],
     )
     return variant, params
 
 
-def _policy_to_dict(variant: str, params: PolicyParams | RssParams) -> dict:
-    if isinstance(params, RssParams):
-        return {"variant": variant, "A": params.A, "p_hi": params.p_hi}
-    out = {
-        "variant": variant,
-        "A": params.A,
-        "m": params.m,
-        "scales": {str(k): v for k, v in sorted(params.scales.items())},
-        "budgets": {str(k): v for k, v in sorted(params.budgets.items())},
-    }
-    if params.mu is not None:
-        out["mu"] = params.mu
-    if params.top_truncation is not None:
-        out["top_truncation"] = params.top_truncation
-    return out
-
-
-_CALIB_FIELDS = (
-    "tolerance", "search_cycles", "final_cycles", "max_evaluations",
-    "budget_cap", "scale_cap", "mu", "initial_scale",
-)
-
-
-def _calibration_from_dict(data: dict) -> tuple[CalibrationTarget, CalibrationConfig]:
-    target = CalibrationTarget(
-        gamma=float(_require(data, "gamma", "calibration")),
-        betas=_int_key_map(_require(data, "betas", "calibration"), "calibration betas"),
-        data_efficient=bool(data.get("data_efficient", False)),
-    )
-    kwargs = {}
-    for name in _CALIB_FIELDS:
-        if name in data:
-            value = data[name]
-            kwargs[name] = int(value) if name.endswith(("cycles", "evaluations")) else float(value)
-    _reject_unknown(data, {*_CALIB_FIELDS, "gamma", "betas", "data_efficient"}, "calibration")
-    return target, CalibrationConfig(**kwargs)
-
-
-def _calibration_to_dict(target: CalibrationTarget, config: CalibrationConfig) -> dict:
-    out = {
-        "gamma": target.gamma,
-        "betas": {str(k): v for k, v in sorted(target.betas.items())},
-        "data_efficient": target.data_efficient,
-    }
-    for name in _CALIB_FIELDS:
-        out[name] = getattr(config, name)
-    return out
-
-
-def _tradeoff_from_dict(data: dict, cfg_variant: str | None,
-                        cfg_policy, n_models: int) -> TradeoffSpec:
-    _reject_unknown(data, {"gammas", "policies"}, "tradeoff")
-    gammas = tuple(float(g) for g in _require(data, "gammas", "tradeoff"))
-    raw_policies = data.get("policies")
-    policies = []
-    if raw_policies is None:
-        if cfg_policy is None:
+def _tradeoff(f: dict, scenario: Scenario, main_variant: str | None,
+              main_policy: PolicyParams | RssParams | None) -> TradeoffSpec:
+    if f["policies"] is None:
+        if main_policy is None:
             raise ValueError("tradeoff needs either a main policy or a policies list")
-        policies.append(TradeoffPolicySpec(cfg_variant, cfg_variant, cfg_policy, None))
-    else:
-        for entry in raw_policies:
-            ids = entry.get("model_ids")
-            n = len(ids) if ids is not None else n_models
-            pdata = {k: v for k, v in entry.items() if k not in ("label", "model_ids")}
-            if "A" not in pdata and "gamma" not in pdata:
-                pdata["A"] = 1.0  # placeholder; the curve re-thresholds per gamma
-            variant, params = _policy_from_dict(pdata, n)
-            label = entry.get("label", variant)
-            if not (isinstance(label, str) and _LABEL.fullmatch(label)):
-                raise ValueError(
-                    f"tradeoff label must match {_LABEL.pattern}, got {label!r}")
-            if any(pol.label == label for pol in policies):
-                raise ValueError(f"tradeoff label {label!r} is used twice; "
-                                 "give each policy its own label")
-            policies.append(
-                TradeoffPolicySpec(label, variant, params,
-                                   None if ids is None else tuple(int(i) for i in ids))
-            )
-    return TradeoffSpec(gammas, tuple(policies))
-
-
-def _tradeoff_to_dict(spec: TradeoffSpec) -> dict:
-    entries = []
-    for pol in spec.policies:
-        entry = _policy_to_dict(pol.variant, pol.params)
-        entry["label"] = pol.label
-        if pol.model_ids is not None:
-            entry["model_ids"] = list(pol.model_ids)
-        entries.append(entry)
-    return {"gammas": list(spec.gammas), "policies": entries}
+        return TradeoffSpec(
+            f["gammas"], (TradeoffPolicySpec(main_variant, main_variant, main_policy, None),))
+    known = {mdl.id for mdl in scenario.models}
+    policies = []
+    for i, entry in enumerate(f["policies"]):
+        path = f"tradeoff.policies[{i}]"
+        ids = entry["model_ids"]
+        if ids is not None:
+            if not set(ids) <= known:
+                raise ValueError(f"{path}.model_ids not in the scenario: "
+                                 f"{sorted(set(ids) - known)}")
+            if len(set(ids)) != len(ids):
+                raise ValueError(f"{path}.model_ids repeats an id: {list(ids)}")
+        if entry["A"] is None and entry["gamma"] is None:
+            entry["A"] = 1.0  # placeholder; the curve re-thresholds per gamma
+        variant, params = _policy(entry, len(known if ids is None else ids), path)
+        label = variant if entry["label"] is None else entry["label"]
+        if not _LABEL.fullmatch(label):
+            raise ValueError(f"tradeoff label must match {_LABEL.pattern}, got {label!r}")
+        if any(pol.label == label for pol in policies):
+            raise ValueError(f"tradeoff label {label!r} is used twice; "
+                             "give each policy its own label")
+        policies.append(TradeoffPolicySpec(label, variant, params, ids))
+    return TradeoffSpec(f["gammas"], tuple(policies))
 
 
 def parse_config(data: dict) -> RunConfig:
-    _reject_unknown(data, {"scenario", "policy", "simulation", "output", "calibration",
-                           "tradeoff"}, "top-level config")
-    scenario = _scenario_from_dict(_require(data, "scenario", "config"))
-    variant = None
-    policy = None
-    if "policy" in data and data["policy"] is not None:
-        variant, policy = _policy_from_dict(data["policy"], len(scenario.models))
-    sim = data.get("simulation", {})
-    _reject_unknown(sim, {"trials", "horizon", "seed", "confidence", "por_method", "cycles"},
-                    "simulation")
-    por_method = sim.get("por_method", "direct")
-    if por_method not in ("direct", "renewal"):
-        raise ValueError(f"por_method must be 'direct' or 'renewal', got {por_method!r}")
-    out = data.get("output", {})
-    _reject_unknown(out, {"path"}, "output")
-    calibration_target = None
-    calibration_config = None
-    if "calibration" in data and data["calibration"] is not None:
-        calibration_target, calibration_config = _calibration_from_dict(data["calibration"])
+    top = _read(data, _CONFIG, "")
+    scenario = top["scenario"]
+    variant = policy = None
+    if top["policy"] is not None:
+        variant, policy = _policy(top["policy"], len(scenario.models), "policy")
+    calibration_target = calibration_config = None
+    calibration = top["calibration"]
+    if calibration is not None:
+        calibration_target = CalibrationTarget(
+            **{name: calibration.pop(name) for name, _, _ in _CALIBRATION_TARGET})
+        calibration_config = CalibrationConfig(**calibration)
     tradeoff = None
-    if "tradeoff" in data and data["tradeoff"] is not None:
-        tradeoff = _tradeoff_from_dict(data["tradeoff"], variant, policy, len(scenario.models))
-    horizon = sim.get("horizon")
+    if top["tradeoff"] is not None:
+        tradeoff = _tradeoff(top["tradeoff"], scenario, variant, policy)
     return RunConfig(
         scenario=scenario,
         variant=variant,
         policy=policy,
-        trials=int(sim.get("trials", 1000)),
-        seed=int(sim.get("seed", 0)),
-        confidence=float(sim.get("confidence", 0.95)),
-        sim_horizon=None if horizon is None else int(horizon),
-        por_method=por_method,
-        cycles=int(sim.get("cycles", 200_000)),
-        output_path=out.get("path"),
+        **top["simulation"],
+        output_path=top["output"]["path"],
         calibration_target=calibration_target,
         calibration_config=calibration_config,
         tradeoff=tradeoff,
     )
 
 
+def _drop_none(section: dict) -> dict:
+    return {name: value for name, value in section.items() if value is not None}
+
+
+def _by_index(values: dict[int, float]) -> dict[str, float]:
+    return {str(k): v for k, v in sorted(values.items())}
+
+
+def _policy_to_dict(variant: str, params: PolicyParams | RssParams) -> dict:
+    if isinstance(params, RssParams):
+        return {"variant": variant, "A": params.A, "p_hi": params.p_hi}
+    return _drop_none({
+        "variant": variant,
+        "A": params.A,
+        "m": params.m,
+        "scales": _by_index(params.scales),
+        "budgets": _by_index(params.budgets),
+        "mu": params.mu,
+        "top_truncation": params.top_truncation,
+    })
+
+
 def config_to_dict(cfg: RunConfig) -> dict:
-    data: dict = {"scenario": _scenario_to_dict(cfg.scenario)}
-    if cfg.policy is not None:
-        data["policy"] = _policy_to_dict(cfg.variant, cfg.policy)
-    sim = {
-        "trials": cfg.trials,
-        "seed": cfg.seed,
-        "confidence": cfg.confidence,
-        "por_method": cfg.por_method,
-        "cycles": cfg.cycles,
-    }
-    if cfg.sim_horizon is not None:
-        sim["horizon"] = cfg.sim_horizon
-    data["simulation"] = sim
-    if cfg.output_path is not None:
-        data["output"] = {"path": cfg.output_path}
-    if cfg.calibration_target is not None:
-        data["calibration"] = _calibration_to_dict(cfg.calibration_target, cfg.calibration_config)
-    if cfg.tradeoff is not None:
-        data["tradeoff"] = _tradeoff_to_dict(cfg.tradeoff)
-    return data
+    scenario = cfg.scenario
+    target = cfg.calibration_target
+    tradeoff = cfg.tradeoff
+    return _drop_none({
+        "scenario": _drop_none({
+            "models": [asdict(mdl) for mdl in scenario.models],
+            "change_point": "inf" if math.isinf(scenario.change_point) else scenario.change_point,
+            "horizon": scenario.horizon,
+        }),
+        "policy": None if cfg.policy is None else _policy_to_dict(cfg.variant, cfg.policy),
+        "simulation": _drop_none({name: getattr(cfg, name) for name, _, _ in _SIMULATION}),
+        "output": None if cfg.output_path is None else {"path": cfg.output_path},
+        "calibration": None if target is None else {
+            **asdict(target), "betas": _by_index(target.betas),
+            **asdict(cfg.calibration_config),
+        },
+        "tradeoff": None if tradeoff is None else {
+            "gammas": list(tradeoff.gammas),
+            "policies": [
+                _drop_none({
+                    **_policy_to_dict(pol.variant, pol.params),
+                    "label": pol.label,
+                    "model_ids": None if pol.model_ids is None else list(pol.model_ids),
+                })
+                for pol in tradeoff.policies
+            ],
+        },
+    })
 
 
 def load_config(path: str) -> RunConfig:
@@ -334,17 +382,17 @@ def load_config(path: str) -> RunConfig:
 
 
 def _apply_overrides(cfg: RunConfig, args: argparse.Namespace) -> RunConfig:
-    if getattr(args, "seed", None) is not None:
+    if args.seed is not None:
         cfg = replace(cfg, seed=args.seed)
-    if getattr(args, "trials", None) is not None:
+    if args.trials is not None:
         cfg = replace(cfg, trials=args.trials)
-    if getattr(args, "gamma", None) is not None:
+    if args.gamma is not None:
         threshold = set_threshold(args.gamma)
         if cfg.policy is not None:
             cfg = replace(cfg, policy=replace(cfg.policy, A=threshold))
         if cfg.calibration_target is not None:
             cfg = replace(cfg, calibration_target=replace(cfg.calibration_target, gamma=args.gamma))
-    if getattr(args, "output", None) is not None:
+    if args.output is not None:
         cfg = replace(cfg, output_path=args.output)
     return cfg
 
@@ -354,19 +402,12 @@ def _config_comment(cfg: RunConfig) -> str:
     return f"# config: {blob}\n# seed: {cfg.seed}\n"
 
 
-def _open_output(cfg: RunConfig):
-    if cfg.output_path is None:
-        return sys.stdout, False
-    return open(cfg.output_path, "w", encoding="utf-8"), True
-
-
-def _emit(cfg: RunConfig, text: str) -> None:
-    handle, close = _open_output(cfg)
-    try:
+def _write(path: str | None, text: str) -> None:
+    if path is None:
+        sys.stdout.write(text)
+        return
+    with open(path, "w", encoding="utf-8") as handle:
         handle.write(text)
-    finally:
-        if close:
-            handle.close()
 
 
 def _json_result(cfg: RunConfig, payload: dict) -> str:
@@ -378,14 +419,19 @@ def _fmt(value: float) -> str:
     return repr(float(value))
 
 
+def _key_name(key: int) -> str:
+    """Output name of a rate key: 0 is the idle fraction."""
+    return "idle" if key == 0 else str(key)
+
+
 def _episode_scenario(cfg: RunConfig) -> Scenario:
     scenario = cfg.scenario
     if scenario.horizon is None:
         if math.isinf(scenario.change_point):
-            horizon = cfg.sim_horizon or DEFAULT_INFINITE_HORIZON
+            horizon = cfg.horizon or DEFAULT_INFINITE_HORIZON
             scenario = replace(scenario, horizon=horizon)
-        elif cfg.sim_horizon is not None:
-            scenario = replace(scenario, horizon=cfg.sim_horizon)
+        elif cfg.horizon is not None:
+            scenario = replace(scenario, horizon=cfg.horizon)
     return scenario
 
 
@@ -400,7 +446,7 @@ def cmd_trace(cfg: RunConfig) -> int:
         action = "idle" if s.action.kind == "idle" else f"sample({s.action.experiment})"
         obs = "" if s.observation is None else _fmt(s.observation)
         buf.write(f"{s.n},{s.level},{action},{obs},{_fmt(s.statistic)},{s.event}\n")
-    _emit(cfg, buf.getvalue())
+    _write(cfg.output_path, buf.getvalue())
     return 0
 
 
@@ -423,47 +469,38 @@ def cmd_evaluate(cfg: RunConfig, metric: str, strict: bool) -> int:
     if cfg.policy is None:
         raise ValueError("evaluate needs a policy section in the config")
     models = cfg.scenario.models
-    rc = 0
-    if metric == "arlfa":
-        est = estimate_arlfa(cfg.policy, models, cfg.trials, cfg.seed,
-                             confidence=cfg.confidence)
-        if est.horizon_hits and strict:
-            rc = 2
-        _emit(cfg, _json_result(cfg, {"metric": "arlfa", "result": _metric_payload(est)}))
-    elif metric == "wadd":
-        est = estimate_wadd(cfg.policy, models, cfg.trials, cfg.seed,
-                            confidence=cfg.confidence)
-        if est.horizon_hits and strict:
-            rc = 2
-        _emit(cfg, _json_result(cfg, {"metric": "wadd", "result": _metric_payload(est)}))
-    elif metric == "por":
-        if cfg.por_method == "renewal":
-            por = estimate_por_renewal(cfg.policy, models, cfg.cycles, cfg.seed,
-                                       confidence=cfg.confidence)
-        else:
-            horizon = cfg.sim_horizon or DEFAULT_INFINITE_HORIZON
-            por = estimate_por_direct(cfg.policy, models, horizon, cfg.trials, cfg.seed,
-                                      confidence=cfg.confidence)
-        if cfg.output_path is not None and cfg.output_path.endswith(".csv"):
-            buf = io.StringIO()
-            buf.write(_config_comment(cfg))
-            buf.write("experiment,por,por_se\n")
-            for key in sorted(por.components):
-                name = "idle" if key == 0 else str(key)
-                est = por[key]
-                buf.write(f"{name},{_fmt(est.mean)},{_fmt(est.std_error)}\n")
-            _emit(cfg, buf.getvalue())
-        else:
-            payload = {
-                "metric": "por",
-                "method": cfg.por_method,
-                "result": {("idle" if k == 0 else str(k)): _metric_payload(v)
-                           for k, v in sorted(por.components.items())},
-            }
-            _emit(cfg, _json_result(cfg, payload))
-    else:
+    if metric in ("arlfa", "wadd"):
+        estimate = estimate_arlfa if metric == "arlfa" else estimate_wadd
+        est = estimate(cfg.policy, models, cfg.trials, cfg.seed, confidence=cfg.confidence)
+        payload = {"metric": metric, "result": _metric_payload(est)}
+        _write(cfg.output_path, _json_result(cfg, payload))
+        return 2 if strict and est.horizon_hits else 0
+    if metric != "por":
         raise ValueError(f"unknown metric {metric!r}")
-    return rc
+    if cfg.por_method == "renewal":
+        por = estimate_por_renewal(cfg.policy, models, cfg.cycles, cfg.seed,
+                                   confidence=cfg.confidence)
+    else:
+        horizon = cfg.horizon or DEFAULT_INFINITE_HORIZON
+        por = estimate_por_direct(cfg.policy, models, horizon, cfg.trials, cfg.seed,
+                                  confidence=cfg.confidence)
+    if cfg.output_path is not None and cfg.output_path.endswith(".csv"):
+        buf = io.StringIO()
+        buf.write(_config_comment(cfg))
+        buf.write("experiment,por,por_se\n")
+        for key in sorted(por.components):
+            est = por[key]
+            buf.write(f"{_key_name(key)},{_fmt(est.mean)},{_fmt(est.std_error)}\n")
+        _write(cfg.output_path, buf.getvalue())
+    else:
+        payload = {
+            "metric": "por",
+            "method": cfg.por_method,
+            "result": {_key_name(k): _metric_payload(v)
+                       for k, v in sorted(por.components.items())},
+        }
+        _write(cfg.output_path, _json_result(cfg, payload))
+    return 0
 
 
 def cmd_calibrate(cfg: RunConfig) -> int:
@@ -487,13 +524,13 @@ def cmd_calibrate(cfg: RunConfig) -> int:
             header.append(f"N_{j}")
             values.append(_fmt(params.budgets[j]))
         for key in sorted(result.achieved.components):
-            header.append("achieved_por_idle" if key == 0 else f"achieved_por_{key}")
+            header.append(f"achieved_por_{_key_name(key)}")
             values.append(_fmt(result.achieved[key].mean))
         buf = io.StringIO()
         buf.write(_config_comment(cfg))
         buf.write(",".join(header) + "\n")
         buf.write(",".join(values) + "\n")
-        _emit(cfg, buf.getvalue())
+        _write(cfg.output_path, buf.getvalue())
     else:
         payload = {
             "calibration": {
@@ -501,13 +538,13 @@ def cmd_calibrate(cfg: RunConfig) -> int:
                 "evaluations": result.evaluations,
                 "params": _policy_to_dict(
                     "de-me-cusum" if params.data_efficient else "me-cusum", params),
-                "achieved": {("idle" if k == 0 else str(k)): _metric_payload(v)
+                "achieved": {_key_name(k): _metric_payload(v)
                              for k, v in sorted(result.achieved.components.items())},
-                "residuals": {("idle" if k == 0 else str(k)): v
+                "residuals": {_key_name(k): v
                               for k, v in sorted(result.residuals.items())},
             }
         }
-        _emit(cfg, _json_result(cfg, payload))
+        _write(cfg.output_path, _json_result(cfg, payload))
     if not result.converged:
         print("calibration did not converge; residuals: "
               + json.dumps({str(k): round(v, 5) for k, v in sorted(result.residuals.items())}),
@@ -520,9 +557,6 @@ def _subset_models(models, ids: tuple[int, ...] | None):
     if ids is None:
         return models
     by_id = {m.id: m for m in models}
-    missing = [i for i in ids if i not in by_id]
-    if missing:
-        raise ValueError(f"tradeoff model_ids not in scenario: {missing}")
     return tuple(replace(by_id[i], id=k + 1) for k, i in enumerate(sorted(ids)))
 
 
@@ -542,19 +576,12 @@ def cmd_tradeoff(cfg: RunConfig) -> int:
         for pt in points:
             buf.write(f"{_fmt(pt.gamma)},{_fmt(pt.log_arlfa)},{_fmt(pt.wadd)},{_fmt(pt.wadd_se)}\n")
         outputs.append((pol.label, buf.getvalue()))
-    if cfg.output_path is None:
-        for _, text in outputs:
-            sys.stdout.write(text)
-    elif len(outputs) == 1:
-        with open(cfg.output_path, "w", encoding="utf-8") as handle:
-            handle.write(outputs[0][1])
-    else:
-        stem, dot, ext = cfg.output_path.rpartition(".")
-        if not dot:
-            stem, ext = cfg.output_path, "csv"
-        for label, text in outputs:
-            with open(f"{stem}-{label}.{ext}", "w", encoding="utf-8") as handle:
-                handle.write(text)
+    for label, text in outputs:
+        path = cfg.output_path
+        if path is not None and len(outputs) > 1:
+            stem, ext = os.path.splitext(path)
+            path = f"{stem}-{label}{ext or '.csv'}"
+        _write(path, text)
     return 0
 
 
@@ -604,7 +631,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         if args.command == "tradeoff":
             return cmd_tradeoff(cfg)
         raise ValueError(f"unknown command {args.command!r}")
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OverflowError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -135,39 +135,3 @@ def validate_ordering(models: Sequence[ExperimentModel]) -> OrderingViolation | 
         if kl_upper < kl_lower:
             return OrderingViolation(lower.id, upper.id, kl_lower, kl_upper)
     return None
-
-
-def density_to_dict(spec: DensitySpec) -> dict:
-    return {"family": spec.family, "mean": spec.mean, "std": spec.std}
-
-
-def density_from_dict(data: dict) -> DensitySpec:
-    extra = set(data) - {"family", "mean", "std"}
-    if extra:
-        raise ValueError(f"unknown density fields: {sorted(extra)}")
-    try:
-        return DensitySpec(data["family"], float(data["mean"]), float(data["std"]))
-    except KeyError as exc:
-        raise ValueError(f"density spec is missing field {exc.args[0]!r}") from None
-
-
-def model_to_dict(model: ExperimentModel) -> dict:
-    return {
-        "id": model.id,
-        "pre": density_to_dict(model.pre),
-        "post": density_to_dict(model.post),
-    }
-
-
-def model_from_dict(data: dict) -> ExperimentModel:
-    extra = set(data) - {"id", "pre", "post"}
-    if extra:
-        raise ValueError(f"unknown experiment fields: {sorted(extra)}")
-    try:
-        return ExperimentModel(
-            int(data["id"]),
-            density_from_dict(data["pre"]),
-            density_from_dict(data["post"]),
-        )
-    except KeyError as exc:
-        raise ValueError(f"experiment model is missing field {exc.args[0]!r}") from None

@@ -99,6 +99,7 @@ def _stopping_time_estimate(
         raise ValueError(f"trials must be >= 1, got {trials}")
     if not math.isfinite(params.A):
         raise ValueError("stopping-time estimation needs a finite threshold")
+    _z_value(confidence)  # a bad confidence fails before the first trial
     if safety_horizon is None:
         safety_horizon = _default_safety_horizon(params.A)
     scenario = Scenario(tuple(models), change_point, horizon=safety_horizon)
@@ -199,6 +200,7 @@ def estimate_por_direct(
         raise ValueError(f"direct estimation needs horizon >= 10000, got {horizon}")
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
+    _z_value(confidence)  # a bad confidence fails before the first trial
     free = _disable_threshold(params)
     scenario = Scenario(tuple(models), math.inf, horizon=horizon)
     keys = [mdl.id for mdl in sorted(models, key=lambda mdl: mdl.id)]
@@ -327,6 +329,7 @@ def estimate_por_renewal(
         raise ValueError(f"renewal estimation needs cycles >= 100, got {cycles}")
     if params.top_truncation is not None:
         raise ValueError("renewal estimation assumes an untruncated top level")
+    _z_value(confidence)  # a bad confidence fails before the first cycle
     kernel = _RenewalKernel(params, models, base_seed)
     times = np.empty((cycles, params.m + 1))
     for k in range(cycles):

@@ -6,8 +6,10 @@ import json
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from mecusum import MetricEstimate
+from mecusum import DensitySpec, MetricEstimate
 from mecusum.cli import config_to_dict, main, parse_config
 
 
@@ -83,6 +85,7 @@ def test_config_rejects_unknown_and_inconsistent_fields():
         {"variant": "me-cusum", "A": 3.0, "m": 3},                    # m vs models
         {"variant": "cusum", "A": 3.0},                               # cusum needs m=1
         {"variant": "me-cusum", "A": 3.0, "budgets": {"one": 2}},     # bad key type
+        {"variant": "me-cusum", "A": 3.0, "budgets": {"01": 2, "1": 3}},  # aliased keys
         {"variant": "me-cusum", "A": 3.0, "scale": {"2": 5.0}},       # misspelt scales
         {"variant": "me-cusum", "A": 3.0, "top_trunc": 3},            # misspelt truncation
         {"variant": "rss", "A": 3.0, "p_hi": 0.5, "budgets": {"1": 2}},  # rss has no budgets
@@ -92,6 +95,140 @@ def test_config_rejects_unknown_and_inconsistent_fields():
     with pytest.raises(ValueError):
         parse_config({"scenario": scenario_dict(3),
                       "policy": {"variant": "rss", "A": 3.0, "p_hi": 0.5}})
+
+
+def test_density_dict_round_trip():
+    pre = {"family": "gaussian", "mean": -0.25, "std": 1.5}
+
+    def config(pre):
+        post = {"family": "gaussian", "mean": 1.0, "std": 1.5}
+        return {"scenario": {"models": [{"id": 1, "pre": pre, "post": post}],
+                             "change_point": "inf"}}
+
+    cfg = parse_config(config(pre))
+    assert cfg.scenario.models[0].pre == DensitySpec("gaussian", -0.25, 1.5)
+    assert config_to_dict(cfg)["scenario"]["models"][0]["pre"] == pre
+    with pytest.raises(ValueError):
+        parse_config(config({**pre, "skew": 2}))
+    with pytest.raises(ValueError):
+        parse_config(config({"family": "gaussian", "mean": 0.0}))
+
+
+def test_model_dict_round_trip(models2):
+    data = {"scenario": scenario_dict(2)}
+    cfg = parse_config(data)
+    assert cfg.scenario.models == models2
+    assert config_to_dict(cfg)["scenario"]["models"] == data["scenario"]["models"]
+    weighted = {**model_dict(1, 0.75), "weight": 1.0}
+    no_post = {"id": 1, "pre": model_dict(1, 0.75)["pre"]}
+    for bad in (weighted, no_post):
+        with pytest.raises(ValueError):
+            parse_config({"scenario": {"models": [bad, model_dict(2, 1.0)],
+                                       "change_point": "inf"}})
+
+
+@st.composite
+def integral(draw, lo, hi):
+    """An integer, sometimes written as an integral float."""
+    value = draw(st.integers(lo, hi))
+    return float(value) if draw(st.booleans()) else value
+
+
+@st.composite
+def policy_dicts(draw, n_models, main=True):
+    variants = ["me-cusum", "de-me-cusum"]
+    variants += ["cusum"] if n_models == 1 else ["rss"] if n_models == 2 else []
+    variant = draw(st.sampled_from(variants))
+    policy = {"variant": variant}
+    threshold = draw(st.sampled_from(["A", "gamma"] if main else ["A", "gamma", None]))
+    if threshold is not None:
+        policy[threshold] = draw(st.floats(1.5, 1e6))
+    if variant == "rss":
+        policy["p_hi"] = draw(st.floats(0.0, 1.0))
+        return policy
+    de = variant == "de-me-cusum"
+    if draw(st.booleans()):
+        policy["m"] = draw(integral(n_models, n_models))
+    policy["scales"] = {str(i): draw(st.floats(0.1, 100.0))
+                        for i in range(1 if de else 2, n_models + 1) if draw(st.booleans())}
+    policy["budgets"] = {str(j): draw(st.one_of(st.floats(0.0, 10.0), integral(0, 10)))
+                         for j in range(0 if de else 1, n_models)}
+    if de:
+        policy["mu"] = draw(st.floats(0.01, 1.0))
+    if draw(st.booleans()):
+        policy["top_truncation"] = draw(st.floats(0.0, 100.0))
+    return policy
+
+
+@st.composite
+def configs(draw):
+    n = draw(st.integers(1, 3))
+    shifts = sorted(draw(st.lists(st.floats(0.1, 3.0), min_size=n, max_size=n, unique=True)))
+    models = []
+    for i, shift in enumerate(shifts):
+        mean = draw(st.floats(-2.0, 2.0))
+        std = draw(st.floats(0.5, 2.0))
+        models.append({"id": draw(integral(i + 1, i + 1)),
+                       "pre": {"family": "gaussian", "mean": mean, "std": std},
+                       "post": {"family": "gaussian", "mean": mean + shift * std, "std": std}})
+    scenario = {"models": models,
+                "change_point": draw(st.one_of(st.just("inf"), integral(1, 100)))}
+    if draw(st.booleans()):
+        scenario["horizon"] = draw(integral(1, 10**6))
+    data = {"scenario": scenario}
+    if draw(st.booleans()):
+        data["policy"] = draw(policy_dicts(n))
+    simulation = draw(st.fixed_dictionaries({}, optional={
+        "trials": integral(1, 10**4),
+        "horizon": integral(1, 10**6),
+        "seed": integral(0, 2**32),
+        "confidence": st.floats(0.01, 0.99),
+        "por_method": st.sampled_from(["direct", "renewal"]),
+        "cycles": integral(100, 10**6),
+    }))
+    if simulation or draw(st.booleans()):
+        data["simulation"] = simulation
+    if draw(st.booleans()):
+        data["output"] = {"path": draw(st.text(min_size=1, max_size=8))}
+    if draw(st.booleans()):
+        ids = [str(i) for i in range(1, n + 1)]
+        data["calibration"] = draw(st.fixed_dictionaries({
+            "gamma": st.floats(1.5, 1e6),
+            "betas": st.dictionaries(st.sampled_from(ids), st.floats(0.0, 1.0), min_size=1),
+        }, optional={
+            "data_efficient": st.booleans(),
+            "tolerance": st.floats(0.001, 0.1),
+            "search_cycles": integral(100, 10**5),
+            "max_evaluations": integral(1, 500),
+            "budget_cap": st.one_of(st.floats(1.0, 1e4), integral(1, 10**4)),
+        }))
+    if draw(st.booleans()) or "policy" not in data:
+        tradeoff = {"gammas": draw(st.lists(st.floats(1.5, 1e6), min_size=1, max_size=4))}
+        if "policy" not in data or draw(st.booleans()):
+            entries = []
+            for k in range(draw(st.integers(1, 3))):
+                if draw(st.booleans()):
+                    ids = draw(st.lists(st.integers(1, n), min_size=1, max_size=n, unique=True))
+                    entry = draw(policy_dicts(len(ids), main=False))
+                    entry["model_ids"] = [draw(integral(i, i)) for i in ids]
+                else:
+                    entry = draw(policy_dicts(n, main=False))
+                if k or draw(st.booleans()):  # one label may default to the variant
+                    entry["label"] = f"p{k}"
+                entries.append(entry)
+            tradeoff["policies"] = entries
+        data["tradeoff"] = tradeoff
+    return data
+
+
+@settings(max_examples=300, deadline=None)
+@given(configs())
+def test_generated_configs_round_trip(data):
+    cfg = parse_config(data)
+    first = config_to_dict(cfg)
+    assert parse_config(first) == cfg
+    assert config_to_dict(parse_config(first)) == first
+    assert json.loads(json.dumps(first)) == first
 
 
 def test_trace_writes_deterministic_csv(tmp_path):
@@ -317,6 +454,12 @@ def test_tradeoff_writes_one_file_per_policy(tmp_path):
         assert rows[0] == ["gamma", "log_arlfa", "wadd", "wadd_se"]
         assert [row[0] for row in rows[1:]] == ["5.0", "20.0"]
         assert float(rows[1][1]) < float(rows[2][1])
+    # with no extension the files get .csv, even below a dotted directory
+    dotted = tmp_path / "run.d"
+    dotted.mkdir()
+    assert main(["tradeoff", "--config", path, "--trials", "5",
+                 "--output", str(dotted / "curve")]) == 0
+    assert sorted(p.name for p in dotted.iterdir()) == ["curve-pair.csv", "curve-single.csv"]
 
 
 def test_tradeoff_labels_must_be_distinct_file_names(tmp_path, capsys):
@@ -356,15 +499,22 @@ def test_tradeoff_falls_back_to_main_policy(tmp_path):
 
 
 def test_tradeoff_unknown_model_ids(tmp_path, capsys):
-    config = {
-        "scenario": scenario_dict(2, change_point=1),
-        "simulation": {"trials": 10, "seed": 1},
-        "tradeoff": {"gammas": [5.0],
-                     "policies": [{"variant": "cusum", "model_ids": [7]}]},
-    }
-    path = write_config(tmp_path, config)
-    assert main(["tradeoff", "--config", path]) == 1
-    assert "error:" in capsys.readouterr().err
+    good = {"label": "pair", "variant": "me-cusum", "budgets": {"1": 2}}
+    for name, ids in (("unknown", [7]), ("repeated", [2, 2])):
+        bad = {"label": name, "variant": "cusum" if len(ids) == 1 else "me-cusum",
+               "model_ids": ids}
+        config = {
+            "scenario": scenario_dict(2, change_point=1),
+            "simulation": {"trials": 10, "seed": 1},
+            "tradeoff": {"gammas": [5.0], "policies": [good, bad]},
+        }
+        with pytest.raises(ValueError, match=r"tradeoff\.policies\[1\]\.model_ids"):
+            parse_config(config)
+        path = write_config(tmp_path, config, f"{name}.json")
+        assert main(["tradeoff", "--config", path,
+                     "--output", str(tmp_path / "curve.csv")]) == 1
+        assert "error:" in capsys.readouterr().err
+    assert not list(tmp_path.glob("curve*"))
 
 
 def test_bad_configs_exit_one(tmp_path, capsys):
@@ -376,6 +526,46 @@ def test_bad_configs_exit_one(tmp_path, capsys):
     no_policy = write_config(tmp_path, {"scenario": scenario_dict(2)}, "np.json")
     assert main(["trace", "--config", no_policy]) == 1
     capsys.readouterr()
+
+
+def _density_without_mean(data):
+    data["scenario"]["models"][0]["pre"]["mean"] = None
+
+
+# the path of the wrong value -> how to put it into a valid config
+WRONG_TYPES = {
+    "tradeoff.gammas": lambda d: d.update(tradeoff={"gammas": 5}),
+    "tradeoff.policies[0]": lambda d: d.update(tradeoff={"gammas": [5.0], "policies": [5]}),
+    "calibration.betas": lambda d: d.update(calibration={"gamma": 10.0, "betas": [1]}),
+    "scenario.models": lambda d: d["scenario"].update(models=5),
+    "policy": lambda d: d["policy"].update(A=None),
+    "tradeoff.policies[0].model_ids": lambda d: d.update(tradeoff={
+        "gammas": [5.0], "policies": [{"variant": "cusum", "model_ids": 1}]}),
+    "simulation": lambda d: d.update(simulation=[]),
+    "scenario.models[0].pre.mean": _density_without_mean,
+    "simulation.trials": lambda d: d["simulation"].update(trials=2.7),
+    "policy.m": lambda d: d["policy"].update(m=True),
+    "scenario.models[0].id": lambda d: d["scenario"]["models"][0].update(id=1.5),
+}
+
+
+@pytest.mark.parametrize("where", list(WRONG_TYPES))
+def test_wrong_json_types_exit_one(tmp_path, capsys, where):
+    config = {
+        "scenario": scenario_dict(2),
+        "policy": {"variant": "me-cusum", "A": 3.0, "budgets": {"1": 2}},
+        "simulation": {"trials": 10, "seed": 1},
+    }
+    parse_config(config)
+    WRONG_TYPES[where](config)
+    with pytest.raises(ValueError) as info:
+        parse_config(config)
+    assert str(info.value).startswith(where)
+    path = write_config(tmp_path, config)
+    assert main(["evaluate", "arlfa", "--config", path]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {where}")
+    assert "Traceback" not in err
 
 
 def test_gamma_override_rethresholds_policy(tmp_path):

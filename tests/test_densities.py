@@ -1,4 +1,4 @@
-"""Density pairs: likelihood ratios, divergences, serialization."""
+"""Density pairs: likelihood ratios, divergences, quality ordering."""
 
 from __future__ import annotations
 
@@ -14,14 +14,7 @@ from mecusum import (
     log_likelihood_ratio,
     validate_ordering,
 )
-from mecusum.densities import (
-    density_from_dict,
-    density_to_dict,
-    llr_from_terms,
-    llr_terms,
-    model_from_dict,
-    model_to_dict,
-)
+from mecusum.densities import llr_from_terms, llr_terms
 from conftest import gaussian_model, obs_for
 from straightline import numeric_kl_gaussian
 
@@ -130,23 +123,3 @@ def test_ordering_structural_errors_raise():
         validate_ordering((gaussian_model(1, 0.5), gaussian_model(3, 1.0)))
     with pytest.raises(ValueError):
         validate_ordering((gaussian_model(1, 0.5), gaussian_model(1, 1.0)))
-
-
-def test_density_dict_round_trip():
-    spec = DensitySpec("gaussian", -0.25, 1.5)
-    assert density_from_dict(density_to_dict(spec)) == spec
-    with pytest.raises(ValueError):
-        density_from_dict({"family": "gaussian", "mean": 0.0, "std": 1.0, "skew": 2})
-    with pytest.raises(ValueError):
-        density_from_dict({"family": "gaussian", "mean": 0.0})
-
-
-def test_model_dict_round_trip(models2):
-    for model in models2:
-        assert model_from_dict(model_to_dict(model)) == model
-    data = model_to_dict(models2[0])
-    data["weight"] = 1.0
-    with pytest.raises(ValueError):
-        model_from_dict(data)
-    with pytest.raises(ValueError):
-        model_from_dict({"id": 1, "pre": density_to_dict(models2[0].pre)})

@@ -48,6 +48,26 @@ def test_estimate_arlfa_validation():
         estimate_arlfa(params, models, 10, 1, confidence=1.5)
 
 
+def test_bad_confidence_fails_before_any_trial(models2, monkeypatch):
+    def no_simulation(*args, **kwargs):
+        raise AssertionError("simulated before checking confidence")
+
+    monkeypatch.setattr("mecusum.metrics.episode_summary", no_simulation)
+    monkeypatch.setattr("mecusum.metrics._RenewalKernel", no_simulation)
+    params = PolicyParams(m=2, A=3.0, scales={2: 1.0}, budgets={1: 2})
+    calls = (
+        lambda c: estimate_arlfa(params, models2, 10, 1, confidence=c),
+        lambda c: estimate_wadd(params, models2, 10, 1, confidence=c),
+        lambda c: estimate_por_direct(params, models2, 10_000, 2, 1, confidence=c),
+        lambda c: estimate_por_renewal(params, models2, 100, 1, confidence=c),
+        lambda c: tradeoff_curve(params, models2, [5.0, 20.0], 10, 1, confidence=c),
+    )
+    for call in calls:
+        for confidence in (0.0, 1.0, 2.0):
+            with pytest.raises(ValueError, match="confidence"):
+                call(confidence)
+
+
 def test_z_value_matches_normal_quantiles():
     # scipy.stats.norm.ppf(0.5 + c / 2) at each confidence c
     quantiles = {
