@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import partial
 from statistics import NormalDist
 from typing import Sequence
 
@@ -18,7 +19,7 @@ import numpy as np
 
 from .densities import ExperimentModel, llr_from_terms, llr_terms
 from .engine import PolicyParams, RssParams, resolve_truncation
-from .simulate import Scenario, _GaussianStream, episode_summary, seed_entropy
+from .simulate import Scenario, _GaussianStream, _philox, episode_summary, seed_entropy
 
 RENEWAL_TAG = 3
 
@@ -237,10 +238,9 @@ class _RenewalKernel:
         self.draw = [None]
         self.terms = [None]
         for idx, mdl in enumerate(by_id):
-            gen = np.random.Generator(np.random.Philox(children[idx]))
-            self.draw.append(_GaussianStream(mdl, gen).next)
+            self.draw.append(_GaussianStream(mdl, partial(_philox, children[idx])).next)
             self.terms.append(llr_terms(mdl))
-        self.budget_rng = np.random.Generator(np.random.Philox(children[m]))
+        self.budget_rng = _philox(children[m])
 
     def cycle(self) -> list[float]:
         """Steps spent at each source (index 0 = idle) during one cycle."""

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -33,7 +33,10 @@ CONTROL_STREAM_TAG = 2
 # horizon was given explicitly.
 DEFAULT_INFINITE_HORIZON = 1_000_000
 
-_BLOCK = 4096
+# Standard normals are drawn in blocks of 64, 128, ..., 4096, then 4096 from
+# there on: a ~15-step detection episode draws 64 values, not 4096.
+_FIRST_BLOCK = 64
+_MAX_BLOCK = 4096
 
 
 def seed_entropy(seed: int | Sequence[int]) -> tuple[int, ...]:
@@ -50,30 +53,40 @@ def seed_entropy(seed: int | Sequence[int]) -> tuple[int, ...]:
     return parts
 
 
+def _philox(seed: Sequence[int] | np.random.SeedSequence) -> np.random.Generator:
+    """A Philox generator keyed by SeedSequence entropy or a SeedSequence."""
+    return np.random.Generator(np.random.Philox(seed))
+
+
 def observation_generator(seed: int | Sequence[int], experiment_id: int) -> np.random.Generator:
-    entropy = seed_entropy(seed) + (OBS_STREAM_TAG, experiment_id)
-    return np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy)))
+    return _philox(seed_entropy(seed) + (OBS_STREAM_TAG, experiment_id))
 
 
 def control_generator(seed: int | Sequence[int]) -> np.random.Generator:
-    entropy = seed_entropy(seed) + (CONTROL_STREAM_TAG,)
-    return np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy)))
+    return _philox(seed_entropy(seed) + (CONTROL_STREAM_TAG,))
 
 
 class _GaussianStream:
     """Buffered observation stream for one experiment.
 
-    Draws standard normals in blocks and maps them through the pre- or
-    post-change location/scale at consumption time.
+    make_gen builds the stream's generator; it runs on the first next(), so
+    an episode builds only the generators it draws from. Standard normals
+    come in blocks of 64, 128, ..., 4096, then 4096 each, and are mapped
+    through the pre- or post-change location/scale at consumption time.
+    Chunked standard_normal draws from Philox give the same sequence as one
+    large block, so the values do not depend on the block sizes.
     """
 
-    __slots__ = ("gen", "buf", "pos", "pre_mean", "pre_std", "post_mean", "post_std")
+    __slots__ = ("make_gen", "gen", "buf", "pos", "end",
+                 "pre_mean", "pre_std", "post_mean", "post_std")
 
-    def __init__(self, model: ExperimentModel, gen: np.random.Generator) -> None:
-        self.gen = gen
-        # plain-float list: python float arithmetic beats numpy scalars here
-        self.buf = gen.standard_normal(_BLOCK).tolist()
+    def __init__(self, model: ExperimentModel,
+                 make_gen: Callable[[], np.random.Generator]) -> None:
+        self.make_gen = make_gen
+        self.gen = None
+        self.buf: list[float] = []
         self.pos = 0
+        self.end = 0  # len(buf); next() compares with it because len() costs ~50 ns
         self.pre_mean = model.pre.mean
         self.pre_std = model.pre.std
         self.post_mean = model.post.mean
@@ -81,14 +94,41 @@ class _GaussianStream:
 
     def next(self, post: bool) -> float:
         i = self.pos
-        if i == _BLOCK:
-            self.buf = self.gen.standard_normal(_BLOCK).tolist()
+        if i == self.end:
+            self._refill()
             i = 0
         z = self.buf[i]
         self.pos = i + 1
         if post:
             return self.post_mean + self.post_std * z
         return self.pre_mean + self.pre_std * z
+
+    def _refill(self) -> None:
+        if self.gen is None:
+            self.gen = self.make_gen()
+            size = _FIRST_BLOCK
+        else:
+            size = min(2 * self.end, _MAX_BLOCK)
+        # plain-float list: python float arithmetic beats numpy scalars here
+        self.buf = self.gen.standard_normal(size).tolist()
+        self.end = size
+
+
+class _ControlStream:
+    """An episode's control generator, built on its first random() call.
+
+    Coin flips and fractional budgets are its only users, so CUSUM and
+    integer-budget episodes never build it.
+    """
+
+    def __init__(self, entropy: tuple[int, ...]) -> None:
+        self.entropy = entropy
+
+    def random(self) -> float:
+        # the instance attribute shadows this method: later calls go
+        # straight to the generator
+        self.random = control_generator(self.entropy).random
+        return self.random()
 
 
 @dataclass(frozen=True)
@@ -154,13 +194,14 @@ def run_episode(
     seed: int | Sequence[int],
 ) -> EpisodeTrace:
     """Simulate one episode and keep the full step-by-step trace."""
-    steps, stopping_time, stop_reason, counts = _drive(params, scenario, seed, record=True)
+    entropy = seed_entropy(seed)
+    steps, stopping_time, stop_reason, counts = _drive(params, scenario, entropy, record=True)
     return EpisodeTrace(
         steps=tuple(steps),
         stopping_time=stopping_time,
         stop_reason=stop_reason,
         counts=counts,
-        seed=seed if isinstance(seed, int) else tuple(seed),
+        seed=entropy[0] if isinstance(seed, (int, np.integer)) else entropy,
     )
 
 
@@ -170,7 +211,8 @@ def episode_summary(
     seed: int | Sequence[int],
 ) -> EpisodeSummary:
     """Simulate one episode, keeping only the stopping time and counts."""
-    _, stopping_time, stop_reason, counts = _drive(params, scenario, seed, record=False)
+    _, stopping_time, stop_reason, counts = _drive(params, scenario, seed_entropy(seed),
+                                                   record=False)
     return EpisodeSummary(stopping_time, stop_reason, counts, sum(counts.values()))
 
 
@@ -184,15 +226,19 @@ def trace_figure(
     return [(s.n, s.statistic, s.level) for s in trace.steps]
 
 
-def _drive(params, scenario, seed, record):
+def _drive(params, scenario, entropy, record):
+    # the callers pass entropy through seed_entropy, so a bad seed fails
+    # before the first step even when the episode never draws; generators are
+    # built on first use, through the module-level observation_generator and
+    # control_generator
     nu = scenario.change_point
     horizon = scenario.horizon
     if math.isinf(nu) and horizon is None:
         raise ValueError("a horizon is required when change_point is infinite")
     by_id = sorted(scenario.models, key=lambda mdl: mdl.id)
-    streams = {mdl.id: _GaussianStream(mdl, observation_generator(seed, mdl.id))
+    streams = {mdl.id: _GaussianStream(mdl, lambda i=mdl.id: observation_generator(entropy, i))
                for mdl in by_id}
-    ctrl = control_generator(seed)
+    ctrl = _ControlStream(entropy)
     counts = {0: 0, **{mdl.id: 0 for mdl in by_id}}
     if isinstance(params, RssParams):
         result = run_rss(

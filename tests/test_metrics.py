@@ -209,3 +209,38 @@ def test_tradeoff_curve_monotone_smoke():
         assert p.wadd_se == p.wadd_estimate.std_error
     assert points[0].log_arlfa < points[1].log_arlfa < points[2].log_arlfa
     assert points[0].wadd < points[1].wadd < points[2].wadd
+
+
+# (mean, std_error, horizon_hits) of estimate_wadd (200 trials, seed (5, 1))
+# and of estimate_arlfa (100 trials, seed (5, 2), safety horizon 400), recorded
+# before the stream blocks became geometric and the generators lazy; stream
+# changes that keep every seed's values must reproduce them exactly
+PINNED = {
+    "2e": ((10.55, 0.3551310891097276, 0), (205.01, 13.4546863526611, 18)),
+    "3e": ((14.19, 0.441524881638088, 0), (276.88, 13.745348377549476, 44)),
+    "de2e": ((17.155, 0.4598501776988329, 0), (268.57, 13.94934019655381, 42)),
+    "rss": ((7.695, 0.3281742933780324, 0), (137.35, 11.399755225087914, 5)),
+}
+PINNED_RENEWAL = {  # estimate_por_renewal on 3e, 300 cycles, seed 9
+    1: (0.43354991139988186, 0.012482245542627942),
+    2: (0.2563496751329002, 0.006918532591841829),
+    3: (0.31010041346721795, 0.013615111173135193),
+}
+
+
+def test_fixed_seed_estimates_are_pinned(models2, models3):
+    policies = {
+        "2e": (PolicyParams(m=2, A=3.0, scales={2: 1.0}, budgets={1: 2.5}), models2),
+        "3e": (PolicyParams(m=3, A=3.0, scales={2: 1.0, 3: 1.0}, budgets={1: 3, 2: 1.5}),
+               models3),
+        "de2e": (PolicyParams(m=2, A=3.0, scales={1: 1.0, 2: 1.0}, budgets={0: 3, 1: 2},
+                              mu=0.1, data_efficient=True), models2),
+        "rss": (RssParams(A=3.0, p_hi=0.5), models2),
+    }
+    for label, (params, models) in policies.items():
+        wadd = estimate_wadd(params, models, 200, (5, 1))
+        arlfa = estimate_arlfa(params, models, 100, (5, 2), safety_horizon=400)
+        got = tuple((e.mean, e.std_error, e.horizon_hits) for e in (wadd, arlfa))
+        assert got == PINNED[label], label
+    renewal = estimate_por_renewal(policies["3e"][0], models3, 300, 9)
+    assert {k: (c.mean, c.std_error) for k, c in renewal.components.items()} == PINNED_RENEWAL

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
 
 from mecusum import (
@@ -15,7 +16,10 @@ from mecusum import (
     run_episode,
     trace_figure,
 )
+from mecusum import simulate
 from mecusum.densities import llr_from_terms, llr_terms
+from mecusum.metrics import RENEWAL_TAG, _RenewalKernel
+from mecusum.simulate import observation_generator, seed_entropy
 from conftest import gaussian_model
 
 
@@ -185,3 +189,92 @@ def test_change_point_switches_the_observation_regime():
     after = [s.observation for s in trace.steps[1000:]]
     assert abs(sum(before) / len(before)) < 0.15
     assert abs(sum(after) / len(after) - 0.5) < 0.15
+
+
+def test_numpy_integer_seed_is_stored_as_int(models2):
+    params = PolicyParams(m=2, A=3.0, scales={2: 1.0}, budgets={1: 2.5})
+    scenario = make_scenario(models2, 1)
+    plain = run_episode(params, scenario, seed=5)
+    for seed in (np.int64(5), np.int32(5)):
+        trace = run_episode(params, scenario, seed)
+        assert trace.seed == 5 and type(trace.seed) is int
+        assert trace.steps == plain.steps
+        assert episode_summary(params, scenario, seed) == episode_summary(params, scenario, 5)
+    assert run_episode(params, scenario, (np.int64(5), 1)).seed == (5, 1)
+
+
+def test_streams_match_one_block_per_experiment():
+    # a long pre-change run crosses every block size of the 64 -> 4096
+    # schedule and several 4096 refills; the values must be the experiment's
+    # substream read in one piece
+    models = (gaussian_model(1, 1.0, pre_mean=0.25, std=1.5),
+              gaussian_model(2, 1.0, pre_mean=-0.5, std=0.75))
+    params = PolicyParams(m=2, A=math.inf, scales={2: 1.0}, budgets={1: 2})
+    seed = (8, 3)
+    trace = run_episode(params, make_scenario(models, math.inf, horizon=50_000), seed)
+    # 64 + 128 + ... + 4096 = 8128 values, then at least two 4096 refills
+    assert trace.counts[2] > 8128 + 2 * 4096
+    assert trace.counts[1] > 8128 + 2 * 4096
+    for mdl in models:
+        got = [s.observation for s in trace.steps if s.level == mdl.id]
+        z = observation_generator(seed, mdl.id).standard_normal(len(got)).tolist()
+        assert got == [mdl.pre.mean + mdl.pre.std * v for v in z]
+
+    kernel = _RenewalKernel(params, models, seed)
+    children = np.random.SeedSequence(seed_entropy(seed) + (RENEWAL_TAG,)).spawn(3)
+    for mdl, child in zip(models, children):
+        got = [kernel.draw[mdl.id](False) for _ in range(500)]
+        z = np.random.Generator(np.random.Philox(child)).standard_normal(500).tolist()
+        assert got == [mdl.pre.mean + mdl.pre.std * v for v in z]
+
+
+@pytest.fixture
+def built(monkeypatch):
+    """Generators built by episodes: an experiment id, or "control"."""
+    log = []
+    obs, ctrl = simulate.observation_generator, simulate.control_generator
+
+    def counted_obs(seed, experiment_id):
+        log.append(experiment_id)
+        return obs(seed, experiment_id)
+
+    def counted_ctrl(seed):
+        log.append("control")
+        return ctrl(seed)
+
+    monkeypatch.setattr(simulate, "observation_generator", counted_obs)
+    monkeypatch.setattr(simulate, "control_generator", counted_ctrl)
+    return log
+
+
+def test_episodes_build_only_the_generators_they_draw_from(models2, built):
+    cusum = PolicyParams(m=1, A=3.0)
+    run_episode(cusum, make_scenario((gaussian_model(1, 1.0),), 1), 0)
+    assert built == [1]
+
+    two = PolicyParams(m=2, A=3.0, scales={2: 1.0}, budgets={1: 2})
+    descended = 0
+    for seed in range(20):
+        built.clear()
+        summary = episode_summary(two, make_scenario(models2, 1), seed)
+        descended += summary.counts[1] > 0
+        assert sorted(built, key=str) == ([1, 2] if summary.counts[1] > 0 else [2])
+    assert 0 < descended < 20
+
+    rss = RssParams(A=3.0, p_hi=0.5)
+    built.clear()
+    summary = episode_summary(rss, make_scenario(models2, 1), 21)
+    assert summary.counts[1] > 0 and summary.counts[2] > 0
+    assert sorted(built, key=str) == [1, 2, "control"]
+
+
+def test_bad_seed_fails_on_an_episode_that_never_draws(models2, built):
+    params = PolicyParams(m=2, A=3.0, scales={2: 1.0}, budgets={1: 2}, top_truncation=0)
+    scenario = make_scenario(models2, 1)
+    assert episode_summary(params, scenario, 0).stop_reason == "truncation"
+    for bad in (-1, ()):
+        with pytest.raises(ValueError):
+            episode_summary(params, scenario, bad)
+        with pytest.raises(ValueError):
+            run_episode(params, scenario, bad)
+    assert built == []
