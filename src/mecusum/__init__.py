@@ -56,7 +56,6 @@ from .simulate import (
     TraceStep,
     episode_summary,
     run_episode,
-    trace_figure,
 )
 
 __version__ = "0.1.0"
@@ -98,7 +97,6 @@ __all__ = [
     "run_rss",
     "set_threshold",
     "step",
-    "trace_figure",
     "tradeoff_curve",
     "validate_ordering",
     "wadd_penalty",

@@ -11,7 +11,6 @@ converge.
 from __future__ import annotations
 
 import argparse
-import io
 import json
 import math
 import os
@@ -397,22 +396,34 @@ def _apply_overrides(cfg: RunConfig, args: argparse.Namespace) -> RunConfig:
     return cfg
 
 
-def _config_comment(cfg: RunConfig) -> str:
-    blob = json.dumps(config_to_dict(cfg), sort_keys=True)
-    return f"# config: {blob}\n# seed: {cfg.seed}\n"
-
-
-def _write(path: str | None, text: str) -> None:
+def _write(path: str | None, lines) -> None:
+    # line by line, so that a long trace is never held as one string
     if path is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(lines)
         return
     with open(path, "w", encoding="utf-8") as handle:
-        handle.write(text)
+        handle.writelines(lines)
 
 
-def _json_result(cfg: RunConfig, payload: dict) -> str:
-    return json.dumps({"config": config_to_dict(cfg), "seed": cfg.seed, **payload},
-                      sort_keys=True, indent=2) + "\n"
+def _csv(cfg: RunConfig, header: Sequence[str], rows, preamble: str = ""):
+    """Lines of CSV text: the config and seed as comments, then the preamble
+    (more comment lines), the header and the rows (sequences of cell strings)."""
+    blob = json.dumps(config_to_dict(cfg), sort_keys=True)
+    yield f"# config: {blob}\n# seed: {cfg.seed}\n{preamble}"
+    yield ",".join(header) + "\n"
+    for row in rows:
+        yield ",".join(row) + "\n"
+
+
+def _write_result(cfg: RunConfig, payload: dict, header: Sequence[str], rows) -> None:
+    """Write a result as CSV to a .csv path, and as JSON to any other path or
+    to stdout."""
+    path = cfg.output_path
+    if path is not None and path.endswith(".csv"):
+        _write(path, _csv(cfg, header, rows))
+    else:
+        _write(path, [json.dumps({"config": config_to_dict(cfg), "seed": cfg.seed, **payload},
+                                 sort_keys=True, indent=2) + "\n"])
 
 
 def _fmt(value: float) -> str:
@@ -424,14 +435,16 @@ def _key_name(key: int) -> str:
     return "idle" if key == 0 else str(key)
 
 
+def _simulation_horizon(cfg: RunConfig) -> int:
+    """simulation.horizon, or the default when the config leaves it out."""
+    return DEFAULT_INFINITE_HORIZON if cfg.horizon is None else cfg.horizon
+
+
 def _episode_scenario(cfg: RunConfig) -> Scenario:
     scenario = cfg.scenario
-    if scenario.horizon is None:
-        if math.isinf(scenario.change_point):
-            horizon = cfg.horizon or DEFAULT_INFINITE_HORIZON
-            scenario = replace(scenario, horizon=horizon)
-        elif cfg.horizon is not None:
-            scenario = replace(scenario, horizon=cfg.horizon)
+    if scenario.horizon is None and (cfg.horizon is not None
+                                     or math.isinf(scenario.change_point)):
+        scenario = replace(scenario, horizon=_simulation_horizon(cfg))
     return scenario
 
 
@@ -439,30 +452,29 @@ def cmd_trace(cfg: RunConfig) -> int:
     if cfg.policy is None:
         raise ValueError("trace needs a policy section in the config")
     trace = run_episode(cfg.policy, _episode_scenario(cfg), cfg.seed)
-    buf = io.StringIO()
-    buf.write(_config_comment(cfg))
-    buf.write("n,level,action,observation,statistic,event\n")
-    for s in trace.steps:
-        action = "idle" if s.action.kind == "idle" else f"sample({s.action.experiment})"
-        obs = "" if s.observation is None else _fmt(s.observation)
-        buf.write(f"{s.n},{s.level},{action},{obs},{_fmt(s.statistic)},{s.event}\n")
-    _write(cfg.output_path, buf.getvalue())
+    rows = (
+        (str(s.n), str(s.level),
+         "idle" if s.action.kind == "idle" else f"sample({s.action.experiment})",
+         "" if s.observation is None else _fmt(s.observation), _fmt(s.statistic), s.event)
+        for s in trace.steps
+    )
+    header = ("n", "level", "action", "observation", "statistic", "event")
+    _write(cfg.output_path, _csv(cfg, header, rows))
     return 0
 
 
-def _metric_payload(est) -> dict:
-    out = {
-        "mean": est.mean,
-        "std_error": est.std_error,
-        "trials": est.trials,
-        "ci": list(est.ci),
-        "confidence": est.confidence,
-        "horizon_hits": est.horizon_hits,
-    }
-    if hasattr(est, "penalty"):
-        out["sim_mean"] = est.sim_mean
-        out["penalty"] = est.penalty
-    return out
+def _estimate_row(result: dict) -> tuple[list[str], list[str]]:
+    """Header and cells of an estimate's fields, its interval split into
+    ci_low and ci_high."""
+    header, cells = [], []
+    for name, value in result.items():
+        if name == "ci":
+            header += ["ci_low", "ci_high"]
+            cells += [_fmt(bound) for bound in value]
+        else:
+            header.append(name)
+            cells.append(str(value) if isinstance(value, int) else _fmt(value))
+    return header, cells
 
 
 def cmd_evaluate(cfg: RunConfig, metric: str, strict: bool) -> int:
@@ -472,8 +484,9 @@ def cmd_evaluate(cfg: RunConfig, metric: str, strict: bool) -> int:
     if metric in ("arlfa", "wadd"):
         estimate = estimate_arlfa if metric == "arlfa" else estimate_wadd
         est = estimate(cfg.policy, models, cfg.trials, cfg.seed, confidence=cfg.confidence)
-        payload = {"metric": metric, "result": _metric_payload(est)}
-        _write(cfg.output_path, _json_result(cfg, payload))
+        result = asdict(est)
+        header, cells = _estimate_row(result)
+        _write_result(cfg, {"metric": metric, "result": result}, header, [cells])
         return 2 if strict and est.horizon_hits else 0
     if metric != "por":
         raise ValueError(f"unknown metric {metric!r}")
@@ -481,25 +494,16 @@ def cmd_evaluate(cfg: RunConfig, metric: str, strict: bool) -> int:
         por = estimate_por_renewal(cfg.policy, models, cfg.cycles, cfg.seed,
                                    confidence=cfg.confidence)
     else:
-        horizon = cfg.horizon or DEFAULT_INFINITE_HORIZON
-        por = estimate_por_direct(cfg.policy, models, horizon, cfg.trials, cfg.seed,
-                                  confidence=cfg.confidence)
-    if cfg.output_path is not None and cfg.output_path.endswith(".csv"):
-        buf = io.StringIO()
-        buf.write(_config_comment(cfg))
-        buf.write("experiment,por,por_se\n")
-        for key in sorted(por.components):
-            est = por[key]
-            buf.write(f"{_key_name(key)},{_fmt(est.mean)},{_fmt(est.std_error)}\n")
-        _write(cfg.output_path, buf.getvalue())
-    else:
-        payload = {
-            "metric": "por",
-            "method": cfg.por_method,
-            "result": {_key_name(k): _metric_payload(v)
-                       for k, v in sorted(por.components.items())},
-        }
-        _write(cfg.output_path, _json_result(cfg, payload))
+        por = estimate_por_direct(cfg.policy, models, _simulation_horizon(cfg), cfg.trials,
+                                  cfg.seed, confidence=cfg.confidence)
+    components = sorted(por.components.items())
+    payload = {
+        "metric": "por",
+        "method": cfg.por_method,
+        "result": {_key_name(k): asdict(est) for k, est in components},
+    }
+    rows = [(_key_name(k), _fmt(est.mean), _fmt(est.std_error)) for k, est in components]
+    _write_result(cfg, payload, ("experiment", "por", "por_se"), rows)
     return 0
 
 
@@ -509,42 +513,26 @@ def cmd_calibrate(cfg: RunConfig) -> int:
     result = calibrate(cfg.calibration_target, cfg.scenario.models,
                        cfg.calibration_config, cfg.seed)
     params = result.params
-    m = params.m
     betas = cfg.calibration_target.betas
-    if cfg.output_path is not None and cfg.output_path.endswith(".csv"):
-        header = []
-        values = []
-        for i in range(1, m + 1):
-            header.append(f"target_beta_{i}")
-            values.append(_fmt(betas.get(i, math.nan)))
-        for i in sorted(params.scales):
-            header.append(f"a_{i}")
-            values.append(_fmt(params.scales[i]))
-        for j in sorted(params.budgets):
-            header.append(f"N_{j}")
-            values.append(_fmt(params.budgets[j]))
-        for key in sorted(result.achieved.components):
-            header.append(f"achieved_por_{_key_name(key)}")
-            values.append(_fmt(result.achieved[key].mean))
-        buf = io.StringIO()
-        buf.write(_config_comment(cfg))
-        buf.write(",".join(header) + "\n")
-        buf.write(",".join(values) + "\n")
-        _write(cfg.output_path, buf.getvalue())
-    else:
-        payload = {
-            "calibration": {
-                "converged": result.converged,
-                "evaluations": result.evaluations,
-                "params": _policy_to_dict(
-                    "de-me-cusum" if params.data_efficient else "me-cusum", params),
-                "achieved": {_key_name(k): _metric_payload(v)
-                             for k, v in sorted(result.achieved.components.items())},
-                "residuals": {_key_name(k): v
-                              for k, v in sorted(result.residuals.items())},
-            }
+    achieved = sorted(result.achieved.components.items())
+    columns = (
+        [(f"target_beta_{i}", betas.get(i, math.nan)) for i in range(1, params.m + 1)]
+        + [(f"a_{i}", value) for i, value in sorted(params.scales.items())]
+        + [(f"N_{j}", value) for j, value in sorted(params.budgets.items())]
+        + [(f"achieved_por_{_key_name(k)}", est.mean) for k, est in achieved]
+    )
+    payload = {
+        "calibration": {
+            "converged": result.converged,
+            "evaluations": result.evaluations,
+            "params": _policy_to_dict(
+                "de-me-cusum" if params.data_efficient else "me-cusum", params),
+            "achieved": {_key_name(k): asdict(est) for k, est in achieved},
+            "residuals": {_key_name(k): v for k, v in sorted(result.residuals.items())},
         }
-        _write(cfg.output_path, _json_result(cfg, payload))
+    }
+    _write_result(cfg, payload, [name for name, _ in columns],
+                  [[_fmt(value) for _, value in columns]])
     if not result.converged:
         print("calibration did not converge; residuals: "
               + json.dumps({str(k): round(v, 5) for k, v in sorted(result.residuals.items())}),
@@ -569,19 +557,16 @@ def cmd_tradeoff(cfg: RunConfig) -> int:
         models = _subset_models(cfg.scenario.models, pol.model_ids)
         points = tradeoff_curve(pol.params, models, spec.gammas, cfg.trials,
                                 (cfg.seed, idx), confidence=cfg.confidence)
-        buf = io.StringIO()
-        buf.write(_config_comment(cfg))
-        buf.write(f"# policy: {pol.label}\n")
-        buf.write("gamma,log_arlfa,wadd,wadd_se\n")
-        for pt in points:
-            buf.write(f"{_fmt(pt.gamma)},{_fmt(pt.log_arlfa)},{_fmt(pt.wadd)},{_fmt(pt.wadd_se)}\n")
-        outputs.append((pol.label, buf.getvalue()))
-    for label, text in outputs:
+        rows = [[_fmt(pt.gamma), _fmt(pt.log_arlfa), _fmt(pt.wadd), _fmt(pt.wadd_se)]
+                for pt in points]
+        outputs.append((pol.label, _csv(cfg, ("gamma", "log_arlfa", "wadd", "wadd_se"), rows,
+                                        f"# policy: {pol.label}\n")))
+    for label, lines in outputs:
         path = cfg.output_path
         if path is not None and len(outputs) > 1:
             stem, ext = os.path.splitext(path)
             path = f"{stem}-{label}{ext or '.csv'}"
-        _write(path, text)
+        _write(path, lines)
     return 0
 
 

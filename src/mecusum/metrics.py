@@ -75,14 +75,32 @@ def _estimate(values: np.ndarray, confidence: float, horizon_hits: int = 0) -> M
     return MetricEstimate(mean, se, n, (mean - z * se, mean + z * se), confidence, horizon_hits)
 
 
-def _trial_seed(base_seed, trial: int) -> tuple[int, ...]:
-    return seed_entropy(base_seed) + (trial,)
-
-
 def _default_safety_horizon(A: float) -> int:
     # 10^4 times the false-alarm target implied by the threshold; the cap on
     # the exponent only guards math.exp overflow for absurd thresholds.
     return int(10_000.0 * math.exp(min(A, 700.0)))
+
+
+def _trial_summaries(
+    params: PolicyParams | RssParams,
+    models: Sequence[ExperimentModel],
+    change_point: float,
+    horizon: int,
+    trials: int,
+    base_seed: int | Sequence[int],
+    confidence: float,
+):
+    """Summaries of the seeded episodes, trial t seeded base_seed + (t,).
+
+    The arguments are checked when this is called, before the first episode
+    runs; the episodes run as the result is iterated.
+    """
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
+    _z_value(confidence)
+    base = seed_entropy(base_seed)
+    scenario = Scenario(tuple(models), change_point, horizon=horizon)
+    return (episode_summary(params, scenario, base + (t,)) for t in range(trials))
 
 
 def _stopping_time_estimate(
@@ -96,24 +114,14 @@ def _stopping_time_estimate(
 ) -> MetricEstimate:
     """Mean stopping time of seeded episodes with the change at change_point;
     episodes cut at the safety horizon count at the horizon."""
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
     if not math.isfinite(params.A):
         raise ValueError("stopping-time estimation needs a finite threshold")
-    _z_value(confidence)  # a bad confidence fails before the first trial
     if safety_horizon is None:
         safety_horizon = _default_safety_horizon(params.A)
-    scenario = Scenario(tuple(models), change_point, horizon=safety_horizon)
-    taus = np.empty(trials)
-    hits = 0
-    for t in range(trials):
-        summary = episode_summary(params, scenario, _trial_seed(base_seed, t))
-        if summary.stopping_time is None:
-            hits += 1
-            taus[t] = safety_horizon
-        else:
-            taus[t] = summary.stopping_time
-    return _estimate(taus, confidence, hits)
+    times = [s.stopping_time for s in _trial_summaries(
+        params, models, change_point, safety_horizon, trials, base_seed, confidence)]
+    taus = np.array([safety_horizon if t is None else t for t in times], dtype=float)
+    return _estimate(taus, confidence, times.count(None))
 
 
 def estimate_arlfa(
@@ -199,20 +207,13 @@ def estimate_por_direct(
     """
     if horizon < 10_000:
         raise ValueError(f"direct estimation needs horizon >= 10000, got {horizon}")
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
-    _z_value(confidence)  # a bad confidence fails before the first trial
-    free = _disable_threshold(params)
-    scenario = Scenario(tuple(models), math.inf, horizon=horizon)
     keys = [mdl.id for mdl in sorted(models, key=lambda mdl: mdl.id)]
     if isinstance(params, PolicyParams) and params.data_efficient:
         keys = [0] + keys
-    fractions = {k: np.empty(trials) for k in keys}
-    for t in range(trials):
-        summary = episode_summary(free, scenario, _trial_seed(base_seed, t))
-        for k in keys:
-            fractions[k][t] = summary.counts[k] / horizon
-    return PorVector({k: _estimate(fractions[k], confidence) for k in keys})
+    counts = [s.counts for s in _trial_summaries(
+        _disable_threshold(params), models, math.inf, horizon, trials, base_seed, confidence)]
+    return PorVector({k: _estimate(np.array([c[k] for c in counts]) / horizon, confidence)
+                      for k in keys})
 
 
 class _RenewalKernel:

@@ -43,6 +43,9 @@ def seed_entropy(seed: int | Sequence[int]) -> tuple[int, ...]:
     """Normalize a seed (int or tuple of ints) into SeedSequence entropy."""
     if isinstance(seed, (int, np.integer)):
         parts: tuple[int, ...] = (int(seed),)
+    elif isinstance(seed, (str, bytes)):
+        # iterating would split "12" into the seed (1, 2)
+        raise ValueError(f"seed must be an int or a sequence of ints, got {seed!r}")
     else:
         parts = tuple(int(s) for s in seed)
     if not parts:
@@ -214,16 +217,6 @@ def episode_summary(
     _, stopping_time, stop_reason, counts = _drive(params, scenario, seed_entropy(seed),
                                                    record=False)
     return EpisodeSummary(stopping_time, stop_reason, counts, sum(counts.values()))
-
-
-def trace_figure(
-    params: PolicyParams | RssParams,
-    scenario: Scenario,
-    seed: int | Sequence[int],
-) -> list[tuple[int, float, int]]:
-    """(n, statistic, level) triples for plotting a sample path."""
-    trace = run_episode(params, scenario, seed)
-    return [(s.n, s.statistic, s.level) for s in trace.steps]
 
 
 def _drive(params, scenario, entropy, record):

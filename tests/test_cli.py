@@ -327,6 +327,27 @@ def test_evaluate_wadd_includes_penalty(tmp_path):
     assert result["mean"] == result["sim_mean"] + 2.0
 
 
+@pytest.mark.parametrize("metric", ["arlfa", "wadd"])
+def test_evaluate_estimate_csv_is_one_row_of_its_fields(tmp_path, metric):
+    config = {
+        "scenario": scenario_dict(2),
+        "policy": {"variant": "me-cusum", "gamma": 20.0, "budgets": {"1": 2}},
+        "simulation": {"trials": 50, "seed": 5},
+    }
+    path = write_config(tmp_path, config)
+    out_json = tmp_path / "est.json"
+    out_csv = tmp_path / "est.csv"
+    for out in (out_json, out_csv):
+        assert main(["evaluate", metric, "--config", path, "--output", str(out)]) == 0
+    result = json.loads(out_json.read_text())["result"]
+    header, row = read_rows(out_csv)
+    low, high = result.pop("ci")
+    cells = dict(zip(header, row))
+    assert (float(cells.pop("ci_low")), float(cells.pop("ci_high"))) == (low, high)
+    assert cells == {name: str(value) for name, value in result.items()}
+    assert ("penalty" in cells) == (metric == "wadd")
+
+
 def test_evaluate_strict_promotes_horizon_hits(tmp_path, monkeypatch):
     config = {
         "scenario": scenario_dict(1),
@@ -526,6 +547,20 @@ def test_bad_configs_exit_one(tmp_path, capsys):
     no_policy = write_config(tmp_path, {"scenario": scenario_dict(2)}, "np.json")
     assert main(["trace", "--config", no_policy]) == 1
     capsys.readouterr()
+
+
+def test_zero_horizon_is_an_error(tmp_path, capsys):
+    config = {
+        "scenario": scenario_dict(2),
+        "policy": {"variant": "me-cusum", "A": 3.0, "budgets": {"1": 2}},
+        "simulation": {"trials": 2, "horizon": 0},
+    }
+    path = write_config(tmp_path, config)
+    for command in (["trace"], ["evaluate", "por"]):
+        assert main([*command, "--config", path]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and "horizon" in captured.err
 
 
 def _density_without_mean(data):

@@ -221,6 +221,17 @@ PINNED = {
     "de2e": ((17.155, 0.4598501776988329, 0), (268.57, 13.94934019655381, 42)),
     "rss": ((7.695, 0.3281742933780324, 0), (137.35, 11.399755225087914, 5)),
 }
+# (mean, std_error) per key of estimate_por_direct (horizon 10000, 3 trials,
+# seed (5, 3)), recorded before its loop was shared with the stopping times
+PINNED_DIRECT = {
+    "2e": {1: (0.5487000000000001, 0.0020647840887931417),
+           2: (0.4513, 0.0020647840887931413)},
+    "de2e": {0: (0.46186666666666665, 0.004745992461482041),
+             1: (0.2674666666666667, 0.002395365896429553),
+             2: (0.27066666666666667, 0.003578329840085234)},
+    "rss": {1: (0.5054333333333334, 0.0050081045427498045),
+            2: (0.49456666666666665, 0.005008104542749781)},
+}
 PINNED_RENEWAL = {  # estimate_por_renewal on 3e, 300 cycles, seed 9
     1: (0.43354991139988186, 0.012482245542627942),
     2: (0.2563496751329002, 0.006918532591841829),
@@ -242,5 +253,9 @@ def test_fixed_seed_estimates_are_pinned(models2, models3):
         arlfa = estimate_arlfa(params, models, 100, (5, 2), safety_horizon=400)
         got = tuple((e.mean, e.std_error, e.horizon_hits) for e in (wadd, arlfa))
         assert got == PINNED[label], label
+        if label in PINNED_DIRECT:
+            direct = estimate_por_direct(params, models, 10_000, 3, (5, 3))
+            assert {k: (c.mean, c.std_error) for k, c in direct.components.items()} \
+                == PINNED_DIRECT[label], label
     renewal = estimate_por_renewal(policies["3e"][0], models3, 300, 9)
     assert {k: (c.mean, c.std_error) for k, c in renewal.components.items()} == PINNED_RENEWAL

@@ -14,7 +14,6 @@ from mecusum import (
     Scenario,
     episode_summary,
     run_episode,
-    trace_figure,
 )
 from mecusum import simulate
 from mecusum.densities import llr_from_terms, llr_terms
@@ -155,14 +154,6 @@ def test_summary_matches_trace(models2):
     assert summary.steps_run == len(trace.steps)
 
 
-def test_trace_figure_mirrors_steps(models2):
-    params = PolicyParams(m=2, A=3.0, scales={2: 1.0}, budgets={1: 2})
-    scenario = make_scenario(models2, 1)
-    trace = run_episode(params, scenario, seed=5)
-    triples = trace_figure(params, scenario, seed=5)
-    assert triples == [(s.n, s.statistic, s.level) for s in trace.steps]
-
-
 def test_rss_episode_trace(models2):
     params = RssParams(A=3.0, p_hi=0.5)
     trace = run_episode(params, make_scenario(models2, 1), seed=21)
@@ -272,7 +263,7 @@ def test_bad_seed_fails_on_an_episode_that_never_draws(models2, built):
     params = PolicyParams(m=2, A=3.0, scales={2: 1.0}, budgets={1: 2}, top_truncation=0)
     scenario = make_scenario(models2, 1)
     assert episode_summary(params, scenario, 0).stop_reason == "truncation"
-    for bad in (-1, ()):
+    for bad in (-1, (), "12", b"12"):
         with pytest.raises(ValueError):
             episode_summary(params, scenario, bad)
         with pytest.raises(ValueError):
