@@ -19,7 +19,14 @@ import numpy as np
 
 from .densities import ExperimentModel, llr_from_terms, llr_terms
 from .engine import PolicyParams, RssParams, resolve_truncation
-from .simulate import Scenario, _GaussianStream, _philox, episode_summary, seed_entropy
+from .simulate import (
+    EpisodeKeys,
+    Scenario,
+    _GaussianStream,
+    _philox,
+    episode_summary,
+    seed_entropy,
+)
 
 RENEWAL_TAG = 3
 
@@ -93,14 +100,16 @@ def _trial_summaries(
     """Summaries of the seeded episodes, trial t seeded base_seed + (t,).
 
     The arguments are checked when this is called, before the first episode
-    runs; the episodes run as the result is iterated.
+    runs; the episodes run as the result is iterated, one after another, on
+    the generators of one EpisodeKeys table.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     _z_value(confidence)
     base = seed_entropy(base_seed)
     scenario = Scenario(tuple(models), change_point, horizon=horizon)
-    return (episode_summary(params, scenario, base + (t,)) for t in range(trials))
+    keys = EpisodeKeys(base, trials)
+    return (episode_summary(params, scenario, base + (t,), keys=keys) for t in range(trials))
 
 
 def _stopping_time_estimate(

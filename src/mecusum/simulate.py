@@ -6,12 +6,20 @@ in a run seeded s is Philox keyed by (s..., OBS_STREAM_TAG, i), and all coin
 flips and budget resolutions draw from a separate control stream. Regime
 switching (pre to post change) only remaps the buffered standard normals, so
 it never perturbs stream alignment.
+
+The public single-episode calls build a fresh generator per stream on its
+first draw. The estimators instead pass an EpisodeKeys table: it hashes the
+Philox keys of every episode in one vectorised pass (SeedSequence's hash,
+ported to numpy) and re-keys one reused generator per stream on its first
+draw. The keys are SeedSequence's, so the values are the same either way.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
@@ -40,20 +48,20 @@ _MAX_BLOCK = 4096
 
 
 def seed_entropy(seed: int | Sequence[int]) -> tuple[int, ...]:
-    """Normalize a seed (int or tuple of ints) into SeedSequence entropy."""
+    """Normalize a seed (int or sequence of ints) into SeedSequence entropy."""
     if isinstance(seed, (int, np.integer)):
-        parts: tuple[int, ...] = (int(seed),)
-    elif isinstance(seed, (str, bytes)):
-        # iterating would split "12" into the seed (1, 2)
+        seed = (seed,)
+    elif isinstance(seed, (str, bytes)) or not isinstance(seed, Iterable):
+        # iterating a str would split "12" into the seed (1, 2)
         raise ValueError(f"seed must be an int or a sequence of ints, got {seed!r}")
-    else:
-        parts = tuple(int(s) for s in seed)
+    parts = tuple(seed)
     if not parts:
         raise ValueError("seed must not be empty")
     for p in parts:
-        if p < 0:
-            raise ValueError(f"seed components must be non-negative, got {p}")
-    return parts
+        # int() would truncate 1.5 to 1 and turn True into 1
+        if isinstance(p, bool) or not isinstance(p, (int, np.integer)) or p < 0:
+            raise ValueError(f"seed components must be non-negative ints, got {p!r}")
+    return tuple(int(p) for p in parts)
 
 
 def _philox(seed: Sequence[int] | np.random.SeedSequence) -> np.random.Generator:
@@ -67,6 +75,147 @@ def observation_generator(seed: int | Sequence[int], experiment_id: int) -> np.r
 
 def control_generator(seed: int | Sequence[int]) -> np.random.Generator:
     return _philox(seed_entropy(seed) + (CONTROL_STREAM_TAG,))
+
+
+def _fresh_generator(entropy: tuple[int, ...], tag: tuple[int, ...]) -> np.random.Generator:
+    # looked up by module name when called, so a patched name takes effect
+    if tag[0] == CONTROL_STREAM_TAG:
+        return control_generator(entropy)
+    return observation_generator(entropy, tag[1])
+
+
+# SeedSequence's entropy hash (numpy/random/bit_generator.pyx) over uint32
+# words. Its hash constant advances the same way for every entropy, so the
+# constants are Python ints and only the words are arrays.
+_M32 = 0xFFFFFFFF
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_XSHIFT = 16
+
+
+def _seed_words(entropy: Sequence[int]) -> list[int]:
+    """The uint32 words SeedSequence reads from non-negative ints: each
+    int's words, least significant first; 0 is one word."""
+    words = []
+    for v in entropy:
+        words.append(v & _M32)
+        v >>= 32
+        while v:
+            words.append(v & _M32)
+            v >>= 32
+    return words
+
+
+def _hash_consts(const: int, mult: int):
+    while True:
+        nxt = const * mult & _M32
+        yield np.uint32(const), np.uint32(nxt)
+        const = nxt
+
+
+def _hashmix(value: np.ndarray, consts) -> np.ndarray:
+    xor, mult = next(consts)
+    value = (value ^ xor) * mult
+    return value ^ value >> _XSHIFT
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    r = np.uint32(_MIX_MULT_L) * x - np.uint32(_MIX_MULT_R) * y
+    return r ^ r >> _XSHIFT
+
+
+def _philox_keys(words: np.ndarray) -> np.ndarray:
+    """Row k is SeedSequence(e).generate_state(2, np.uint64), where row k of
+    the uint32 matrix words holds the words of entropy e."""
+    rows, width = words.shape
+    cols = [words[:, i] for i in range(width)]
+    consts = _hash_consts(_INIT_A, _MULT_A)
+    with np.errstate(over="ignore"):
+        # entropy words into the pool, padded with hashed zeros
+        pool = [_hashmix(cols[i] if i < width else np.zeros(rows, np.uint32), consts)
+                for i in range(_POOL_SIZE)]
+        for src in range(_POOL_SIZE):
+            for dst in range(_POOL_SIZE):
+                if src != dst:
+                    pool[dst] = _mix(pool[dst], _hashmix(pool[src], consts))
+        for src in range(_POOL_SIZE, width):
+            for dst in range(_POOL_SIZE):
+                pool[dst] = _mix(pool[dst], _hashmix(cols[src], consts))
+        # two uint64 are four uint32 words: the pool read once, paired
+        # little-endian
+        consts = _hash_consts(_INIT_B, _MULT_B)
+        state = [_hashmix(word, consts).astype(np.uint64) for word in pool]
+    return np.stack([state[0] | state[1] << np.uint64(32),
+                     state[2] | state[3] << np.uint64(32)], axis=1)
+
+
+_KEY_CHUNK = 4096
+
+
+class EpisodeKeys:
+    """Philox keys of the episodes seeded base + (t,) for 0 <= t < trials,
+    with one reused generator per stream tag.
+
+    An episode re-keys a tag's generator on its first draw from that stream,
+    to the key a fresh generator for the same seed and tag gets, so it draws
+    the same values. Keys are hashed for _KEY_CHUNK trials at a time, per
+    tag, when a tag is first drawn from in that chunk. The episodes must run one after
+    another: an episode's streams share the table's generators.
+    """
+
+    def __init__(self, base: tuple[int, ...], trials: int) -> None:
+        if trials > 2**32:
+            # the trial number must stay one uint32 word
+            raise ValueError(f"at most 2**32 trials can be keyed, got {trials}")
+        self.base = base
+        self.trials = trials
+        self.words = _seed_words(base)
+        self.start = 0
+        self.keys: dict[tuple[int, ...], np.ndarray] = {}  # per tag, this chunk's
+        self.gens: dict[tuple[int, ...], np.random.Generator] = {}
+        # a fresh Philox's state; the setter copies it, so one dict serves all
+        self.state = {"bit_generator": "Philox",
+                      "state": {"counter": [0, 0, 0, 0], "key": None},
+                      "buffer": [0, 0, 0, 0], "buffer_pos": 4,
+                      "has_uint32": 0, "uinteger": 0}
+
+    def generators(
+        self, entropy: tuple[int, ...]
+    ) -> Callable[[tuple[int, ...]], np.random.Generator]:
+        """The generator source of the episode seeded entropy."""
+        t = entropy[-1]
+        if entropy[:-1] != self.base or not 0 <= t < self.trials:
+            raise ValueError(f"seed {entropy} is not base {self.base} plus a trial "
+                             f"below {self.trials}")
+        return partial(self.rekey, t)
+
+    def rekey(self, t: int, tag: tuple[int, ...]) -> np.random.Generator:
+        """Tag's generator, keyed for trial t with a fresh counter and buffer."""
+        start = t - t % _KEY_CHUNK
+        if start != self.start:
+            self.start, self.keys = start, {}
+        keys = self.keys.get(tag)
+        if keys is None:
+            keys = self.keys[tag] = self._hash(tag)
+        gen = self.gens.get(tag)
+        if gen is None:
+            gen = self.gens[tag] = np.random.Generator(np.random.Philox(0))
+        self.state["state"]["key"] = keys[t - start].tolist()
+        gen.bit_generator.state = self.state
+        return gen
+
+    def _hash(self, tag: tuple[int, ...]) -> np.ndarray:
+        start = self.start
+        stop = min(start + _KEY_CHUNK, self.trials)
+        n = len(self.words)
+        tag_words = _seed_words(tag)
+        words = np.empty((stop - start, n + 1 + len(tag_words)), np.uint32)
+        words[:, :n] = self.words
+        words[:, n] = np.arange(start, stop, dtype=np.uint32)
+        words[:, n + 1:] = tag_words
+        return _philox_keys(words)
 
 
 class _GaussianStream:
@@ -118,19 +267,19 @@ class _GaussianStream:
 
 
 class _ControlStream:
-    """An episode's control generator, built on its first random() call.
+    """An episode's control generator, made on its first random() call.
 
     Coin flips and fractional budgets are its only users, so CUSUM and
-    integer-budget episodes never build it.
+    integer-budget episodes never make it.
     """
 
-    def __init__(self, entropy: tuple[int, ...]) -> None:
-        self.entropy = entropy
+    def __init__(self, make_gen: Callable[[], np.random.Generator]) -> None:
+        self.make_gen = make_gen
 
     def random(self) -> float:
         # the instance attribute shadows this method: later calls go
         # straight to the generator
-        self.random = control_generator(self.entropy).random
+        self.random = self.make_gen().random
         return self.random()
 
 
@@ -212,26 +361,37 @@ def episode_summary(
     params: PolicyParams | RssParams,
     scenario: Scenario,
     seed: int | Sequence[int],
+    *,
+    keys: EpisodeKeys | None = None,
 ) -> EpisodeSummary:
-    """Simulate one episode, keeping only the stopping time and counts."""
-    _, stopping_time, stop_reason, counts = _drive(params, scenario, seed_entropy(seed),
-                                                   record=False)
+    """Simulate one episode, keeping only the stopping time and counts.
+
+    With keys, a table whose trials include seed, the streams re-key its
+    generators instead of building fresh ones; the values are the same.
+    """
+    entropy = seed_entropy(seed)
+    make_gen = None if keys is None else keys.generators(entropy)
+    _, stopping_time, stop_reason, counts = _drive(params, scenario, entropy,
+                                                   record=False, make_gen=make_gen)
     return EpisodeSummary(stopping_time, stop_reason, counts, sum(counts.values()))
 
 
-def _drive(params, scenario, entropy, record):
+def _drive(params, scenario, entropy, record, make_gen=None):
     # the callers pass entropy through seed_entropy, so a bad seed fails
-    # before the first step even when the episode never draws; generators are
-    # built on first use, through the module-level observation_generator and
-    # control_generator
+    # before the first step even when the episode never draws. make_gen(tag)
+    # gives the generator of the stream tagged tag, on the stream's first
+    # draw; by default a fresh one, built through the module-level
+    # observation_generator and control_generator
+    if make_gen is None:
+        make_gen = partial(_fresh_generator, entropy)
     nu = scenario.change_point
     horizon = scenario.horizon
     if math.isinf(nu) and horizon is None:
         raise ValueError("a horizon is required when change_point is infinite")
     by_id = sorted(scenario.models, key=lambda mdl: mdl.id)
-    streams = {mdl.id: _GaussianStream(mdl, lambda i=mdl.id: observation_generator(entropy, i))
+    streams = {mdl.id: _GaussianStream(mdl, partial(make_gen, (OBS_STREAM_TAG, mdl.id)))
                for mdl in by_id}
-    ctrl = _ControlStream(entropy)
+    ctrl = _ControlStream(partial(make_gen, (CONTROL_STREAM_TAG,)))
     counts = {0: 0, **{mdl.id: 0 for mdl in by_id}}
     if isinstance(params, RssParams):
         result = run_rss(

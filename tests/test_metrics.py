@@ -5,12 +5,15 @@ from __future__ import annotations
 import math
 import subprocess
 import sys
+from dataclasses import replace
 
 import pytest
 
 from mecusum import (
     PolicyParams,
     RssParams,
+    Scenario,
+    episode_summary,
     estimate_arlfa,
     estimate_por_direct,
     estimate_por_renewal,
@@ -18,7 +21,8 @@ from mecusum import (
     tradeoff_curve,
     wadd_penalty,
 )
-from mecusum.metrics import _z_value
+from mecusum import simulate
+from mecusum.metrics import _trial_summaries, _z_value
 from conftest import gaussian_model
 
 
@@ -66,6 +70,62 @@ def test_bad_confidence_fails_before_any_trial(models2, monkeypatch):
         for confidence in (0.0, 1.0, 2.0):
             with pytest.raises(ValueError, match="confidence"):
                 call(confidence)
+
+
+def test_bad_seed_fails_before_any_trial(models2, monkeypatch):
+    def no_simulation(*args, **kwargs):
+        raise AssertionError("simulated before checking the seed")
+
+    monkeypatch.setattr("mecusum.metrics.episode_summary", no_simulation)
+    params = PolicyParams(m=2, A=3.0, scales={2: 1.0}, budgets={1: 2})
+    calls = (
+        lambda s: estimate_arlfa(params, models2, 10, s),
+        lambda s: estimate_wadd(params, models2, 10, s),
+        lambda s: estimate_por_direct(params, models2, 10_000, 2, s),
+        lambda s: estimate_por_renewal(params, models2, 100, s),
+        lambda s: tradeoff_curve(params, models2, [5.0, 20.0], 10, s),
+    )
+    for call in calls:
+        for seed in ((1.5, 2), (True, 2), 2.5, "12"):
+            with pytest.raises(ValueError, match="seed"):
+                call(seed)
+
+
+@pytest.mark.parametrize("chunk", [4096, 7])
+def test_keyed_episodes_equal_fresh_ones(models2, models3, monkeypatch, chunk):
+    # the estimators' re-keyed generators against fresh ones per episode;
+    # a 7-trial chunk makes the table re-hash many times within a run
+    monkeypatch.setattr(simulate, "_KEY_CHUNK", chunk)
+    one = (gaussian_model(1, 1.0),)
+    two = PolicyParams(m=2, A=3.0, scales={2: 1.0}, budgets={1: 2})
+    policies = [
+        (PolicyParams(m=1, A=3.0), one),
+        (two, models2),
+        (PolicyParams(m=3, A=3.0, scales={2: 1.0, 3: 1.0}, budgets={1: 3, 2: 1.5}), models3),
+        (PolicyParams(m=2, A=3.0, scales={1: 1.0, 2: 1.0}, budgets={0: 2.5, 1: 1.5},
+                      mu=0.1, data_efficient=True), models2),
+        (replace(two, top_truncation=0.5), models2),
+        (replace(two, top_truncation=40.5), models2),
+        (RssParams(A=3.0, p_hi=0.5), models2),
+    ]
+    base = (2**40 + 3, 7)
+    stops = set()
+    for params, models in policies:
+        for change_point in (1, 7, math.inf):
+            scenario = Scenario(models, change_point, horizon=60)
+            keyed = list(_trial_summaries(params, models, change_point, 60, 200, base, 0.95))
+            fresh = [episode_summary(params, scenario, base + (t,)) for t in range(200)]
+            assert keyed == fresh, (params, change_point)
+            stops.update((s.stop_reason, s.stopping_time == 0) for s in keyed)
+    assert stops == {("threshold", False), ("truncation", False), ("truncation", True),
+                     (None, False)}
+
+    table = simulate.EpisodeKeys(base, 200)
+    for seed in (base + (200,), (2**40 + 3, 8, 0), (7, 0)):
+        with pytest.raises(ValueError):
+            episode_summary(two, Scenario(models2, 1), seed, keys=table)
+    with pytest.raises(ValueError):
+        simulate.EpisodeKeys(base, 2**32 + 1)  # a trial number past one uint32 word
 
 
 def test_z_value_matches_normal_quantiles():

@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mecusum import (
     Action,
@@ -13,12 +15,14 @@ from mecusum import (
     RssParams,
     Scenario,
     episode_summary,
+    estimate_arlfa,
+    estimate_wadd,
     run_episode,
 )
 from mecusum import simulate
 from mecusum.densities import llr_from_terms, llr_terms
-from mecusum.metrics import RENEWAL_TAG, _RenewalKernel
-from mecusum.simulate import observation_generator, seed_entropy
+from mecusum.metrics import RENEWAL_TAG, _RenewalKernel, _trial_summaries
+from mecusum.simulate import EpisodeKeys, observation_generator, seed_entropy
 from conftest import gaussian_model
 
 
@@ -263,9 +267,69 @@ def test_bad_seed_fails_on_an_episode_that_never_draws(models2, built):
     params = PolicyParams(m=2, A=3.0, scales={2: 1.0}, budgets={1: 2}, top_truncation=0)
     scenario = make_scenario(models2, 1)
     assert episode_summary(params, scenario, 0).stop_reason == "truncation"
-    for bad in (-1, (), "12", b"12"):
+    for bad in (-1, (), "12", b"12", 2.5, (1.5, 2), (True, 2), True, None):
         with pytest.raises(ValueError):
             episode_summary(params, scenario, bad)
         with pytest.raises(ValueError):
             run_episode(params, scenario, bad)
     assert built == []
+
+
+def test_estimator_episodes_rekey_only_the_streams_they_draw_from(models2, built, monkeypatch):
+    rekeyed = []
+    rekey = EpisodeKeys.rekey
+
+    def spy(self, t, tag):
+        rekeyed.append((t, tag))
+        return rekey(self, t, tag)
+
+    monkeypatch.setattr(EpisodeKeys, "rekey", spy)
+
+    def summaries(params, models, trials):
+        rekeyed.clear()
+        out = list(_trial_summaries(params, models, 1, None, trials, 3, 0.95))
+        assert len(set(rekeyed)) == len(rekeyed)  # a slot at most once per episode
+        return out
+
+    summaries(PolicyParams(m=1, A=3.0), (gaussian_model(1, 1.0),), 50)
+    assert rekeyed == [(t, (1, 1)) for t in range(50)]
+
+    two = PolicyParams(m=2, A=3.0, scales={2: 1.0}, budgets={1: 2})
+    out = summaries(two, models2, 50)
+    descended = [t for t, s in enumerate(out) if s.counts[1] > 0]
+    assert 0 < len(descended) < 50
+    assert sorted(rekeyed) == sorted([(t, (1, 2)) for t in range(50)]
+                                     + [(t, (1, 1)) for t in descended])
+
+    out = summaries(RssParams(A=3.0, p_hi=0.5), models2, 20)
+    assert {tag for _, tag in rekeyed} == {(1, 1), (1, 2), (2,)}
+    assert any(s.counts[1] > 0 and s.counts[2] > 0 for s in out)
+
+    estimate_wadd(two, models2, 20, 4)
+    estimate_arlfa(RssParams(A=3.0, p_hi=0.5), models2, 5, 4, safety_horizon=100)
+    assert built == []
+
+
+def _state(bit_generator):
+    return {k: (v.tolist() if isinstance(v, np.ndarray) else v)
+            for k, v in {**bit_generator.state, **bit_generator.state["state"]}.items()
+            if k != "state"}
+
+
+_entropy_int = st.one_of(st.just(0), st.integers(0, 2**32 - 1), st.integers(2**32, 2**96))
+
+
+@settings(deadline=None, max_examples=200)
+@given(entropy=st.lists(_entropy_int, min_size=1, max_size=8).map(tuple),
+       t=st.one_of(st.integers(0, 20), st.integers(0, 2**32 - 1)),
+       experiment=st.one_of(st.none(), st.integers(1, 3), st.integers(2**32, 2**40)))
+def test_vectorised_keys_are_seed_sequence_keys(entropy, t, experiment):
+    words = np.array([simulate._seed_words(entropy)] * 3, dtype=np.uint32)
+    want = np.random.SeedSequence(entropy).generate_state(2, np.uint64)
+    assert simulate._philox_keys(words).tolist() == [want.tolist()] * 3
+
+    # the table for the trials up to t keys t's generator like a fresh one
+    base = entropy[:6]
+    tag = (2,) if experiment is None else (1, experiment)
+    gen = EpisodeKeys(base, t + 1).rekey(t, tag)
+    assert _state(gen.bit_generator) == _state(np.random.Philox(base + (t,) + tag))
