@@ -6,6 +6,10 @@ level's floor opens the level below with a scaled, deeper floor and a
 (possibly randomized) observation budget; climbing back above the parent
 floor, or exhausting the budget, closes the level again. Data-efficient
 policies add level 0, which takes no observations and climbs deterministically.
+
+_EngineCore.run is the one place a step happens: simulated episodes, their
+traces and the public step() all advance the policy state through it. The
+RSS baseline has its own loop, run_rss.
 """
 
 from __future__ import annotations
@@ -155,118 +159,151 @@ def resolve_truncation(budget: float, rng: np.random.Generator | None = None) ->
 
 
 class _EngineCore:
-    """Mutable transition core. The public step() wraps it; the simulation
-    loops drive it directly. All policy logic lives here, once."""
+    """Mutable policy state and the loop that moves it.
+
+    run() is the one place a step happens: the estimators' episodes, the
+    traces and the public step() all go through it. A core either starts an
+    episode, resolving a fractional top truncation with rng, or loads an
+    EngineState.
+    """
 
     __slots__ = (
-        "m", "A", "de", "mu", "top", "a", "N", "terms", "rng",
-        "D", "level", "floors", "remaining", "stopped", "stop_reason", "time",
+        "m", "A", "de", "mu", "a", "N", "terms", "rng",
+        "D", "level", "floors", "remaining", "stopped", "stop_reason", "time", "counts",
     )
 
     def __init__(
         self,
         params: PolicyParams,
-        models: Sequence[ExperimentModel],
+        models: Sequence[ExperimentModel] | None,
         rng: np.random.Generator | None = None,
+        state: EngineState | None = None,
     ) -> None:
+        # models is None only for init(), whose core is snapshot, never run
         m = params.m
-        by_id = sorted(models, key=lambda mdl: mdl.id)
-        if len(by_id) != m or [mdl.id for mdl in by_id] != list(range(1, m + 1)):
-            raise ValueError(
-                f"policy with m={m} needs experiment models with ids 1..{m}, "
-                f"got {[mdl.id for mdl in models]}"
-            )
+        if models is not None:
+            by_id = sorted(models, key=lambda mdl: mdl.id)
+            if len(by_id) != m or [mdl.id for mdl in by_id] != list(range(1, m + 1)):
+                raise ValueError(
+                    f"policy with m={m} needs experiment models with ids 1..{m}, "
+                    f"got {[mdl.id for mdl in models]}"
+                )
+            self.terms = [None] + [llr_terms(mdl) for mdl in by_id]
         self.m = m
         self.A = params.A
         self.de = params.data_efficient
         self.mu = params.mu if params.mu is not None else 0.0
-        self.top = params.top_truncation
-        self.a = [0.0] * (m + 1)
-        for i, v in params.scales.items():
-            self.a[i] = v
-        self.N = [0.0] * max(m, 1)
-        for j, v in params.budgets.items():
-            self.N[j] = v
-        self.terms = [None] + [llr_terms(mdl) for mdl in by_id]
+        # keyed by level: a descent from level i reads a[i] and N[i - 1]
+        self.a = params.scales
+        self.N = params.budgets
         self.rng = rng
-        self.D = 0.0
-        self.level = m
         self.floors = [0.0] * (m + 1)
         self.remaining = [0.0] * (m + 1)
-        self.remaining[m] = math.inf
-        self.stopped = False
-        self.stop_reason = None
-        self.time = 0
+        self.counts = [0] * (m + 1)
+        if state is None:
+            top = params.top_truncation
+            self.remaining[m] = math.inf if top is None else float(resolve_truncation(top, rng))
+            self.D = 0.0
+            self.level = m
+            self.stopped = self.remaining[m] == 0.0
+            self.stop_reason = "truncation" if self.stopped else None
+            self.time = 0
+            return
+        lowest = 0 if self.de else 1
+        level = m + 1
+        for entry in state.stack:
+            level -= 1
+            if entry.level != level or level < lowest:
+                level = m + 1  # reject below, as for an empty stack
+                break
+            self.floors[level] = entry.floor
+            self.remaining[level] = entry.remaining
+        if level > m:
+            raise ValueError(
+                f"a policy with m={m} needs a state whose levels run {m}, {m - 1}, ... "
+                f"down to {lowest} at the lowest, got {[e.level for e in state.stack]}"
+            )
+        self.D = state.statistic
+        self.level = level
+        self.stopped = state.stopped
+        self.stop_reason = state.stop_reason
+        self.time = state.time
 
-    @classmethod
-    def fresh(
-        cls,
-        params: PolicyParams,
-        models: Sequence[ExperimentModel],
-        rng: np.random.Generator | None = None,
-    ) -> "_EngineCore":
-        """A just-initialized core with the top truncation budget resolved."""
-        core = cls(params, models, rng)
-        if params.top_truncation is not None:
-            core.remaining[core.m] = float(resolve_truncation(params.top_truncation, rng))
-            if core.remaining[core.m] == 0.0:
-                core.stopped = True
-                core.stop_reason = "truncation"
-        return core
+    def run(
+        self,
+        streams: Sequence[Callable[[bool], float] | None],
+        nu: float,
+        horizon: int | None,
+        record: Callable[[int, int, float | None, float, str], None] | None = None,
+    ) -> str:
+        """Take steps until a stop or until the time reaches horizon.
 
-    def advance(self, x: float) -> str:
-        """Consume one observation at the active (sampling) level."""
-        lvl = self.level
-        d = self.D + llr_from_terms(self.terms[lvl], x)
-        self.time += 1
-        self.remaining[lvl] -= 1.0
-        if lvl == self.m:
-            if d > self.A:
-                self.D = d
-                self.stopped = True
-                self.stop_reason = "threshold"
-                return "stop"
-            if self.remaining[lvl] <= 0.0:
-                self.D = d
-                self.stopped = True
-                self.stop_reason = "truncation"
-                return "stop"
-            if d < 0.0:
-                if self.m == 1 and not self.de:
-                    self.D = 0.0
-                    return "reflect"
-                return self._descend(lvl, 0.0, d)
-            self.D = d
-            return ""
-        floor = self.floors[lvl]
+        streams[j](post) gives level j's next observation, from the
+        post-change law when post; step n is post-change when n >= nu.
+        counts[j] counts the steps taken at level j (0 is idle). record, when
+        given, gets (n, level, x, statistic, event) after every step, with x
+        None at the idle level. Returns the last step's event ("" when no
+        step was taken).
+        """
+        m = self.m
+        floors = self.floors
+        remaining = self.remaining
+        counts = self.counts
         event = ""
-        if lvl == 1 and not self.de and d < floor:
-            d = floor  # bottom level reflects at its own floor
-            event = "reflect"
-        if d > self.floors[lvl + 1]:
-            return self._ascend(lvl)
-        if d < floor:
-            # an undershoot opens the level below even on the observation
-            # that consumed the last of this level's budget; the exhaustion
-            # pop then fires when the opened level closes
-            event = self._descend(lvl, floor, d)
-            if event == "bounce" and self.remaining[lvl] <= 0.0:
-                return self._ascend(lvl)
-            return event
-        if self.remaining[lvl] <= 0.0:
-            return self._ascend(lvl)
-        self.D = d
+        while not self.stopped and (horizon is None or self.time < horizon):
+            n = self.time = self.time + 1
+            lvl = self.level
+            counts[lvl] += 1
+            remaining[lvl] -= 1.0
+            if lvl == 0:
+                # the idle level climbs deterministically
+                x = None
+                d = self.D + self.mu
+                if d > floors[1] or remaining[0] <= 0.0:
+                    event = self._ascend(0)
+                else:
+                    self.D = d
+                    event = ""
+            else:
+                x = streams[lvl](n >= nu)
+                d = self.D + llr_from_terms(self.terms[lvl], x)
+                if lvl == m:
+                    if d > self.A or remaining[m] <= 0.0:
+                        self.D = d
+                        self.stopped = True
+                        self.stop_reason = "threshold" if d > self.A else "truncation"
+                        event = "stop"
+                    elif d < 0.0 and m == 1 and not self.de:
+                        self.D = 0.0
+                        event = "reflect"
+                    elif d < 0.0:
+                        event = self._descend(m, 0.0, d)
+                    else:
+                        self.D = d
+                        event = ""
+                else:
+                    floor = floors[lvl]
+                    event = ""
+                    if lvl == 1 and not self.de and d < floor:
+                        d = floor  # bottom level reflects at its own floor
+                        event = "reflect"
+                    if d > floors[lvl + 1]:
+                        event = self._ascend(lvl)
+                    elif d < floor:
+                        # an undershoot opens the level below even on the
+                        # observation that consumed the last of this level's
+                        # budget; the exhaustion pop then fires when the
+                        # opened level closes
+                        event = self._descend(lvl, floor, d)
+                        if event == "bounce" and remaining[lvl] <= 0.0:
+                            event = self._ascend(lvl)
+                    elif remaining[lvl] <= 0.0:
+                        event = self._ascend(lvl)
+                    else:
+                        self.D = d
+            if record is not None:
+                record(n, lvl, x, self.D, event)
         return event
-
-    def advance_idle(self) -> str:
-        """One deterministic climb step at idle level 0."""
-        d = self.D + self.mu
-        self.time += 1
-        self.remaining[0] -= 1.0
-        if d > self.floors[1] or self.remaining[0] <= 0.0:
-            return self._ascend(0)
-        self.D = d
-        return ""
 
     def _ascend(self, lvl: int) -> str:
         # closing a level may land on a parent whose own budget is spent,
@@ -291,30 +328,11 @@ class _EngineCore:
         return "descend"
 
     def snapshot(self) -> EngineState:
-        stack = tuple(
+        stack = tuple([
             LevelState(i, self.floors[i], self.remaining[i])
             for i in range(self.m, self.level - 1, -1)
-        )
+        ])
         return EngineState(self.D, stack, self.stopped, self.stop_reason, self.time)
-
-    @classmethod
-    def restore(
-        cls,
-        params: PolicyParams,
-        models: Sequence[ExperimentModel],
-        state: EngineState,
-        rng: np.random.Generator | None = None,
-    ) -> "_EngineCore":
-        core = cls(params, models, rng)
-        core.D = state.statistic
-        core.stopped = state.stopped
-        core.stop_reason = state.stop_reason
-        core.time = state.time
-        for entry in state.stack:
-            core.floors[entry.level] = entry.floor
-            core.remaining[entry.level] = entry.remaining
-        core.level = state.stack[-1].level
-        return core
 
 
 def init(params: PolicyParams, rng: np.random.Generator | None = None) -> EngineState:
@@ -323,19 +341,7 @@ def init(params: PolicyParams, rng: np.random.Generator | None = None) -> Engine
     rng is needed only when top_truncation is fractional. A top budget that
     resolves to zero yields a state that is already stopped at time 0.
     """
-    if params.top_truncation is None:
-        remaining = math.inf
-        stopped = False
-    else:
-        remaining = float(resolve_truncation(params.top_truncation, rng))
-        stopped = remaining == 0.0
-    return EngineState(
-        statistic=0.0,
-        stack=(LevelState(params.m, 0.0, remaining),),
-        stopped=stopped,
-        stop_reason="truncation" if stopped else None,
-        time=0,
-    )
+    return _EngineCore(params, None, rng).snapshot()
 
 
 def next_action(state: EngineState) -> Action:
@@ -358,21 +364,22 @@ def step(
     """Pure one-step transition: (state, observation) -> (state, event, action).
 
     observation must be None exactly when the active level is the idle level.
-    rng is consumed only when a descent resolves a fractional budget.
+    rng is consumed only when a descent resolves a fractional budget. A state
+    whose levels do not run m, m-1, ... down from params.m raises ValueError.
     """
     if state.stopped:
         raise RuntimeError("cannot step a stopped engine")
-    lvl = state.stack[-1].level
-    if lvl == 0:
+    core = _EngineCore(params, models, rng, state)
+    if core.level == 0:
         if observation is not None:
             raise ValueError("idle steps take no observation")
     else:
         if observation is None:
-            raise ValueError(f"level {lvl} requires an observation")
+            raise ValueError(f"level {core.level} requires an observation")
         if not math.isfinite(observation):
             raise ValueError(f"observation must be finite, got {observation}")
-    core = _EngineCore.restore(params, models, state, rng)
-    event = core.advance_idle() if lvl == 0 else core.advance(float(observation))
+        observation = float(observation)
+    event = core.run([lambda post: observation] * (params.m + 1), math.inf, state.time + 1)
     new_state = core.snapshot()
     action = STOP if new_state.stopped else next_action(new_state)
     return StepResult(new_state, event, action)

@@ -389,21 +389,20 @@ def _drive(params, scenario, entropy, record, make_gen=None):
     if math.isinf(nu) and horizon is None:
         raise ValueError("a horizon is required when change_point is infinite")
     by_id = sorted(scenario.models, key=lambda mdl: mdl.id)
-    streams = {mdl.id: _GaussianStream(mdl, partial(make_gen, (OBS_STREAM_TAG, mdl.id)))
-               for mdl in by_id}
+    # streams[i] draws experiment i's next observation; ids run 1..m
+    streams = [None] + [_GaussianStream(mdl, partial(make_gen, (OBS_STREAM_TAG, mdl.id))).next
+                        for mdl in by_id]
     ctrl = _ControlStream(partial(make_gen, (CONTROL_STREAM_TAG,)))
-    counts = {0: 0, **{mdl.id: 0 for mdl in by_id}}
     if isinstance(params, RssParams):
         result = run_rss(
             params,
             by_id,
-            lambda exp, n: streams[exp].next(n >= nu),
+            lambda exp, n: streams[exp](n >= nu),
             ctrl,
             max_steps=horizon,
             record=record,
         )
-        for exp, c in result.counts.items():
-            counts[exp] = c
+        counts = {0: 0, **result.counts}
         steps = []
         if record and result.steps is not None:
             steps = [
@@ -413,26 +412,12 @@ def _drive(params, scenario, entropy, record, make_gen=None):
             ]
         reason = "threshold" if result.stopping_time is not None else None
         return steps, result.stopping_time, reason, counts
-    if params.m != len(by_id):
-        raise ValueError(
-            f"policy has m={params.m} but the scenario provides {len(by_id)} models"
-        )
-    core = _EngineCore.fresh(params, by_id, ctrl)
-    steps = [] if record else None
-    n = 0
-    while not core.stopped and (horizon is None or n < horizon):
-        n += 1
-        lvl = core.level
-        if lvl == 0:
-            event = core.advance_idle()
-            counts[0] += 1
-            if record:
-                steps.append(TraceStep(n, IDLE, None, core.D, 0, event))
-        else:
-            x = streams[lvl].next(n >= nu)
-            event = core.advance(x)
-            counts[lvl] += 1
-            if record:
-                steps.append(TraceStep(n, Action("sample", lvl), x, core.D, lvl, event))
+    core = _EngineCore(params, by_id, ctrl)
+    steps = []
+
+    def on_step(n, lvl, x, d, event):
+        steps.append(TraceStep(n, IDLE if lvl == 0 else Action("sample", lvl), x, d, lvl, event))
+
+    core.run(streams, nu, horizon, on_step if record else None)
     stopping_time = core.time if core.stopped else None
-    return steps if record else [], stopping_time, core.stop_reason, counts
+    return steps, stopping_time, core.stop_reason, dict(enumerate(core.counts))

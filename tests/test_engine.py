@@ -9,6 +9,8 @@ import pytest
 
 from mecusum import (
     Action,
+    EngineState,
+    LevelState,
     PolicyParams,
     RssParams,
     init,
@@ -357,23 +359,54 @@ def test_mismatched_models_rejected(models2):
         step(init(params), params, models2, 0.0)
 
 
+def test_state_of_another_policy_rejected(models2, models3):
+    params2 = make_params2()
+    params3 = PolicyParams(m=3, A=5.0, scales={2: 1.0, 3: 1.0}, budgets={1: 1, 2: 1})
+    deep3 = step(step(init(params3), params3, models3, obs_for(models3[2], -0.5)).state,
+                 params3, models3, obs_for(models3[1], -0.3)).state
+    assert [s.level for s in deep3.stack] == [3, 2, 1]
+    with pytest.raises(ValueError):
+        step(deep3, params2, models2, 0.0)
+    deep2 = step(init(params2), params2, models2, obs_for(models2[1], -0.8)).state
+    assert [s.level for s in deep2.stack] == [2, 1]
+    with pytest.raises(ValueError):
+        step(deep2, params3, models3, -3.0)
+    empty = EngineState(0.0, (), False, None, 0)
+    with pytest.raises(ValueError):
+        step(empty, params2, models2, 0.0)
+    # level 0 exists only in data-efficient policies
+    idle = EngineState(0.0, (LevelState(2, 0.0, math.inf), LevelState(1, -1.0, 1.0),
+                             LevelState(0, -2.0, 1.0)), False, None, 2)
+    with pytest.raises(ValueError):
+        step(idle, params2, models2, None)
+
+
 def test_random_episode_invariants(models3):
     params_rng = np.random.default_rng(2024)
-    for episode in range(120):
-        budgets = {
-            0: float(params_rng.integers(1, 5)),
-            1: round(float(params_rng.uniform(0.0, 4.0)), 2),
-            2: round(float(params_rng.uniform(0.0, 4.0)), 2),
-        }
-        scales = {i: round(float(params_rng.uniform(0.5, 2.0)), 2) for i in (1, 2, 3)}
-        params = PolicyParams(m=3, A=2.0, scales=scales, budgets=budgets,
-                              mu=round(float(params_rng.uniform(0.05, 0.3)), 2),
-                              data_efficient=True)
+    # (m, data_efficient, truncated top), 120 episodes each
+    kinds = [(3, True, False), (1, False, False), (2, False, False), (3, False, False),
+             (2, True, True), (3, False, True), (1, False, True)]
+    for episode in range(120 * len(kinds)):
+        m, de, truncated = kinds[episode // 120]
+        budgets = {j: float(params_rng.integers(1, 5)) if j == 0
+                   else round(float(params_rng.uniform(0.0, 4.0)), 2)
+                   for j in range(0 if de else 1, m)}
+        scales = {i: round(float(params_rng.uniform(0.5, 2.0)), 2)
+                  for i in range(1 if de else 2, m + 1)}
+        mu = round(float(params_rng.uniform(0.05, 0.3)), 2) if de else None
+        top = round(float(params_rng.uniform(0.0, 6.0)), 2) if truncated else None
+        params = PolicyParams(m=m, A=2.0, scales=scales, budgets=budgets, mu=mu,
+                              data_efficient=de, top_truncation=top)
+        models = models3[:m]
         obs_rng = np.random.default_rng((episode, 17))
         trunc_rng = np.random.default_rng((episode, 23))
-        state = init(params)
+        state = init(params, trunc_rng)
+        top_budget = state.stack[0].remaining
+        if truncated:
+            assert top_budget <= math.ceil(top)
         prev_time = 0
         steps = 0
+        top_steps = 0
         while not state.stopped:
             steps += 1
             assert steps < 5000, "episode failed to stop"
@@ -385,22 +418,31 @@ def test_random_episode_invariants(models3):
             else:
                 assert action == Action("sample", active)
                 obs = float(obs_rng.normal(0.8, 1.0))
-            r = step(state, params, models3, obs, trunc_rng)
+            top_steps += active == m
+            r = step(state, params, models, obs, trunc_rng)
             state = r.state
             assert state.time == prev_time + 1
             prev_time = state.time
             levels = [s.level for s in state.stack]
-            assert levels == list(range(3, levels[-1] - 1, -1))
+            assert levels == list(range(m, levels[-1] - 1, -1))
+            assert levels[-1] >= (0 if de else 1)
             floors = [s.floor for s in state.stack]
             assert floors[0] == 0.0
             assert all(hi > lo for hi, lo in zip(floors, floors[1:]))
-            assert state.statistic >= state.stack[-1].floor - 1e-12
+            assert all(s.remaining >= 0.0 for s in state.stack)
             assert r.event in ("", "reflect", "descend", "bounce", "ascend", "stop")
             if r.event in ("descend", "ascend"):
                 assert state.statistic == state.stack[-1].floor
+            if state.stop_reason != "truncation":
+                # a truncation stop keeps the last statistic, even below 0
+                assert state.statistic >= state.stack[-1].floor - 1e-12
             if not state.stopped:
                 assert state.statistic <= params.A
-        assert state.stop_reason == "threshold"
+        assert top_steps <= top_budget
+        if state.stop_reason == "truncation":
+            assert truncated and top_steps == top_budget
+        else:
+            assert state.stop_reason == "threshold"
 
 
 def test_rss_needs_two_ordered_models(models3):

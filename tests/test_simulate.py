@@ -17,12 +17,19 @@ from mecusum import (
     episode_summary,
     estimate_arlfa,
     estimate_wadd,
+    init,
     run_episode,
+    step,
 )
 from mecusum import simulate
 from mecusum.densities import llr_from_terms, llr_terms
 from mecusum.metrics import RENEWAL_TAG, _RenewalKernel, _trial_summaries
-from mecusum.simulate import EpisodeKeys, observation_generator, seed_entropy
+from mecusum.simulate import (
+    EpisodeKeys,
+    control_generator,
+    observation_generator,
+    seed_entropy,
+)
 from conftest import gaussian_model
 
 
@@ -156,6 +163,40 @@ def test_summary_matches_trace(models2):
     assert summary.stop_reason == trace.stop_reason
     assert summary.counts == trace.counts
     assert summary.steps_run == len(trace.steps)
+
+
+def test_step_replays_run_episode(models2, models3):
+    # the public step(), fed a trace's observations and the episode's control
+    # stream, retraces the episode step for step
+    policies = [
+        (PolicyParams(m=1, A=3.0), (gaussian_model(1, 1.0),)),
+        (PolicyParams(m=2, A=3.0, scales={2: 1.2}, budgets={1: 2.5}), models2),
+        (PolicyParams(m=3, A=3.0, scales={2: 1.0, 3: 0.8}, budgets={1: 3.5, 2: 1.25}),
+         models3),
+        (PolicyParams(m=2, A=3.0, scales={1: 0.9, 2: 1.0}, budgets={0: 2.5, 1: 1.5},
+                      mu=0.1, data_efficient=True), models2),
+        (PolicyParams(m=2, A=3.0, scales={2: 1.0}, budgets={1: 2}, top_truncation=2.5),
+         models2),
+        (PolicyParams(m=1, A=3.0, top_truncation=0.5), (gaussian_model(1, 1.0),)),
+    ]
+    stops = set()
+    for params, models in policies:
+        scenario = make_scenario(models, 5)
+        for seed in range(20):
+            trace = run_episode(params, scenario, seed)
+            rng = control_generator(seed)
+            state = init(params, rng)
+            for row in trace.steps:
+                assert not state.stopped
+                assert row.level == state.stack[-1].level
+                r = step(state, params, models, row.observation, rng)
+                state = r.state
+                assert (state.time, state.statistic, r.event) == (row.n, row.statistic,
+                                                                  row.event)
+            assert state.stopped
+            assert (state.time, state.stop_reason) == (trace.stopping_time, trace.stop_reason)
+            stops.add((state.stop_reason, state.time == 0))
+    assert stops == {("threshold", False), ("truncation", False), ("truncation", True)}
 
 
 def test_rss_episode_trace(models2):
