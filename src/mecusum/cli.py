@@ -16,6 +16,7 @@ import math
 import os
 import re
 import sys
+from contextlib import contextmanager
 from dataclasses import MISSING, asdict, dataclass, fields, replace
 from typing import Sequence
 
@@ -34,7 +35,7 @@ from .metrics import (
     estimate_wadd,
     tradeoff_curve,
 )
-from .simulate import DEFAULT_INFINITE_HORIZON, Scenario, run_episode
+from .simulate import DEFAULT_INFINITE_HORIZON, Scenario, TraceStep, _drive, seed_entropy
 
 VARIANTS = ("cusum", "me-cusum", "de-me-cusum", "rss")
 
@@ -396,13 +397,20 @@ def _apply_overrides(cfg: RunConfig, args: argparse.Namespace) -> RunConfig:
     return cfg
 
 
-def _write(path: str | None, lines) -> None:
-    # line by line, so that a long trace is never held as one string
+@contextmanager
+def _output(path: str | None):
+    """The output file at path, opened for writing, or stdout."""
     if path is None:
-        sys.stdout.writelines(lines)
+        yield sys.stdout
         return
     with open(path, "w", encoding="utf-8") as handle:
-        handle.writelines(lines)
+        yield handle
+
+
+def _write(path: str | None, lines) -> None:
+    # line by line, so that a long output is never held as one string
+    with _output(path) as out:
+        out.writelines(lines)
 
 
 def _csv(cfg: RunConfig, header: Sequence[str], rows, preamble: str = ""):
@@ -451,15 +459,20 @@ def _episode_scenario(cfg: RunConfig) -> Scenario:
 def cmd_trace(cfg: RunConfig) -> int:
     if cfg.policy is None:
         raise ValueError("trace needs a policy section in the config")
-    trace = run_episode(cfg.policy, _episode_scenario(cfg), cfg.seed)
-    rows = (
-        (str(s.n), str(s.level),
-         "idle" if s.action.kind == "idle" else f"sample({s.action.experiment})",
-         "" if s.observation is None else _fmt(s.observation), _fmt(s.statistic), s.event)
-        for s in trace.steps
-    )
+    scenario = _episode_scenario(cfg)
+    entropy = seed_entropy(cfg.seed)
     header = ("n", "level", "action", "observation", "statistic", "event")
-    _write(cfg.output_path, _csv(cfg, header, rows))
+
+    def write_row(s: TraceStep) -> None:
+        action = "idle" if s.action.kind == "idle" else f"sample({s.action.experiment})"
+        obs = "" if s.observation is None else _fmt(s.observation)
+        out.write(f"{s.n},{s.level},{action},{obs},{_fmt(s.statistic)},{s.event}\n")
+
+    # each row is written when the episode takes its step, so a long trace
+    # is never held in memory
+    with _output(cfg.output_path) as out:
+        out.writelines(_csv(cfg, header, ()))
+        _drive(cfg.policy, scenario, entropy, write_row)
     return 0
 
 

@@ -43,7 +43,9 @@ class ExperimentModel:
 
     A higher id means higher information quality, i.e. a larger KL divergence
     between the post- and pre-change densities; validate_ordering checks this
-    across a set of experiments.
+    across a set of experiments. terms holds the model's llr_terms, built
+    once here; it is a plain attribute, not a field, so equality, hashing,
+    repr and dataclasses.replace see only the densities.
     """
 
     id: int
@@ -60,6 +62,7 @@ class ExperimentModel:
                 f"experiment {self.id}: KL(post || pre) must be strictly positive "
                 f"and finite, got {kl}"
             )
+        object.__setattr__(self, "terms", llr_terms(self))
 
 
 def llr_terms(model: ExperimentModel) -> tuple[float, float, float, float, float]:

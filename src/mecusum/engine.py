@@ -8,13 +8,17 @@ floor, or exhausting the budget, closes the level again. Data-efficient
 policies add level 0, which takes no observations and climbs deterministically.
 
 _EngineCore.run is the one place a step happens: simulated episodes, their
-traces and the public step() all advance the policy state through it. The
-RSS baseline has its own loop, run_rss.
+traces and the public step() all advance the policy state through it. It is
+one flat loop over locals, with the observation draw, the log-likelihood
+ratio and the level changes written inline; the tables it reads (each
+model's LLR terms, each level's integer budget) are built once, on the frozen
+ExperimentModel and PolicyParams. The RSS baseline has its own loop, run_rss.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -45,6 +49,11 @@ class PolicyParams:
     budgets may be fractional and are resolved to integers at every level
     entry. top_truncation, when set, caps the total number of level-m
     observations for the whole run.
+
+    fixed_budgets, built once here, holds by level the budgets that are
+    integers and so resolve without a draw, and None where a fractional
+    budget resolves at every entry. It is a plain attribute, not a field, so
+    equality, hashing, repr and dataclasses.replace see only the fields.
     """
 
     m: int
@@ -93,6 +102,9 @@ class PolicyParams:
             if not (math.isfinite(t) and t >= 0.0):
                 raise ValueError(f"top_truncation must be >= 0 and finite, got {t}")
             object.__setattr__(self, "top_truncation", t)
+        object.__setattr__(self, "fixed_budgets", tuple(
+            n if n is not None and n.is_integer() else None
+            for n in map(budgets.get, range(self.m))))
 
 
 @dataclass(frozen=True)
@@ -159,16 +171,18 @@ def resolve_truncation(budget: float, rng: np.random.Generator | None = None) ->
 
 
 class _EngineCore:
-    """Mutable policy state and the loop that moves it.
+    """Mutable policy state and the one loop that moves it.
 
     run() is the one place a step happens: the estimators' episodes, the
-    traces and the public step() all go through it. A core either starts an
-    episode, resolving a fractional top truncation with rng, or loads an
+    traces and the public step() all go through it. It is one flat loop over
+    locals, reading tables built once on the frozen inputs
+    (ExperimentModel.terms, PolicyParams.fixed_budgets). A core either starts
+    an episode, resolving a fractional top truncation with rng, or loads an
     EngineState.
     """
 
     __slots__ = (
-        "m", "A", "de", "mu", "a", "N", "terms", "rng",
+        "m", "A", "de", "mu", "a", "N", "fixed", "terms", "rng",
         "D", "level", "floors", "remaining", "stopped", "stop_reason", "time", "counts",
     )
 
@@ -182,13 +196,17 @@ class _EngineCore:
         # models is None only for init(), whose core is snapshot, never run
         m = params.m
         if models is not None:
-            by_id = sorted(models, key=lambda mdl: mdl.id)
-            if len(by_id) != m or [mdl.id for mdl in by_id] != list(range(1, m + 1)):
+            terms = [None] * (m + 1)
+            for mdl in models:
+                if 0 < mdl.id <= m:
+                    terms[mdl.id] = mdl.terms
+            # m models filling the slots 1..m have the ids 1..m
+            if len(models) != m or terms.count(None) != 1:
                 raise ValueError(
                     f"policy with m={m} needs experiment models with ids 1..{m}, "
                     f"got {[mdl.id for mdl in models]}"
                 )
-            self.terms = [None] + [llr_terms(mdl) for mdl in by_id]
+            self.terms = terms
         self.m = m
         self.A = params.A
         self.de = params.data_efficient
@@ -196,6 +214,7 @@ class _EngineCore:
         # keyed by level: a descent from level i reads a[i] and N[i - 1]
         self.a = params.scales
         self.N = params.budgets
+        self.fixed = params.fixed_budgets
         self.rng = rng
         self.floors = [0.0] * (m + 1)
         self.remaining = [0.0] * (m + 1)
@@ -231,108 +250,191 @@ class _EngineCore:
 
     def run(
         self,
-        streams: Sequence[Callable[[bool], float] | None],
+        streams: Sequence[object | None],
         nu: float,
         horizon: int | None,
         record: Callable[[int, int, float | None, float, str], None] | None = None,
     ) -> str:
         """Take steps until a stop or until the time reaches horizon.
 
-        streams[j](post) gives level j's next observation, from the
-        post-change law when post; step n is post-change when n >= nu.
-        counts[j] counts the steps taken at level j (0 is idle). record, when
-        given, gets (n, level, x, statistic, event) after every step, with x
-        None at the idle level. Returns the last step's event ("" when no
-        step was taken).
+        streams[j] is level j's observation stream: standard normals
+        buf[pos:end], refill() for the next block, and the pre- and
+        post-change means and stds that map a normal z to the observation
+        mean + std * z; step n is post-change when n >= nu. counts[j] counts
+        the steps taken at level j (0 is idle). record, when given, gets
+        (n, level, x, statistic, event) after every step, with x None at the
+        idle level. Returns the last step's event ("" when no step was taken).
+
+        The state lives in locals while the loop runs and is saved back at
+        the end. The active level's stream, LLR constants, floor and ceiling
+        (the parent floor, or A at the top) are loaded into locals when a
+        visit of the level begins; its stream position is saved back when
+        the visit ends.
         """
-        m = self.m
-        floors = self.floors
-        remaining = self.remaining
-        counts = self.counts
+        if self.stopped:
+            return ""
+        m, A, de, mu = self.m, self.A, self.de, self.mu
+        a, N, fixed, terms, rng = self.a, self.N, self.fixed, self.terms, self.rng
+        floors, remaining, counts = self.floors, self.remaining, self.counts
+        last = sys.maxsize if horizon is None else horizon
+        if nu > last:
+            nu = last + 1  # an int, which compares faster than inf
+        D = self.D
+        lvl = self.level
+        n = self.time
+        stopped = False
+        reason = None
         event = ""
-        while not self.stopped and (horizon is None or self.time < horizon):
-            n = self.time = self.time + 1
-            lvl = self.level
-            counts[lvl] += 1
-            remaining[lvl] -= 1.0
-            if lvl == 0:
-                # the idle level climbs deterministically
-                x = None
-                d = self.D + self.mu
-                if d > floors[1] or remaining[0] <= 0.0:
-                    event = self._ascend(0)
+        while n < last:
+            # one visit of level lvl
+            start = n
+            rem = remaining[lvl]
+            top = lvl == m
+            idle = lvl == 0
+            reflects = lvl == 1 and not de  # the bottom level reflects at its floor
+            # the top level's floor is 0 whatever the state holds
+            floor = 0.0 if top else -math.inf if idle else floors[lvl]
+            ceil = A if top else floors[lvl + 1]
+            if not idle:
+                s = streams[lvl]
+                buf, pos, end = s.buf, s.pos, s.end
+                pm, ps, qm, qs = s.pre_mean, s.pre_std, s.post_mean, s.post_std
+                c, q0, m0, q1, m1 = terms[lvl]
+            new = lvl
+            while n < last:
+                n += 1
+                rem -= 1.0
+                if idle:
+                    # the idle level climbs deterministically
+                    x = None
+                    d = D + mu
                 else:
-                    self.D = d
-                    event = ""
-            else:
-                x = streams[lvl](n >= nu)
-                d = self.D + llr_from_terms(self.terms[lvl], x)
-                if lvl == m:
-                    if d > self.A or remaining[m] <= 0.0:
-                        self.D = d
-                        self.stopped = True
-                        self.stop_reason = "threshold" if d > self.A else "truncation"
-                        event = "stop"
-                    elif d < 0.0 and m == 1 and not self.de:
-                        self.D = 0.0
-                        event = "reflect"
-                    elif d < 0.0:
-                        event = self._descend(m, 0.0, d)
+                    if pos == end:
+                        s.refill()
+                        buf, end, pos = s.buf, s.end, 0
+                    z = buf[pos]
+                    pos += 1
+                    if n >= nu:
+                        x = qm + qs * z
                     else:
-                        self.D = d
-                        event = ""
-                else:
-                    floor = floors[lvl]
+                        x = pm + ps * z
+                    d0 = x - m0
+                    d1 = x - m1
+                    d = D + (c + q0 * d0 * d0 - q1 * d1 * d1)
+                if floor <= d <= ceil and rem > 0.0:
+                    D = d
                     event = ""
-                    if lvl == 1 and not self.de and d < floor:
-                        d = floor  # bottom level reflects at its own floor
+                    if record is not None:
+                        record(n, lvl, x, D, event)
+                    continue
+                up = False
+                if top and (d > ceil or rem <= 0.0):
+                    D = d
+                    stopped = True
+                    reason = "threshold" if d > ceil else "truncation"
+                    event = "stop"
+                else:
+                    event = ""
+                    if d < floor and reflects:
+                        d = floor
                         event = "reflect"
-                    if d > floors[lvl + 1]:
-                        event = self._ascend(lvl)
+                    if d > ceil:
+                        up = True
                     elif d < floor:
                         # an undershoot opens the level below even on the
                         # observation that consumed the last of this level's
                         # budget; the exhaustion pop then fires when the
                         # opened level closes
-                        event = self._descend(lvl, floor, d)
-                        if event == "bounce" and remaining[lvl] <= 0.0:
-                            event = self._ascend(lvl)
-                    elif remaining[lvl] <= 0.0:
-                        event = self._ascend(lvl)
+                        child = lvl - 1
+                        budget = fixed[child]
+                        if budget is None:
+                            budget = float(resolve_truncation(N[child], rng))
+                        if budget == 0.0:
+                            D = floor  # never entered: snap back to the current floor
+                            event = "bounce"
+                            up = rem <= 0.0
+                        else:
+                            D = floors[child] = floor + a[lvl] * (d - floor)
+                            remaining[child] = budget
+                            event = "descend"
+                            new = child
+                    elif rem <= 0.0:
+                        up = True
                     else:
-                        self.D = d
-            if record is not None:
-                record(n, lvl, x, self.D, event)
+                        D = d
+                if up:
+                    # closing a level may land on a parent whose own budget
+                    # is spent, which closes immediately as well
+                    new = lvl + 1
+                    while new < m and remaining[new] <= 0.0:
+                        new += 1
+                    D = floors[new]
+                    event = "ascend"
+                if record is not None:
+                    record(n, lvl, x, D, event)
+                if new != lvl or stopped:
+                    break
+            remaining[lvl] = rem
+            counts[lvl] += n - start
+            if not idle:
+                s.pos = pos
+            lvl = new
+            if stopped:
+                break
+        self.D = D
+        self.level = lvl
+        self.time = n
+        if stopped:
+            self.stopped = True
+            self.stop_reason = reason
         return event
 
-    def _ascend(self, lvl: int) -> str:
-        # closing a level may land on a parent whose own budget is spent,
-        # which closes immediately as well
-        j = lvl + 1
-        while j < self.m and self.remaining[j] <= 0.0:
-            j += 1
-        self.level = j
-        self.D = self.floors[j]
-        return "ascend"
+    def snapshot(self, kept: tuple[LevelState, ...] = ()) -> EngineState:
+        """The state as an EngineState.
 
-    def _descend(self, lvl: int, floor: float, d: float) -> str:
-        child = lvl - 1
-        budget = resolve_truncation(self.N[child], self.rng)
-        if budget == 0:
-            self.D = floor  # never entered: snap back to the current floor
-            return "bounce"
-        self.level = child
-        self.floors[child] = floor + self.a[lvl] * (d - floor)
-        self.remaining[child] = float(budget)
-        self.D = self.floors[child]
-        return "descend"
-
-    def snapshot(self) -> EngineState:
-        stack = tuple([
-            LevelState(i, self.floors[i], self.remaining[i])
-            for i in range(self.m, self.level - 1, -1)
-        ])
+        kept holds entries of the top levels (level m first) that are known
+        to be unchanged, and are reused instead of built again: one step
+        writes only the level it starts at and the levels below it.
+        """
+        level = self.level
+        depth = self.m - level + 1
+        if len(kept) >= depth:
+            stack = kept[:depth]
+        else:
+            floors, remaining = self.floors, self.remaining
+            stack = kept + tuple([
+                LevelState(i, floors[i], remaining[i])
+                for i in range(self.m - len(kept), level - 1, -1)
+            ])
         return EngineState(self.D, stack, self.stopped, self.stop_reason, self.time)
+
+
+class _Observation:
+    """A one-observation stream for step(): with mean 0.0 and std 1.0,
+    0.0 + 1.0 * z is z exactly."""
+
+    __slots__ = ("buf", "pos", "end")
+    pre_mean = post_mean = 0.0
+    pre_std = post_std = 1.0
+
+    def __init__(self, x: float) -> None:
+        self.buf = [x]
+        self.pos = 0
+        self.end = 1
+
+
+# one Action per level: Action is frozen, so the policy hands out the same one
+_SAMPLE: dict[int, Action] = {}
+
+
+def _action(level: int) -> Action:
+    """The action of a step at level: idle at level 0, else sample level."""
+    if level == 0:
+        return IDLE
+    action = _SAMPLE.get(level)
+    if action is None:
+        action = _SAMPLE[level] = Action("sample", level)
+    return action
 
 
 def init(params: PolicyParams, rng: np.random.Generator | None = None) -> EngineState:
@@ -348,10 +450,7 @@ def next_action(state: EngineState) -> Action:
     """The action the policy requests from the current state."""
     if state.stopped:
         raise RuntimeError("the engine has stopped; no further action exists")
-    lvl = state.stack[-1].level
-    if lvl == 0:
-        return IDLE
-    return Action("sample", lvl)
+    return _action(state.stack[-1].level)
 
 
 def step(
@@ -370,19 +469,21 @@ def step(
     if state.stopped:
         raise RuntimeError("cannot step a stopped engine")
     core = _EngineCore(params, models, rng, state)
-    if core.level == 0:
+    level = core.level
+    if level == 0:
         if observation is not None:
             raise ValueError("idle steps take no observation")
     else:
         if observation is None:
-            raise ValueError(f"level {core.level} requires an observation")
+            raise ValueError(f"level {level} requires an observation")
         if not math.isfinite(observation):
             raise ValueError(f"observation must be finite, got {observation}")
         observation = float(observation)
-    event = core.run([lambda post: observation] * (params.m + 1), math.inf, state.time + 1)
-    new_state = core.snapshot()
-    action = STOP if new_state.stopped else next_action(new_state)
-    return StepResult(new_state, event, action)
+    m = params.m
+    event = core.run([_Observation(observation)] * (m + 1), math.inf, state.time + 1)
+    # the levels above the starting one are as the state had them
+    new_state = core.snapshot(state.stack[:m - level])
+    return StepResult(new_state, event, STOP if core.stopped else _action(core.level))
 
 
 @dataclass(frozen=True)

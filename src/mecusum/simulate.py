@@ -26,10 +26,10 @@ import numpy as np
 
 from .densities import ExperimentModel, validate_ordering
 from .engine import (
-    IDLE,
     Action,
     PolicyParams,
     RssParams,
+    _action,
     _EngineCore,
     run_rss,
 )
@@ -226,7 +226,8 @@ class _GaussianStream:
     come in blocks of 64, 128, ..., 4096, then 4096 each, and are mapped
     through the pre- or post-change location/scale at consumption time.
     Chunked standard_normal draws from Philox give the same sequence as one
-    large block, so the values do not depend on the block sizes.
+    large block, so the values do not depend on the block sizes. The engine
+    reads buf, pos and end directly and calls refill() at the end of a block.
     """
 
     __slots__ = ("make_gen", "gen", "buf", "pos", "end",
@@ -247,7 +248,7 @@ class _GaussianStream:
     def next(self, post: bool) -> float:
         i = self.pos
         if i == self.end:
-            self._refill()
+            self.refill()
             i = 0
         z = self.buf[i]
         self.pos = i + 1
@@ -255,7 +256,7 @@ class _GaussianStream:
             return self.post_mean + self.post_std * z
         return self.pre_mean + self.pre_std * z
 
-    def _refill(self) -> None:
+    def refill(self) -> None:
         if self.gen is None:
             self.gen = self.make_gen()
             size = _FIRST_BLOCK
@@ -347,7 +348,8 @@ def run_episode(
 ) -> EpisodeTrace:
     """Simulate one episode and keep the full step-by-step trace."""
     entropy = seed_entropy(seed)
-    steps, stopping_time, stop_reason, counts = _drive(params, scenario, entropy, record=True)
+    steps = []
+    stopping_time, stop_reason, counts = _drive(params, scenario, entropy, steps.append)
     return EpisodeTrace(
         steps=tuple(steps),
         stopping_time=stopping_time,
@@ -371,17 +373,20 @@ def episode_summary(
     """
     entropy = seed_entropy(seed)
     make_gen = None if keys is None else keys.generators(entropy)
-    _, stopping_time, stop_reason, counts = _drive(params, scenario, entropy,
-                                                   record=False, make_gen=make_gen)
+    stopping_time, stop_reason, counts = _drive(params, scenario, entropy, make_gen=make_gen)
     return EpisodeSummary(stopping_time, stop_reason, counts, sum(counts.values()))
 
 
-def _drive(params, scenario, entropy, record, make_gen=None):
-    # the callers pass entropy through seed_entropy, so a bad seed fails
-    # before the first step even when the episode never draws. make_gen(tag)
-    # gives the generator of the stream tagged tag, on the stream's first
-    # draw; by default a fresh one, built through the module-level
-    # observation_generator and control_generator
+def _drive(params, scenario, entropy, record=None, make_gen=None):
+    """Run one episode; returns (stopping time, stop reason, counts).
+
+    record, when given, gets each step as a TraceStep when it is taken.
+    The callers pass entropy through seed_entropy, so a bad seed fails
+    before the first step even when the episode never draws. make_gen(tag)
+    gives the generator of the stream tagged tag, on the stream's first
+    draw; by default a fresh one, built through the module-level
+    observation_generator and control_generator.
+    """
     if make_gen is None:
         make_gen = partial(_fresh_generator, entropy)
     nu = scenario.change_point
@@ -389,35 +394,30 @@ def _drive(params, scenario, entropy, record, make_gen=None):
     if math.isinf(nu) and horizon is None:
         raise ValueError("a horizon is required when change_point is infinite")
     by_id = sorted(scenario.models, key=lambda mdl: mdl.id)
-    # streams[i] draws experiment i's next observation; ids run 1..m
-    streams = [None] + [_GaussianStream(mdl, partial(make_gen, (OBS_STREAM_TAG, mdl.id))).next
+    # streams[i] is experiment i's observation stream; ids run 1..m
+    streams = [None] + [_GaussianStream(mdl, partial(make_gen, (OBS_STREAM_TAG, mdl.id)))
                         for mdl in by_id]
     ctrl = _ControlStream(partial(make_gen, (CONTROL_STREAM_TAG,)))
     if isinstance(params, RssParams):
         result = run_rss(
             params,
             by_id,
-            lambda exp, n: streams[exp](n >= nu),
+            lambda exp, n: streams[exp].next(n >= nu),
             ctrl,
             max_steps=horizon,
-            record=record,
+            record=record is not None,
         )
-        counts = {0: 0, **result.counts}
-        steps = []
-        if record and result.steps is not None:
-            steps = [
-                TraceStep(n, Action("sample", exp), x, d, exp,
-                          "stop" if result.stopping_time == n else "")
-                for n, exp, x, d in result.steps
-            ]
+        if record is not None:
+            for n, exp, x, d in result.steps:
+                record(TraceStep(n, _action(exp), x, d, exp,
+                                 "stop" if result.stopping_time == n else ""))
         reason = "threshold" if result.stopping_time is not None else None
-        return steps, result.stopping_time, reason, counts
+        return result.stopping_time, reason, {0: 0, **result.counts}
     core = _EngineCore(params, by_id, ctrl)
-    steps = []
-
-    def on_step(n, lvl, x, d, event):
-        steps.append(TraceStep(n, IDLE if lvl == 0 else Action("sample", lvl), x, d, lvl, event))
-
-    core.run(streams, nu, horizon, on_step if record else None)
+    on_step = None
+    if record is not None:
+        def on_step(n, lvl, x, d, event):
+            record(TraceStep(n, _action(lvl), x, d, lvl, event))
+    core.run(streams, nu, horizon, on_step)
     stopping_time = core.time if core.stopped else None
-    return steps, stopping_time, core.stop_reason, dict(enumerate(core.counts))
+    return stopping_time, core.stop_reason, dict(enumerate(core.counts))

@@ -20,6 +20,7 @@ from mecusum import (
     step,
 )
 from mecusum.densities import llr_from_terms, llr_terms
+from mecusum.engine import _EngineCore, _Observation
 from conftest import gaussian_model, obs_for
 
 
@@ -270,6 +271,35 @@ def test_zero_budget_bounce_with_remaining_parent_stays(models3):
     assert [s.level for s in r.state.stack] == [3, 2]
     assert r.state.statistic == floor2
     assert r.state.stack[-1].remaining == 1.0
+
+
+def test_step_snapshot_equals_one_built_fresh(models3):
+    # step() reuses the entries of the levels above the one it starts at;
+    # each must equal a snapshot built from the core's lists alone
+    params = PolicyParams(m=3, A=math.inf, scales={2: 1.0, 3: 1.0},
+                          budgets={1: 2, 2: 1})
+
+    def fresh(state, x):
+        core = _EngineCore(params, models3, None, state)
+        core.run([_Observation(x)] * 4, math.inf, state.time + 1)
+        return core.snapshot()
+
+    state = init(params)
+    for x, event, levels in [
+        (obs_for(models3[2], -0.5), "descend", [3, 2]),
+        # consumes level 2's only observation and descends anyway
+        (obs_for(models3[1], -0.3), "descend", [3, 2, 1]),
+        (obs_for(models3[0], 0.1), "", [3, 2, 1]),
+        # level 1 closes and lands on the exhausted level 2, which closes too
+        (obs_for(models3[0], 0.3), "ascend", [3]),
+    ]:
+        r = step(state, params, models3, x)
+        assert r.event == event
+        assert [s.level for s in r.state.stack] == levels
+        assert r.state == fresh(state, x)
+        state = r.state
+    assert r.state.stack == (LevelState(3, 0.0, math.inf),)
+    assert r.action is next_action(r.state) == Action("sample", 3)
 
 
 def test_resolve_truncation_integers_skip_rng():

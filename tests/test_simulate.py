@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -167,7 +168,10 @@ def test_summary_matches_trace(models2):
 
 def test_step_replays_run_episode(models2, models3):
     # the public step(), fed a trace's observations and the episode's control
-    # stream, retraces the episode step for step
+    # stream, retraces the episode step for step, and episode_summary stops
+    # where the trace stops. At A = 8 with a horizon of 2000 the episodes run
+    # long enough that a level's stream crosses its 64 -> 128 -> 256 block
+    # refills in the middle of a visit
     policies = [
         (PolicyParams(m=1, A=3.0), (gaussian_model(1, 1.0),)),
         (PolicyParams(m=2, A=3.0, scales={2: 1.2}, budgets={1: 2.5}), models2),
@@ -179,24 +183,99 @@ def test_step_replays_run_episode(models2, models3):
          models2),
         (PolicyParams(m=1, A=3.0, top_truncation=0.5), (gaussian_model(1, 1.0),)),
     ]
+    runs = [(3.0, (5,), None, range(20)), (8.0, (1, 5, math.inf), 2000, range(6))]
     stops = set()
-    for params, models in policies:
-        scenario = make_scenario(models, 5)
-        for seed in range(20):
-            trace = run_episode(params, scenario, seed)
-            rng = control_generator(seed)
-            state = init(params, rng)
-            for row in trace.steps:
-                assert not state.stopped
-                assert row.level == state.stack[-1].level
-                r = step(state, params, models, row.observation, rng)
-                state = r.state
-                assert (state.time, state.statistic, r.event) == (row.n, row.statistic,
-                                                                  row.event)
-            assert state.stopped
-            assert (state.time, state.stop_reason) == (trace.stopping_time, trace.stop_reason)
-            stops.add((state.stop_reason, state.time == 0))
-    assert stops == {("threshold", False), ("truncation", False), ("truncation", True)}
+    lower_draws = 0
+    for A, change_points, horizon, seeds in runs:
+        for params, models in policies:
+            params = replace(params, A=A)
+            for nu in change_points:
+                scenario = make_scenario(models, nu, horizon)
+                for seed in seeds:
+                    trace = run_episode(params, scenario, seed)
+                    summary = episode_summary(params, scenario, seed)
+                    assert ((summary.stopping_time, summary.stop_reason, summary.counts)
+                            == (trace.stopping_time, trace.stop_reason, trace.counts))
+                    lower_draws = max([lower_draws] + [trace.counts[j]
+                                                       for j in range(1, params.m)])
+                    rng = control_generator(seed)
+                    state = init(params, rng)
+                    for row in trace.steps:
+                        assert not state.stopped
+                        assert row.level == state.stack[-1].level
+                        r = step(state, params, models, row.observation, rng)
+                        state = r.state
+                        assert (state.time, state.statistic, r.event) == (row.n, row.statistic,
+                                                                          row.event)
+                    assert state.stopped == (trace.stopping_time is not None)
+                    if state.stopped:
+                        assert (state.time, state.stop_reason) == (trace.stopping_time,
+                                                                   trace.stop_reason)
+                    else:
+                        assert state.time == horizon
+                    stops.add((state.stop_reason, state.time == 0))
+    assert stops == {("threshold", False), ("truncation", False), ("truncation", True),
+                     (None, False)}
+    # some lower level drew past its third block
+    assert lower_draws > 64 + 128 + 256
+
+
+_MODELS3 = (gaussian_model(1, 0.5), gaussian_model(2, 0.75), gaussian_model(3, 1.0))
+_HORIZON = 600
+
+
+@st.composite
+def _policies(draw):
+    m = draw(st.integers(1, 3))
+    de = draw(st.booleans())
+    # two decimals, so most budgets are fractional and some are integers
+    budget = st.floats(0.0, 4.0).map(lambda b: round(b, 2))
+    return PolicyParams(
+        m=m,
+        A=draw(st.floats(1.0, 6.0)),
+        scales={i: draw(st.floats(0.5, 2.0)) for i in range(1 if de else 2, m + 1)},
+        budgets={j: draw(budget) for j in range(0 if de else 1, m)},
+        mu=draw(st.floats(0.05, 0.3)) if de else None,
+        data_efficient=de,
+        top_truncation=draw(st.one_of(st.none(), st.floats(0.0, 60.0).map(lambda t: round(t, 2)))),
+    )
+
+
+@settings(deadline=None, max_examples=150)
+@given(params=_policies(), change_point=st.sampled_from([1, 7, math.inf]),
+       seed=st.integers(0, 2**32 - 1))
+def test_kernel_properties(params, change_point, seed):
+    models = _MODELS3[:params.m]
+    scenario = make_scenario(models, change_point, horizon=_HORIZON)
+    # the kernel takes the same steps with and without a record callback
+    summary = episode_summary(params, scenario, seed)
+    trace = run_episode(params, scenario, seed)
+    assert ((summary.stopping_time, summary.stop_reason, summary.counts)
+            == (trace.stopping_time, trace.stop_reason, trace.counts))
+    # time equals the sum of the counts
+    assert summary.steps_run == sum(summary.counts.values()) == len(trace.steps)
+    assert [row.n for row in trace.steps] == list(range(1, summary.steps_run + 1))
+    if summary.stopping_time is not None:
+        assert summary.steps_run == summary.stopping_time
+    else:
+        assert summary.steps_run == _HORIZON and summary.stop_reason is None
+    if params.top_truncation is not None:
+        assert summary.counts[params.m] <= math.ceil(params.top_truncation)
+    # every state on the way keeps the level-stack invariants
+    rng = control_generator(seed)
+    state = init(params, rng)
+    for row in trace.steps:
+        state = step(state, params, models, row.observation, rng).state
+        assert state.statistic == row.statistic
+        levels = [s.level for s in state.stack]
+        assert levels == list(range(params.m, levels[-1] - 1, -1))
+        assert levels[-1] >= (0 if params.data_efficient else 1)
+        assert all(s.remaining >= 0.0 for s in state.stack)
+        floors = [s.floor for s in state.stack] + [params.A]
+        if state.stop_reason is None:
+            # floor <= statistic <= the parent floor, or A at the top
+            assert floors[-2] <= state.statistic <= floors[-1]
+    assert (state.time, state.stop_reason) == (summary.steps_run, summary.stop_reason)
 
 
 def test_rss_episode_trace(models2):
