@@ -5,6 +5,12 @@ estimate_por_direct drives the engine over long pre-change episodes, while
 estimate_por_renewal transcribes the regenerative cycle structure directly
 (top-level excursion, then the recursive truncated sub-policy below) without
 touching the engine. The two cross-check each other.
+
+The renewal kernel keeps that recursive shape: one call per level visit,
+each a loop over locals that draws and scores its observations inline. Like
+the engine, it reads tables built once on the frozen inputs (each model's
+LLR terms, each level's integer budget), and resolves only fractional
+budgets per visit.
 """
 
 from __future__ import annotations
@@ -17,7 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .densities import ExperimentModel, llr_from_terms, llr_terms
+from .densities import ExperimentModel, validate_ordering
 from .engine import PolicyParams, RssParams, resolve_truncation
 from .simulate import (
     EpisodeKeys,
@@ -226,50 +232,92 @@ def estimate_por_direct(
 
 
 class _RenewalKernel:
-    """One regenerative cycle at a time, written straight from the cycle
-    structure: a zero-floor excursion at the top level, then the recursive
-    truncated sub-policy opened by the undershoot. Engine-free on purpose."""
+    """Regenerative cycles written straight from the cycle structure: a
+    zero-floor excursion at the top level, then the recursive truncated
+    sub-policy opened by the undershoot. Engine-free on purpose.
+
+    run() holds the top excursion and _sub() one visit of a lower level,
+    recursing into the level below on an undershoot. Each keeps the
+    visited level's stream (buf, pos, end), pre-change mean and std and
+    five LLR constants in locals, and draws and scores an observation
+    inline, in the order of _GaussianStream.next and llr_from_terms. The
+    tables are built once on the frozen inputs: ExperimentModel.terms and
+    PolicyParams.fixed_budgets, so only a fractional budget calls
+    resolve_truncation.
+    """
 
     def __init__(self, params: PolicyParams, models: Sequence[ExperimentModel], base_seed) -> None:
         m = params.m
+        by_id = [None] * (m + 1)
+        for mdl in models:
+            if 0 < mdl.id <= m:
+                by_id[mdl.id] = mdl
+        # m models filling the slots 1..m have the ids 1..m
+        if len(models) != m or by_id.count(None) != 1:
+            raise ValueError(
+                f"policy with m={m} needs experiment models with ids 1..{m}, "
+                f"got {[mdl.id for mdl in models]}"
+            )
+        violation = validate_ordering(models)
+        if violation is not None:
+            raise ValueError(str(violation))
         self.m = m
         self.de = params.data_efficient
         self.mu = params.mu if params.mu is not None else 0.0
+        # keyed by level: a descent from level j reads a[j] and the budget of j - 1
         self.a = [0.0] * (m + 1)
         for i, v in params.scales.items():
             self.a[i] = v
-        self.N = [0.0] * max(m, 1)
-        for j, v in params.budgets.items():
-            self.N[j] = v
-        by_id = sorted(models, key=lambda mdl: mdl.id)
+        self.N = params.budgets
+        self.fixed = params.fixed_budgets
         entropy = seed_entropy(base_seed) + (RENEWAL_TAG,)
         children = np.random.SeedSequence(entropy).spawn(m + 1)
-        # pre-change draws only: each entry is called with post=False
-        self.draw = [None]
-        self.terms = [None]
-        for idx, mdl in enumerate(by_id):
-            self.draw.append(_GaussianStream(mdl, partial(_philox, children[idx])).next)
-            self.terms.append(llr_terms(mdl))
+        # by level, as the engine reads them; pre-change draws only
+        self.terms = [None] + [mdl.terms for mdl in by_id[1:]]
+        self.streams = [None] + [_GaussianStream(mdl, partial(_philox, children[mdl.id - 1]))
+                                 for mdl in by_id[1:]]
         self.budget_rng = _philox(children[m])
 
-    def cycle(self) -> list[float]:
-        """Steps spent at each source (index 0 = idle) during one cycle."""
-        out = [0.0] * (self.m + 1)
+    def run(self, cycles: int) -> memoryview:
+        """Steps spent at each source in the next `cycles` cycles, as a flat
+        memoryview of doubles: cycle k's count for source j (0 = idle) is at
+        index k * (m + 1) + j."""
         m = self.m
-        draw = self.draw[m]
-        terms = self.terms[m]
-        d = 0.0
-        while True:
-            d += llr_from_terms(terms, draw(False))
-            out[m] += 1.0
-            if d < 0.0:
-                break
-        if m > 1 or self.de:
-            self._sub(m - 1, self.a[m] * d, 0.0, out)
+        width = m + 1
+        # zeroed doubles over a bytearray, which numpy views without a copy
+        out = memoryview(bytearray(8 * width * cycles)).cast("d")
+        sub = self._sub if m > 1 or self.de else None
+        a = self.a[m]
+        s = self.streams[m]
+        buf, pos, end = s.buf, s.pos, s.end
+        pm, ps = s.pre_mean, s.pre_std
+        c, q0, m0, q1, m1 = self.terms[m]
+        for at in range(0, width * cycles, width):
+            d = 0.0
+            steps = 0
+            while True:
+                if pos == end:
+                    s.refill()
+                    buf, end, pos = s.buf, s.end, 0
+                x = pm + ps * buf[pos]
+                pos += 1
+                d0 = x - m0
+                d1 = x - m1
+                d += c + q0 * d0 * d0 - q1 * d1 * d1
+                steps += 1
+                if d < 0.0:
+                    break
+            out[at + m] = steps
+            if sub is not None:
+                sub(m - 1, a * d, 0.0, out, at)
+        s.pos = pos
         return out
 
-    def _sub(self, j: int, floor: float, ceiling: float, out: list[float]) -> None:
-        budget = resolve_truncation(self.N[j], self.budget_rng)
+    def _sub(self, j: int, floor: float, ceiling: float, out: memoryview, at: int) -> None:
+        """One visit of level j: its steps go to out[at + j]."""
+        budget = self.fixed[j]
+        if budget is None:
+            budget = resolve_truncation(self.N[j], self.budget_rng)
         if budget == 0:
             return
         used = 0
@@ -278,28 +326,42 @@ class _RenewalKernel:
             mu = self.mu
             while True:
                 d += mu
-                out[0] += 1.0
                 used += 1
                 if d > ceiling or used == budget:
-                    return
-        draw = self.draw[j]
-        terms = self.terms[j]
+                    break
+            out[at] += used
+            return
+        a = self.a[j]
         reflects = j == 1 and not self.de
+        s = self.streams[j]
+        buf, pos, end = s.buf, s.pos, s.end
+        pm, ps = s.pre_mean, s.pre_std
+        c, q0, m0, q1, m1 = self.terms[j]
         while True:
-            d += llr_from_terms(terms, draw(False))
-            out[j] += 1.0
+            if pos == end:
+                s.refill()
+                buf, end, pos = s.buf, s.end, 0
+            x = pm + ps * buf[pos]
+            pos += 1
+            d0 = x - m0
+            d1 = x - m1
+            d += c + q0 * d0 * d0 - q1 * d1 * d1
             used += 1
             if reflects and d < floor:
                 d = floor
             if d > ceiling:
-                return
+                break
             if d < floor:
                 # the budget-consuming observation may still open the level
-                # below; the exhaustion return happens once it closes
-                self._sub(j - 1, floor + self.a[j] * (d - floor), floor, out)
+                # below; the exhaustion return happens once it closes. The
+                # visit below reads only its own stream, so these locals
+                # stay valid across it.
+                self._sub(j - 1, floor + a * (d - floor), floor, out, at)
                 d = floor
             if used == budget:
-                return
+                break
+        s.pos = pos
+        out[at + j] += used
 
 
 def _ratio_estimate(x: np.ndarray, y: np.ndarray, confidence: float) -> MetricEstimate:
@@ -341,9 +403,7 @@ def estimate_por_renewal(
         raise ValueError("renewal estimation assumes an untruncated top level")
     _z_value(confidence)  # a bad confidence fails before the first cycle
     kernel = _RenewalKernel(params, models, base_seed)
-    times = np.empty((cycles, params.m + 1))
-    for k in range(cycles):
-        times[k] = kernel.cycle()
+    times = np.frombuffer(kernel.run(cycles)).reshape(cycles, params.m + 1)
     totals = times.sum(axis=1)
     keys = list(range(1, params.m + 1))
     if params.data_efficient:

@@ -14,6 +14,10 @@ Conventions shared with the engine:
 
 Records are (n, source, observation, statistic) where source is the
 experiment id and 0 for idle steps.
+
+renewal_cycle is the check on the renewal kernel: one pre-change renewal
+cycle of a policy with any number of levels, counted per source, written as
+the recursion the cycle structure describes.
 """
 
 from __future__ import annotations
@@ -141,6 +145,61 @@ def run_de2e(a_y, a_x, n_x, n_0, mu, threshold, llr_y, llr_x, next_y, next_x,
                 break
             records.append((n, 1, x, d))
     return records, None, "max-steps"
+
+
+def renewal_cycle(m, data_efficient, a, n, mu, llr, next_obs, resolve):
+    """Steps per source (index 0 = idle) of one pre-change renewal cycle.
+
+    The cycle starts at the top level m with statistic 0 and ends when the
+    statistic first returns to the top level's floor 0: a zero-floor
+    excursion at level m, then, on its undershoot, a visit of level m-1 with
+    the scaled floor. A visit of level j resolves its budget n[j] on entry
+    (zero: never entered) and ends when the statistic climbs above the
+    parent floor or the budget is spent; an undershoot of its floor opens a
+    visit of level j-1 first, even on the last budgeted observation, and
+    snaps back to the floor when that visit ends. Level 1 reflects at its
+    floor unless the scheme is data-efficient; level 0 takes no
+    observations and climbs by mu per step. a, n, llr and next_obs are
+    indexed by level (= experiment id).
+    """
+    steps = [0] * (m + 1)
+
+    def visit(j, floor, ceiling):
+        budget = resolve(n[j])
+        if budget == 0:
+            return
+        used = 0
+        d = floor
+        if j == 0:
+            while True:
+                d = d + mu
+                steps[0] += 1
+                used += 1
+                if d > ceiling or used == budget:
+                    return
+        while True:
+            d = d + llr[j](next_obs[j]())
+            steps[j] += 1
+            used += 1
+            if j == 1 and not data_efficient:
+                d = max(d, floor)
+            if d > ceiling:
+                return
+            if d < floor:
+                visit(j - 1, floor + a[j] * (d - floor), floor)
+                d = floor
+            if used == budget:
+                return
+
+    d = 0.0
+    while True:
+        d = d + llr[m](next_obs[m]())
+        steps[m] += 1
+        if d < 0.0:
+            break
+    if m > 1 or data_efficient:
+        visit(m - 1, a[m] * d, 0.0)
+    return steps
 
 
 def run_cusum(threshold, llr, next_x, max_steps=10_000_000):

@@ -10,9 +10,12 @@ from dataclasses import replace
 import pytest
 
 from mecusum import (
+    CalibrationConfig,
+    CalibrationTarget,
     PolicyParams,
     RssParams,
     Scenario,
+    calibrate,
     episode_summary,
     estimate_arlfa,
     estimate_por_direct,
@@ -218,6 +221,22 @@ def test_por_renewal_validation(models2):
         estimate_por_renewal(truncated, models2, 1000, 1)
 
 
+@pytest.mark.parametrize("models, message", [
+    ((gaussian_model(1, 0.5), gaussian_model(2, 0.75), gaussian_model(3, 1.0)),
+     r"m=2 needs experiment models with ids 1\.\.2, got \[1, 2, 3\]"),
+    ((gaussian_model(2, 0.75), gaussian_model(3, 1.0)),
+     r"m=2 needs experiment models with ids 1\.\.2, got \[2, 3\]"),
+    ((gaussian_model(1, 1.0),), r"m=2 needs experiment models with ids 1\.\.2, got \[1\]"),
+    ((gaussian_model(1, 1.0), gaussian_model(2, 0.75)),
+     r"experiments \(1, 2\) violate the quality ordering"),
+])
+def test_por_renewal_rejects_models_the_engine_rejects(models, message):
+    # the renewal route checks the models as the engine does, before a cycle
+    params = PolicyParams(m=2, A=3.0, scales={2: 1.0}, budgets={1: 2})
+    with pytest.raises(ValueError, match=message):
+        estimate_por_renewal(params, models, 1000, 1)
+
+
 def test_por_renewal_zero_budget_is_all_top(models2):
     params = PolicyParams(m=2, A=3.0, scales={2: 1.0}, budgets={1: 0})
     por = estimate_por_renewal(params, models2, 1000, base_seed=65)
@@ -297,6 +316,24 @@ PINNED_RENEWAL = {  # estimate_por_renewal on 3e, 300 cycles, seed 9
     2: (0.2563496751329002, 0.006918532591841829),
     3: (0.31010041346721795, 0.013615111173135193),
 }
+# estimate_por_renewal with fractional budgets (300 cycles, seed 9) on de2e
+# and on a 3e whose level 1 reflects, and one small calibrate (500 search and
+# 2000 final cycles, seed 9), recorded before the renewal kernel became one
+# locals loop per visit
+PINNED_RENEWAL_FRACTIONAL = {
+    "de2e": {0: (0.40240050536955146, 0.015456619029561166),
+             1: (0.2520530638029059, 0.008916234075984795),
+             2: (0.34554643082754266, 0.020610486465328984)},
+    "3e": {1: (0.5182119205298014, 0.01146477185143637),
+           2: (0.2644867549668874, 0.006157538852068592),
+           3: (0.21730132450331127, 0.010806243329813713)},
+}
+PINNED_CALIBRATE = (  # budgets, scales, achieved means, evaluations
+    {0: 1.46875, 1: 1.3125},
+    {1: 1.0, 2: 1.0},
+    {0: 0.2539772727272727, 1: 0.2865909090909091, 2: 0.45943181818181816},
+    35,
+)
 
 
 def test_fixed_seed_estimates_are_pinned(models2, models3):
@@ -319,3 +356,17 @@ def test_fixed_seed_estimates_are_pinned(models2, models3):
                 == PINNED_DIRECT[label], label
     renewal = estimate_por_renewal(policies["3e"][0], models3, 300, 9)
     assert {k: (c.mean, c.std_error) for k, c in renewal.components.items()} == PINNED_RENEWAL
+    renewal_policies = {
+        "de2e": (PolicyParams(m=2, A=3.0, scales={1: 1.0, 2: 1.0}, budgets={0: 2.6, 1: 1.4},
+                              mu=0.1, data_efficient=True), models2),
+        "3e": (PolicyParams(m=3, A=3.0, scales={2: 1.5, 3: 2.0}, budgets={1: 3.5, 2: 2.25}),
+               models3),
+    }
+    for label, (params, models) in renewal_policies.items():
+        renewal = estimate_por_renewal(params, models, 300, 9)
+        assert {k: (c.mean, c.std_error) for k, c in renewal.components.items()} \
+            == PINNED_RENEWAL_FRACTIONAL[label], label
+    result = calibrate(CalibrationTarget(1000.0, {1: 0.3, 2: 0.4}, data_efficient=True), models2,
+                       CalibrationConfig(search_cycles=500, final_cycles=2000), base_seed=9)
+    assert (result.params.budgets, result.params.scales, result.achieved.means(),
+            result.evaluations) == PINNED_CALIBRATE

@@ -3,16 +3,22 @@
 The flat loops in straightline.py implement the two-experiment schemes with
 no level-stack machinery. Here each one runs against the engine on identical
 observation streams and identical budget-resolution draws; every recorded
-step must match exactly: time, source, observation, and statistic.
+step must match exactly: time, source, observation, and statistic. The
+renewal cycle transcription runs against the renewal kernel the same way:
+every cycle's steps per source must match exactly.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mecusum import PolicyParams, resolve_truncation
 from mecusum.densities import llr_from_terms, llr_terms
+from mecusum.metrics import RENEWAL_TAG, _RenewalKernel
+from mecusum.simulate import seed_entropy
 from conftest import gaussian_model, obs_for
 from drivers import engine_records, normal_stream
 import straightline
@@ -140,3 +146,93 @@ def test_flat_single_level_stopping_time():
                obs_for(MODELS[1], 1.5), obs_for(MODELS[1], 1.7)])
     stop = straightline.run_cusum(3.0, llr_y, lambda: next(xs))
     assert stop == 4
+
+
+_RENEWAL_MODELS = (
+    (gaussian_model(1, 0.5), gaussian_model(2, 0.75), gaussian_model(3, 1.0)),
+    # unequal pre/post stds, so every LLR constant matters
+    (gaussian_model(1, 0.5, std=1.2), gaussian_model(2, 0.8, pre_mean=0.1),
+     gaussian_model(3, 1.1, pre_mean=0.1, std=0.9)),
+)
+
+
+def renewal_oracle(params, models, seed, cycles, visits=None):
+    """The first `cycles` oracle cycles, fed from the kernel's spawned
+    children: one standard_normal() per observation, and the budget generator
+    for the fractional budgets. visits, when given, gets at every visit entry
+    the observations drawn so far per level."""
+    m = params.m
+    children = np.random.SeedSequence(seed_entropy(seed) + (RENEWAL_TAG,)).spawn(m + 1)
+    gens = [np.random.Generator(np.random.Philox(child)) for child in children]
+    drawn = [0] * (m + 1)
+
+    def observe(mdl):
+        gen = gens[mdl.id - 1]
+
+        def draw():
+            drawn[mdl.id] += 1
+            return mdl.pre.mean + mdl.pre.std * gen.standard_normal()
+        return draw
+
+    def llr(mdl):
+        terms = llr_terms(mdl)
+        return lambda x: llr_from_terms(terms, x)
+
+    def resolve(budget):
+        if visits is not None:
+            visits.append(list(drawn))
+        return resolve_truncation(budget, gens[m])
+
+    by_id = [None] + sorted(models, key=lambda mdl: mdl.id)
+    llrs = [None] + [llr(mdl) for mdl in by_id[1:]]
+    obs = [None] + [observe(mdl) for mdl in by_id[1:]]
+    return [straightline.renewal_cycle(m, params.data_efficient, params.scales,
+                                       params.budgets, params.mu, llrs, obs, resolve)
+            for _ in range(cycles)]
+
+
+def kernel_rows(params, models, seed, cycles):
+    out = _RenewalKernel(params, models, seed).run(cycles)
+    width = params.m + 1
+    return [list(out[k:k + width]) for k in range(0, cycles * width, width)]
+
+
+@st.composite
+def _renewal_policies(draw):
+    m = draw(st.integers(1, 3))
+    de = draw(st.booleans())
+    # two decimals in [0, 4], with integers and zeros drawn often
+    budget = st.one_of(st.floats(0.0, 4.0).map(lambda b: round(b, 2)),
+                       st.integers(0, 4).map(float))
+    return PolicyParams(
+        m=m,
+        A=3.0,
+        scales={i: draw(st.floats(0.5, 10.0)) for i in range(1 if de else 2, m + 1)},
+        budgets={j: draw(budget) for j in range(0 if de else 1, m)},
+        mu=draw(st.floats(0.05, 0.3)) if de else None,
+        data_efficient=de,
+    )
+
+
+@settings(deadline=None, max_examples=150)
+@given(params=_renewal_policies(), models=st.sampled_from(_RENEWAL_MODELS),
+       seed=st.integers(0, 2**32 - 1), cycles=st.integers(1, 40))
+def test_renewal_kernel_matches_flat_cycle(params, models, seed, cycles):
+    models = models[:params.m]
+    assert kernel_rows(params, models, seed, cycles) == \
+        renewal_oracle(params, models, seed, cycles)
+
+
+def test_renewal_kernel_refills_mid_visit():
+    # budget ~300 at scale 10: a level-1 visit opens far below its ceiling,
+    # reflects there and runs its budget out, so the 64 -> 128 -> 256 block
+    # refills of the level-1 stream fall inside visits
+    models = _RENEWAL_MODELS[0][:2]
+    params = PolicyParams(m=2, A=3.0, scales={2: 10.0}, budgets={1: 299.5})
+    visits = []
+    oracle = renewal_oracle(params, models, 5, 6, visits)
+    assert kernel_rows(params, models, 5, 6) == oracle
+    starts = [drawn[1] for drawn in visits]  # level 1 is the only level entered
+    ends = starts[1:] + [sum(row[1] for row in oracle)]
+    for refill in (64, 64 + 128, 64 + 128 + 256):
+        assert any(a < refill < b for a, b in zip(starts, ends)), refill

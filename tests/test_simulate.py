@@ -171,7 +171,8 @@ def test_step_replays_run_episode(models2, models3):
     # stream, retraces the episode step for step, and episode_summary stops
     # where the trace stops. At A = 8 with a horizon of 2000 the episodes run
     # long enough that a level's stream crosses its 64 -> 128 -> 256 block
-    # refills in the middle of a visit
+    # refills in the middle of a visit. The A = 3 runs have a horizon too, so
+    # a kernel fault that makes the walk cycle fails instead of running on
     policies = [
         (PolicyParams(m=1, A=3.0), (gaussian_model(1, 1.0),)),
         (PolicyParams(m=2, A=3.0, scales={2: 1.2}, budgets={1: 2.5}), models2),
@@ -183,7 +184,7 @@ def test_step_replays_run_episode(models2, models3):
          models2),
         (PolicyParams(m=1, A=3.0, top_truncation=0.5), (gaussian_model(1, 1.0),)),
     ]
-    runs = [(3.0, (5,), None, range(20)), (8.0, (1, 5, math.inf), 2000, range(6))]
+    runs = [(3.0, (5,), 5000, range(20)), (8.0, (1, 5, math.inf), 2000, range(6))]
     stops = set()
     lower_draws = 0
     for A, change_points, horizon, seeds in runs:
@@ -338,7 +339,7 @@ def test_streams_match_one_block_per_experiment():
     kernel = _RenewalKernel(params, models, seed)
     children = np.random.SeedSequence(seed_entropy(seed) + (RENEWAL_TAG,)).spawn(3)
     for mdl, child in zip(models, children):
-        got = [kernel.draw[mdl.id](False) for _ in range(500)]
+        got = [kernel.streams[mdl.id].next(False) for _ in range(500)]
         z = np.random.Generator(np.random.Philox(child)).standard_normal(500).tolist()
         assert got == [mdl.pre.mean + mdl.pre.std * v for v in z]
 
