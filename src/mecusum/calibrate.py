@@ -16,7 +16,7 @@ import warnings
 from dataclasses import dataclass
 from typing import Sequence
 
-from .densities import ExperimentModel, validate_ordering
+from .densities import ExperimentModel, check_models
 from .engine import PolicyParams
 from .metrics import PorVector, estimate_por_renewal
 from .simulate import seed_entropy
@@ -73,6 +73,19 @@ class CalibrationConfig:
     scale_cap: float = 1e5
     mu: float = 0.1
     initial_scale: float = 1.0
+
+    def __post_init__(self) -> None:
+        # a bad setting fails here, not as a search that did not converge
+        for name in ("tolerance", "budget_cap", "initial_scale", "mu"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0.0):
+                raise ValueError(f"{name} must be positive and finite, got {value}")
+        for name, low in (("search_cycles", 100), ("final_cycles", 100), ("max_evaluations", 1)):
+            value = getattr(self, name)
+            if not value >= low:
+                raise ValueError(f"{name} must be >= {low}, got {value}")
+        if not (math.isfinite(self.scale_cap) and self.scale_cap >= self.initial_scale):
+            raise ValueError(f"scale_cap must be finite and >= initial_scale, got {self.scale_cap}")
 
 
 @dataclass(frozen=True)
@@ -155,9 +168,7 @@ def calibrate(
     """
     if config is None:
         config = CalibrationConfig()
-    violation = validate_ordering(models)
-    if violation is not None:
-        raise ValueError(str(violation))
+    check_models(models)
     m = len(models)
     de = target.data_efficient
     betas = _resolve_betas(target, m)

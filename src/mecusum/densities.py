@@ -2,7 +2,10 @@
 
 Each experiment is a pre-change / post-change density pair. Everything else in
 the package touches observations only through the log-likelihood ratio, so
-this module is the single home for that arithmetic.
+this module is the single home for that arithmetic. It also holds the one
+check of a model set, which every route calls: m models carry the ids 1..m
+(models_by_id) in quality order, a higher id having a larger KL divergence
+(check_models; validate_ordering reports a disorder instead of raising).
 """
 
 from __future__ import annotations
@@ -42,10 +45,10 @@ class ExperimentModel:
     """Pre/post-change density pair for one experiment.
 
     A higher id means higher information quality, i.e. a larger KL divergence
-    between the post- and pre-change densities; validate_ordering checks this
-    across a set of experiments. terms holds the model's llr_terms, built
-    once here; it is a plain attribute, not a field, so equality, hashing,
-    repr and dataclasses.replace see only the densities.
+    between the post- and pre-change densities; check_models checks this
+    across a set of experiments. kl (kl_divergence) and terms (llr_terms) are
+    built once here, as plain attributes, not fields, so equality, hashing,
+    repr, asdict and dataclasses.replace see only the densities.
     """
 
     id: int
@@ -62,6 +65,7 @@ class ExperimentModel:
                 f"experiment {self.id}: KL(post || pre) must be strictly positive "
                 f"and finite, got {kl}"
             )
+        object.__setattr__(self, "kl", kl)
         object.__setattr__(self, "terms", llr_terms(self))
 
 
@@ -92,7 +96,7 @@ def log_likelihood_ratio(model: ExperimentModel, x: float) -> float:
     """log(f1(x) / f0(x)) for one observation. Rejects non-finite input."""
     if not math.isfinite(x):
         raise ValueError(f"observation must be finite, got {x}")
-    return llr_from_terms(llr_terms(model), x)
+    return llr_from_terms(model.terms, x)
 
 
 def kl_divergence(model: ExperimentModel) -> float:
@@ -120,21 +124,42 @@ class OrderingViolation:
         )
 
 
+def models_by_id(models: Sequence[ExperimentModel], m: int | None = None) -> list:
+    """[None, model 1, ..., model m], or ValueError unless models are m models
+    with the ids 1..m. m defaults to the number of models, or 1 for none."""
+    if m is None:
+        m = len(models) or 1
+    slots = [None] * (m + 1)
+    filled = 0
+    for mdl in models:
+        if 0 < mdl.id <= m and slots[mdl.id] is None:
+            slots[mdl.id] = mdl
+            filled += 1
+    # m models filling the slots 1..m have the ids 1..m (is: == calls __eq__)
+    if filled != m or len(models) != m:
+        ids = [mdl.id for mdl in models]
+        raise ValueError(f"policy with m={m} needs experiment models with ids 1..{m}, got {ids}")
+    return slots
+
+
+def _violation(slots: list) -> OrderingViolation | None:
+    # the first adjacent pair whose KL divergence falls as the id rises
+    return next((OrderingViolation(lower.id, upper.id, lower.kl, upper.kl)
+                 for lower, upper in zip(slots[1:], slots[2:]) if upper.kl < lower.kl), None)
+
+
 def validate_ordering(models: Sequence[ExperimentModel]) -> OrderingViolation | None:
     """Check ids are contiguous 1..m and KL divergence is non-decreasing in id.
 
-    Structural problems (empty input, duplicate or missing ids) raise; a
-    quality-ordering violation is returned as a report, not raised.
-    """
-    if not models:
-        raise ValueError("at least one experiment model is required")
-    ids = sorted(mdl.id for mdl in models)
-    if ids != list(range(1, len(models) + 1)):
-        raise ValueError(f"experiment ids must be contiguous 1..m, got {ids}")
-    by_id = sorted(models, key=lambda mdl: mdl.id)
-    for lower, upper in zip(by_id, by_id[1:]):
-        kl_lower = kl_divergence(lower)
-        kl_upper = kl_divergence(upper)
-        if kl_upper < kl_lower:
-            return OrderingViolation(lower.id, upper.id, kl_lower, kl_upper)
-    return None
+    A set that is not m models with the ids 1..m raises (models_by_id); an
+    ordering violation is returned as a report, not raised."""
+    return _violation(models_by_id(models))
+
+
+def check_models(models: Sequence[ExperimentModel], m: int | None = None) -> list:
+    """models_by_id, raising ValueError on a quality-ordering violation too."""
+    slots = models_by_id(models, m)
+    violation = _violation(slots)
+    if violation is not None:
+        raise ValueError(str(violation))
+    return slots

@@ -13,18 +13,19 @@ one flat loop over locals, with the observation draw, the log-likelihood
 ratio and the level changes written inline; the tables it reads (each
 model's LLR terms, each level's integer budget) are built once, on the frozen
 ExperimentModel and PolicyParams. The RSS baseline has its own loop, run_rss.
+Both report each step to record(n, experiment, x, statistic, event). The
+policy loop checks only the model ids, run_rss their quality order too.
 """
 
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .densities import ExperimentModel, llr_from_terms, llr_terms, validate_ordering
+from .densities import ExperimentModel, check_models, llr_from_terms, models_by_id
 
 
 @dataclass(frozen=True)
@@ -182,7 +183,7 @@ class _EngineCore:
     """
 
     __slots__ = (
-        "m", "A", "de", "mu", "a", "N", "fixed", "terms", "rng",
+        "m", "A", "de", "mu", "a", "N", "fixed", "by_id", "rng",
         "D", "level", "floors", "remaining", "stopped", "stop_reason", "time", "counts",
     )
 
@@ -196,17 +197,7 @@ class _EngineCore:
         # models is None only for init(), whose core is snapshot, never run
         m = params.m
         if models is not None:
-            terms = [None] * (m + 1)
-            for mdl in models:
-                if 0 < mdl.id <= m:
-                    terms[mdl.id] = mdl.terms
-            # m models filling the slots 1..m have the ids 1..m
-            if len(models) != m or terms.count(None) != 1:
-                raise ValueError(
-                    f"policy with m={m} needs experiment models with ids 1..{m}, "
-                    f"got {[mdl.id for mdl in models]}"
-                )
-            self.terms = terms
+            self.by_id = models_by_id(models, m)
         self.m = m
         self.A = params.A
         self.de = params.data_efficient
@@ -252,18 +243,19 @@ class _EngineCore:
         self,
         streams: Sequence[object | None],
         nu: float,
-        horizon: int | None,
+        horizon: int,
         record: Callable[[int, int, float | None, float, str], None] | None = None,
     ) -> str:
         """Take steps until a stop or until the time reaches horizon.
 
         streams[j] is level j's observation stream: standard normals
-        buf[pos:end], refill() for the next block, and the pre- and
-        post-change means and stds that map a normal z to the observation
-        mean + std * z; step n is post-change when n >= nu. counts[j] counts
-        the steps taken at level j (0 is idle). record, when given, gets
-        (n, level, x, statistic, event) after every step, with x None at the
-        idle level. Returns the last step's event ("" when no step was taken).
+        buf[pos:end], refill() for the next block, the pre- and post-change
+        means and stds that map a normal z to the observation mean + std * z
+        (step n is post-change when n >= nu), and the model's LLR terms.
+        counts[j] counts the steps taken at level j (0 is idle). record, when
+        given, gets (n, level, x, statistic, event) after every step, with x
+        None at the idle level. Returns the last step's event ("" when no step
+        was taken).
 
         The state lives in locals while the loop runs and is saved back at
         the end. The active level's stream, LLR constants, floor and ceiling
@@ -274,18 +266,17 @@ class _EngineCore:
         if self.stopped:
             return ""
         m, A, de, mu = self.m, self.A, self.de, self.mu
-        a, N, fixed, terms, rng = self.a, self.N, self.fixed, self.terms, self.rng
+        a, N, fixed, rng = self.a, self.N, self.fixed, self.rng
         floors, remaining, counts = self.floors, self.remaining, self.counts
-        last = sys.maxsize if horizon is None else horizon
-        if nu > last:
-            nu = last + 1  # an int, which compares faster than inf
+        if nu > horizon:
+            nu = horizon + 1  # an int, which compares faster than inf
         D = self.D
         lvl = self.level
         n = self.time
         stopped = False
         reason = None
         event = ""
-        while n < last:
+        while n < horizon:
             # one visit of level lvl
             start = n
             rem = remaining[lvl]
@@ -299,9 +290,9 @@ class _EngineCore:
                 s = streams[lvl]
                 buf, pos, end = s.buf, s.pos, s.end
                 pm, ps, qm, qs = s.pre_mean, s.pre_std, s.post_mean, s.post_std
-                c, q0, m0, q1, m1 = terms[lvl]
+                c, q0, m0, q1, m1 = s.terms
             new = lvl
-            while n < last:
+            while n < horizon:
                 n += 1
                 rem -= 1.0
                 if idle:
@@ -410,17 +401,18 @@ class _EngineCore:
 
 
 class _Observation:
-    """A one-observation stream for step(): with mean 0.0 and std 1.0,
-    0.0 + 1.0 * z is z exactly."""
+    """A one-observation stream for step(), with the LLR terms of the level
+    the step is taken at: with mean 0.0 and std 1.0, 0.0 + 1.0 * z is z."""
 
-    __slots__ = ("buf", "pos", "end")
+    __slots__ = ("buf", "pos", "end", "terms")
     pre_mean = post_mean = 0.0
     pre_std = post_std = 1.0
 
-    def __init__(self, x: float) -> None:
+    def __init__(self, x: float | None, terms: tuple | None) -> None:
         self.buf = [x]
         self.pos = 0
         self.end = 1
+        self.terms = terms
 
 
 # one Action per level: Action is frozen, so the policy hands out the same one
@@ -480,7 +472,8 @@ def step(
             raise ValueError(f"observation must be finite, got {observation}")
         observation = float(observation)
     m = params.m
-    event = core.run([_Observation(observation)] * (m + 1), math.inf, state.time + 1)
+    obs = _Observation(observation, None if level == 0 else core.by_id[level].terms)
+    event = core.run([obs] * (m + 1), math.inf, state.time + 1)
     # the levels above the starting one are as the state had them
     new_state = core.snapshot(state.stack[:m - level])
     return StepResult(new_state, event, STOP if core.stopped else _action(core.level))
@@ -491,7 +484,6 @@ class RssRun:
     stopping_time: int | None
     counts: dict[int, int]
     statistic: float
-    steps: tuple[tuple[int, int, float, float], ...] | None  # (n, experiment, x, D)
 
 
 def run_rss(
@@ -500,35 +492,31 @@ def run_rss(
     next_obs: Callable[[int, int], float],
     rng: np.random.Generator,
     max_steps: int | None = None,
-    record: bool = False,
+    record: Callable[[int, int, float, float, str], None] | None = None,
 ) -> RssRun:
     """Run the random-switch baseline on two experiments.
 
     next_obs(experiment_id, n) supplies the observation for step n. The
     first step always uses the higher-quality experiment; afterwards the
     coin picks it with probability p_hi. Stops once the reflected statistic
-    reaches A.
+    reaches A. record, when given, gets (n, experiment, x, statistic, event)
+    after every step, with event "stop" on the stopping step and "" before.
     """
-    if len(models) != 2:
-        raise ValueError(f"the random-switch baseline needs exactly 2 models, got {len(models)}")
-    violation = validate_ordering(models)
-    if violation is not None:
-        raise ValueError(str(violation))
-    by_id = sorted(models, key=lambda mdl: mdl.id)
-    lo, hi = by_id[0].id, by_id[1].id
-    terms = {mdl.id: llr_terms(mdl) for mdl in by_id}
+    by_id = check_models(models, 2)
+    A, p_hi = params.A, params.p_hi
     d = 0.0
     n = 0
-    counts = {lo: 0, hi: 0}
-    steps: list[tuple[int, int, float, float]] | None = [] if record else None
+    counts = {1: 0, 2: 0}
     while max_steps is None or n < max_steps:
         n += 1
-        exp = hi if n == 1 or rng.random() < params.p_hi else lo
+        exp = 2 if n == 1 or rng.random() < p_hi else 1
         x = next_obs(exp, n)
-        d = max(d + llr_from_terms(terms[exp], x), 0.0)
+        d = max(d + llr_from_terms(by_id[exp].terms, x), 0.0)
         counts[exp] += 1
-        if steps is not None:
-            steps.append((n, exp, x, d))
-        if d >= params.A:
-            return RssRun(n, counts, d, tuple(steps) if steps is not None else None)
-    return RssRun(None, counts, d, tuple(steps) if steps is not None else None)
+        if d >= A:
+            if record is not None:
+                record(n, exp, x, d, "stop")
+            return RssRun(n, counts, d)
+        if record is not None:
+            record(n, exp, x, d, "")
+    return RssRun(None, counts, d)

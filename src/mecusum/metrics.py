@@ -23,11 +23,12 @@ from typing import Sequence
 
 import numpy as np
 
-from .densities import ExperimentModel, validate_ordering
+from .densities import ExperimentModel, check_models
 from .engine import PolicyParams, RssParams, resolve_truncation
 from .simulate import (
     EpisodeKeys,
     Scenario,
+    _default_safety_horizon,
     _GaussianStream,
     _philox,
     episode_summary,
@@ -86,12 +87,6 @@ def _estimate(values: np.ndarray, confidence: float, horizon_hits: int = 0) -> M
     se = float(np.std(values, ddof=1) / math.sqrt(n)) if n > 1 else 0.0
     z = _z_value(confidence)
     return MetricEstimate(mean, se, n, (mean - z * se, mean + z * se), confidence, horizon_hits)
-
-
-def _default_safety_horizon(A: float) -> int:
-    # 10^4 times the false-alarm target implied by the threshold; the cap on
-    # the exponent only guards math.exp overflow for absurd thresholds.
-    return int(10_000.0 * math.exp(min(A, 700.0)))
 
 
 def _trial_summaries(
@@ -222,13 +217,12 @@ def estimate_por_direct(
     """
     if horizon < 10_000:
         raise ValueError(f"direct estimation needs horizon >= 10000, got {horizon}")
-    keys = [mdl.id for mdl in sorted(models, key=lambda mdl: mdl.id)]
-    if isinstance(params, PolicyParams) and params.data_efficient:
-        keys = [0] + keys
     counts = [s.counts for s in _trial_summaries(
         _disable_threshold(params), models, math.inf, horizon, trials, base_seed, confidence)]
+    # the scenario has checked that the ids run 1..m; key 0 is the idle fraction
+    first = 0 if isinstance(params, PolicyParams) and params.data_efficient else 1
     return PorVector({k: _estimate(np.array([c[k] for c in counts]) / horizon, confidence)
-                      for k in keys})
+                      for k in range(first, len(models) + 1)})
 
 
 class _RenewalKernel:
@@ -247,21 +241,8 @@ class _RenewalKernel:
     """
 
     def __init__(self, params: PolicyParams, models: Sequence[ExperimentModel], base_seed) -> None:
-        m = params.m
-        by_id = [None] * (m + 1)
-        for mdl in models:
-            if 0 < mdl.id <= m:
-                by_id[mdl.id] = mdl
-        # m models filling the slots 1..m have the ids 1..m
-        if len(models) != m or by_id.count(None) != 1:
-            raise ValueError(
-                f"policy with m={m} needs experiment models with ids 1..{m}, "
-                f"got {[mdl.id for mdl in models]}"
-            )
-        violation = validate_ordering(models)
-        if violation is not None:
-            raise ValueError(str(violation))
-        self.m = m
+        self.m = m = params.m
+        by_id = check_models(models, m)
         self.de = params.data_efficient
         self.mu = params.mu if params.mu is not None else 0.0
         # keyed by level: a descent from level j reads a[j] and the budget of j - 1
@@ -273,7 +254,6 @@ class _RenewalKernel:
         entropy = seed_entropy(base_seed) + (RENEWAL_TAG,)
         children = np.random.SeedSequence(entropy).spawn(m + 1)
         # by level, as the engine reads them; pre-change draws only
-        self.terms = [None] + [mdl.terms for mdl in by_id[1:]]
         self.streams = [None] + [_GaussianStream(mdl, partial(_philox, children[mdl.id - 1]))
                                  for mdl in by_id[1:]]
         self.budget_rng = _philox(children[m])
@@ -291,7 +271,7 @@ class _RenewalKernel:
         s = self.streams[m]
         buf, pos, end = s.buf, s.pos, s.end
         pm, ps = s.pre_mean, s.pre_std
-        c, q0, m0, q1, m1 = self.terms[m]
+        c, q0, m0, q1, m1 = s.terms
         for at in range(0, width * cycles, width):
             d = 0.0
             steps = 0
@@ -336,7 +316,7 @@ class _RenewalKernel:
         s = self.streams[j]
         buf, pos, end = s.buf, s.pos, s.end
         pm, ps = s.pre_mean, s.pre_std
-        c, q0, m0, q1, m1 = self.terms[j]
+        c, q0, m0, q1, m1 = s.terms
         while True:
             if pos == end:
                 s.refill()
@@ -405,12 +385,8 @@ def estimate_por_renewal(
     kernel = _RenewalKernel(params, models, base_seed)
     times = np.frombuffer(kernel.run(cycles)).reshape(cycles, params.m + 1)
     totals = times.sum(axis=1)
-    keys = list(range(1, params.m + 1))
-    if params.data_efficient:
-        keys = [0] + keys
-    return PorVector(
-        {k: _ratio_estimate(times[:, k], totals, confidence) for k in keys}
-    )
+    return PorVector({k: _ratio_estimate(times[:, k], totals, confidence)
+                      for k in range(0 if params.data_efficient else 1, params.m + 1)})
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,9 @@ The public single-episode calls build a fresh generator per stream on its
 first draw. The estimators instead pass an EpisodeKeys table: it hashes the
 Philox keys of every episode in one vectorised pass (SeedSequence's hash,
 ported to numpy) and re-keys one reused generator per stream on its first
-draw. The keys are SeedSequence's, so the values are the same either way.
+draw. The keys are SeedSequence's, so the values are the same either way. An
+episode with a finite change point and no horizon stops at the estimators'
+safety horizon, 1e4 * e^A steps, so no episode runs unbounded.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .densities import ExperimentModel, validate_ordering
+from .densities import ExperimentModel, check_models, models_by_id
 from .engine import (
     Action,
     PolicyParams,
@@ -227,11 +229,12 @@ class _GaussianStream:
     through the pre- or post-change location/scale at consumption time.
     Chunked standard_normal draws from Philox give the same sequence as one
     large block, so the values do not depend on the block sizes. The engine
-    reads buf, pos and end directly and calls refill() at the end of a block.
+    reads buf, pos, end and the model's LLR terms directly and calls
+    refill() at the end of a block.
     """
 
     __slots__ = ("make_gen", "gen", "buf", "pos", "end",
-                 "pre_mean", "pre_std", "post_mean", "post_std")
+                 "pre_mean", "pre_std", "post_mean", "post_std", "terms")
 
     def __init__(self, model: ExperimentModel,
                  make_gen: Callable[[], np.random.Generator]) -> None:
@@ -244,6 +247,7 @@ class _GaussianStream:
         self.pre_std = model.pre.std
         self.post_mean = model.post.mean
         self.post_std = model.post.std
+        self.terms = model.terms
 
     def next(self, post: bool) -> float:
         i = self.pos
@@ -294,11 +298,8 @@ class Scenario:
     horizon: int | None = None
 
     def __post_init__(self) -> None:
-        models = tuple(self.models)
-        object.__setattr__(self, "models", models)
-        violation = validate_ordering(models)
-        if violation is not None:
-            raise ValueError(str(violation))
+        object.__setattr__(self, "models", tuple(self.models))
+        check_models(self.models)
         nu = self.change_point
         if math.isinf(nu) and nu > 0:
             object.__setattr__(self, "change_point", math.inf)
@@ -377,6 +378,12 @@ def episode_summary(
     return EpisodeSummary(stopping_time, stop_reason, counts, sum(counts.values()))
 
 
+def _default_safety_horizon(A: float) -> int:
+    # 10^4 times the false-alarm target implied by the threshold; the cap on
+    # the exponent only guards math.exp overflow for absurd thresholds.
+    return int(10_000.0 * math.exp(min(A, 700.0)))
+
+
 def _drive(params, scenario, entropy, record=None, make_gen=None):
     """Run one episode; returns (stopping time, stop reason, counts).
 
@@ -385,39 +392,31 @@ def _drive(params, scenario, entropy, record=None, make_gen=None):
     before the first step even when the episode never draws. make_gen(tag)
     gives the generator of the stream tagged tag, on the stream's first
     draw; by default a fresh one, built through the module-level
-    observation_generator and control_generator.
+    observation_generator and control_generator. Without a horizon, an
+    episode is cut at the safety horizon, 1e4 * e^A steps.
     """
     if make_gen is None:
         make_gen = partial(_fresh_generator, entropy)
     nu = scenario.change_point
     horizon = scenario.horizon
-    if math.isinf(nu) and horizon is None:
-        raise ValueError("a horizon is required when change_point is infinite")
-    by_id = sorted(scenario.models, key=lambda mdl: mdl.id)
+    if horizon is None:
+        if math.isinf(nu):
+            raise ValueError("a horizon is required when change_point is infinite")
+        horizon = _default_safety_horizon(params.A)
     # streams[i] is experiment i's observation stream; ids run 1..m
     streams = [None] + [_GaussianStream(mdl, partial(make_gen, (OBS_STREAM_TAG, mdl.id)))
-                        for mdl in by_id]
+                        for mdl in models_by_id(scenario.models)[1:]]
     ctrl = _ControlStream(partial(make_gen, (CONTROL_STREAM_TAG,)))
-    if isinstance(params, RssParams):
-        result = run_rss(
-            params,
-            by_id,
-            lambda exp, n: streams[exp].next(n >= nu),
-            ctrl,
-            max_steps=horizon,
-            record=record is not None,
-        )
-        if record is not None:
-            for n, exp, x, d in result.steps:
-                record(TraceStep(n, _action(exp), x, d, exp,
-                                 "stop" if result.stopping_time == n else ""))
-        reason = "threshold" if result.stopping_time is not None else None
-        return result.stopping_time, reason, {0: 0, **result.counts}
-    core = _EngineCore(params, by_id, ctrl)
     on_step = None
     if record is not None:
         def on_step(n, lvl, x, d, event):
             record(TraceStep(n, _action(lvl), x, d, lvl, event))
+    if isinstance(params, RssParams):
+        result = run_rss(params, scenario.models, lambda exp, n: streams[exp].next(n >= nu),
+                         ctrl, max_steps=horizon, record=on_step)
+        reason = "threshold" if result.stopping_time is not None else None
+        return result.stopping_time, reason, {0: 0, **result.counts}
+    core = _EngineCore(params, scenario.models, ctrl)
     core.run(streams, nu, horizon, on_step)
     stopping_time = core.time if core.stopped else None
     return stopping_time, core.stop_reason, dict(enumerate(core.counts))

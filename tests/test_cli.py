@@ -455,6 +455,31 @@ def test_calibrate_non_convergence_exit_code(tmp_path, capsys):
     assert json.loads(out.read_text())["calibration"]["converged"] is False
 
 
+@pytest.mark.parametrize("field, value", [
+    ("tolerance", -0.1),
+    ("tolerance", math.nan),
+    ("max_evaluations", 0),
+    ("budget_cap", 0),
+    ("scale_cap", 0.5),
+    ("search_cycles", 99),
+    ("final_cycles", 10),
+    ("initial_scale", 0),
+    ("mu", math.inf),
+])
+def test_calibrate_rejects_bad_settings_before_the_search(tmp_path, capsys, field, value):
+    # a bad setting is a config error (exit 1), not a search that did not
+    # converge (exit 2)
+    config = {
+        "scenario": scenario_dict(2),
+        "calibration": {"gamma": 1000.0, "betas": {"2": 0.5},
+                        "search_cycles": 2000, "final_cycles": 2000,
+                        "max_evaluations": 5, field: value},
+    }
+    path = write_config(tmp_path, config)
+    assert main(["calibrate", "--config", path]) == 1
+    assert f"error: {field} must be" in capsys.readouterr().err
+
+
 def test_tradeoff_writes_one_file_per_policy(tmp_path):
     config = {
         "scenario": scenario_dict(2, change_point=1),

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -281,7 +282,8 @@ def test_step_snapshot_equals_one_built_fresh(models3):
 
     def fresh(state, x):
         core = _EngineCore(params, models3, None, state)
-        core.run([_Observation(x)] * 4, math.inf, state.time + 1)
+        terms = models3[state.stack[-1].level - 1].terms
+        core.run([_Observation(x, terms)] * 4, math.inf, state.time + 1)
         return core.snapshot()
 
     state = init(params)
@@ -495,13 +497,16 @@ def test_rss_always_hi_matches_reflected_recursion(models2):
         assert exp == 2
         return xs[n - 1]
 
+    rows = []
     run = run_rss(params, models2, next_obs, np.random.default_rng(1),
-                  max_steps=400, record=True)
+                  max_steps=400, record=lambda *row: rows.append(row))
     assert run.counts[1] == 0
     assert run.counts[2] == 400
+    assert len(rows) == 400
     terms = llr_terms(models2[1])
     d = 0.0
-    for (n, exp, x, stat), ref_x in zip(run.steps, xs):
+    for (n, exp, x, stat, event), ref_x in zip(rows, xs):
+        assert event == ""
         d = max(d + llr_from_terms(terms, ref_x), 0.0)
         assert exp == 2
         assert x == ref_x
@@ -512,17 +517,18 @@ def test_rss_never_hi_still_starts_hi(models2):
     params = RssParams(A=50.0, p_hi=0.0)
     rng = np.random.default_rng(19)
     xs = np.random.default_rng(12).normal(0.0, 1.0, 300).tolist()
+    rows = []
     run = run_rss(params, models2, lambda e, n: xs[n - 1], rng,
-                  max_steps=300, record=True)
+                  max_steps=300, record=lambda *row: rows.append(row))
     assert run.counts[2] == 1
     assert run.counts[1] == 299
-    assert run.steps[0][1] == 2
+    assert rows[0][1] == 2
     # from the second step onward the trajectory is the reflected recursion
     # on the lower-quality stream, seeded from the statistic after step 1
     d = max(llr_from_terms(llr_terms(models2[1]), xs[0]), 0.0)
-    assert run.steps[0][3] == d
+    assert rows[0][3] == d
     terms = llr_terms(models2[0])
-    for n, exp, x, stat in run.steps[1:]:
+    for n, exp, x, stat, event in rows[1:]:
         assert exp == 1
         d = max(d + llr_from_terms(terms, x), 0.0)
         assert stat == d
@@ -532,10 +538,11 @@ def test_rss_coin_fraction(models2):
     params = RssParams(A=1e9, p_hi=0.5)
     rng = np.random.default_rng(101)
     obs_rng = np.random.default_rng(102)
+    events = Counter()
     run = run_rss(params, models2, lambda e, n: obs_rng.normal(0.0, 1.0), rng,
-                  max_steps=200_000)
+                  max_steps=200_000, record=lambda n, exp, x, stat, event: events.update([event]))
     assert run.stopping_time is None
-    assert run.steps is None
+    assert events == {"": 200_000}
     total = run.counts[1] + run.counts[2]
     assert total == 200_000
     assert abs(run.counts[2] / total - 0.5) < 0.01
@@ -543,9 +550,11 @@ def test_rss_coin_fraction(models2):
 
 def test_rss_stops_on_reaching_threshold_exactly(models2):
     params = RssParams(A=3.0, p_hi=1.0)
+    rows = []
     run = run_rss(params, models2, lambda e, n: 1.5, np.random.default_rng(0),
-                  record=True)
+                  record=lambda *row: rows.append(row))
     assert run.stopping_time == 3
     assert run.statistic == 3.0
     assert run.counts == {1: 0, 2: 3}
-    assert run.steps[-1] == (3, 2, 1.5, 3.0)
+    assert rows[-1] == (3, 2, 1.5, 3.0, "stop")
+    assert [row[4] for row in rows] == ["", "", "stop"]

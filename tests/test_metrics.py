@@ -7,6 +7,7 @@ import subprocess
 import sys
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from mecusum import (
@@ -21,6 +22,9 @@ from mecusum import (
     estimate_por_direct,
     estimate_por_renewal,
     estimate_wadd,
+    init,
+    run_rss,
+    step,
     tradeoff_curve,
     wadd_penalty,
 )
@@ -221,20 +225,54 @@ def test_por_renewal_validation(models2):
         estimate_por_renewal(truncated, models2, 1000, 1)
 
 
-@pytest.mark.parametrize("models, message", [
-    ((gaussian_model(1, 0.5), gaussian_model(2, 0.75), gaussian_model(3, 1.0)),
-     r"m=2 needs experiment models with ids 1\.\.2, got \[1, 2, 3\]"),
-    ((gaussian_model(2, 0.75), gaussian_model(3, 1.0)),
-     r"m=2 needs experiment models with ids 1\.\.2, got \[2, 3\]"),
-    ((gaussian_model(1, 1.0),), r"m=2 needs experiment models with ids 1\.\.2, got \[1\]"),
-    ((gaussian_model(1, 1.0), gaussian_model(2, 0.75)),
-     r"experiments \(1, 2\) violate the quality ordering"),
+_POLICY2 = PolicyParams(m=2, A=3.0, scales={2: 1.0}, budgets={1: 2})
+_SMALL_CALIBRATION = CalibrationConfig(search_cycles=100, final_cycles=100)
+# every route that takes a model set, each checking it before any work
+_ROUTES = {
+    "step": lambda models: step(init(_POLICY2), _POLICY2, models, 0.5),
+    "episode_summary": lambda models: episode_summary(
+        _POLICY2, Scenario(models, 1, horizon=50), 0),
+    "estimate_wadd": lambda models: estimate_wadd(_POLICY2, models, 2, 0),
+    "estimate_por_renewal": lambda models: estimate_por_renewal(_POLICY2, models, 1000, 1),
+    "run_rss": lambda models: run_rss(RssParams(A=3.0, p_hi=0.5), models,
+                                      lambda e, n: 0.0, np.random.default_rng(0)),
+    "Scenario": lambda models: Scenario(models, 1),
+    "calibrate": lambda models: calibrate(CalibrationTarget(100.0, {2: 0.5}), models,
+                                          _SMALL_CALIBRATION),
+}
+# routes that build a scenario first, which takes m from the set itself
+_SCENARIO_FIRST = {"episode_summary", "estimate_wadd", "Scenario", "calibrate"}
+_MODEL_SETS = {
+    "empty": (),
+    "three": (gaussian_model(1, 0.5), gaussian_model(2, 0.75), gaussian_model(3, 1.0)),
+    "one": (gaussian_model(1, 1.0),),
+    "ids23": (gaussian_model(2, 0.75), gaussian_model(3, 1.0)),
+    "ids11": (gaussian_model(1, 0.75), gaussian_model(1, 1.0)),
+    "reversed": (gaussian_model(1, 1.0), gaussian_model(2, 0.75)),
+}
+# a set of one or three ordered models is a valid scenario, and step() checks
+# the id layout only
+_SKIP = {("Scenario", "three"), ("calibrate", "three"), ("Scenario", "one"),
+         ("calibrate", "one"), ("step", "reversed")}
+
+
+@pytest.mark.parametrize("route, case", [
+    pytest.param(route, case, id=f"{route}-{case}")
+    for route in _ROUTES for case in _MODEL_SETS if (route, case) not in _SKIP
 ])
-def test_por_renewal_rejects_models_the_engine_rejects(models, message):
-    # the renewal route checks the models as the engine does, before a cycle
-    params = PolicyParams(m=2, A=3.0, scales={2: 1.0}, budgets={1: 2})
-    with pytest.raises(ValueError, match=message):
-        estimate_por_renewal(params, models, 1000, 1)
+def test_every_route_rejects_a_bad_model_set_alike(route, case):
+    # one check in densities: the same set gets the same message everywhere
+    models = _MODEL_SETS[case]
+    if case == "reversed":
+        message = "experiments (1, 2) violate the quality ordering: KL 0.5 > 0.28125"
+    else:
+        # an empty set has no m of its own: a scenario checks it with m = 1
+        m = 1 if not models and route in _SCENARIO_FIRST else 2
+        message = (f"policy with m={m} needs experiment models with ids 1..{m}, "
+                   f"got {[mdl.id for mdl in models]}")
+    with pytest.raises(ValueError) as info:
+        _ROUTES[route](models)
+    assert str(info.value) == message
 
 
 def test_por_renewal_zero_budget_is_all_top(models2):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -288,12 +289,33 @@ def test_rss_episode_trace(models2):
     assert all(s.level == s.action.experiment for s in trace.steps)
     assert trace.steps[0].level == 2
     assert trace.counts[1] + trace.counts[2] == len(trace.steps)
+    # rows are written as the steps are taken: only the last one stops
+    assert [s.event for s in trace.steps[:-1]] == [""] * (len(trace.steps) - 1)
+    summary = episode_summary(params, make_scenario(models2, 1), seed=21)
+    assert ((summary.stopping_time, summary.stop_reason, summary.counts)
+            == (trace.stopping_time, trace.stop_reason, trace.counts))
 
     capped = run_episode(params, make_scenario(models2, math.inf, horizon=40),
                          seed=(21, 1))
     if capped.stopping_time is None:
         assert capped.stop_reason is None
         assert len(capped.steps) == 40
+
+
+def test_finite_change_point_without_horizon_stops_at_the_safety_horizon(models2):
+    # idle at a climb rate of 1e-9 with a budget of 1e9 steps, the walk would
+    # not reach the change at 10**9 for hours; the episode is cut at
+    # 1e4 * e^A = 27182 steps instead, reported like any horizon cut. Seed 0
+    # reaches the idle level (seed 3 false-alarms at step 1).
+    params = PolicyParams(m=2, A=1.0, scales={1: 1.0, 2: 1.0}, budgets={0: 1e9, 1: 1},
+                          mu=1e-9, data_efficient=True)
+    scenario = make_scenario(models2, 10**9)
+    start = time.perf_counter()
+    summary = episode_summary(params, scenario, seed=0)
+    assert time.perf_counter() - start < 1.0
+    assert (summary.stopping_time, summary.stop_reason) == (None, None)
+    assert summary.steps_run == simulate._default_safety_horizon(1.0) == 27182
+    assert summary.counts[0] > 27_000
 
 
 def test_change_point_switches_the_observation_regime():
