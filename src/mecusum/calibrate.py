@@ -3,22 +3,24 @@
 The search leans on a decoupling property of the level stack: the time spent
 at any level per renewal cycle is unaffected by the budgets and scales of the
 levels below it. Budgets are therefore solved one level at a time from the
-top down, each by bisection on the ratio of that level's rate to the top
-level's rate; when a budget saturates (the level's reachable time tops out
-below the target), the scale feeding that level is escalated by 10x and the
-bisection restarts.
+top down. A level-j visit with budget B takes min(B, tau) observations, tau
+being its first passage above its ceiling, so one pass of cycles with level
+j at the budget cap that records each visit's tau gives the level's rate for
+every budget: the budget is the exact root of that piecewise-linear sum. When
+even the cap falls short, the scale feeding level j is escalated by 10x and
+the pass is run again.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 from .densities import ExperimentModel, check_models
 from .engine import PolicyParams
-from .metrics import PorVector, estimate_por_renewal
+from .metrics import PorVector, _RenewalKernel, estimate_por_renewal
 from .simulate import seed_entropy
 
 _SUM_EPS = 1e-9
@@ -89,12 +91,24 @@ class CalibrationConfig:
 
 
 @dataclass(frozen=True)
+class SearchPass:
+    """One search pass: level j at the budget cap under these scales, its rate
+    over the top rate there, and the budget solved (None: the scale escalated)."""
+
+    level: int
+    scales: dict[int, float]
+    cap_ratio: float
+    budget: float | None
+
+
+@dataclass(frozen=True)
 class CalibrationResult:
     params: PolicyParams
     achieved: PorVector
     residuals: dict[int, float]  # achieved minus target, key 0 = idle fraction
-    evaluations: int
+    evaluations: int  # search passes run
     converged: bool
+    passes: tuple[SearchPass, ...]
 
 
 def _resolve_betas(target: CalibrationTarget, m: int) -> dict[int, float]:
@@ -149,8 +163,17 @@ def _resolve_betas(target: CalibrationTarget, m: int) -> dict[int, float]:
     return betas
 
 
-class _EvalBudget(Exception):
-    pass
+def _budget_root(visits: Sequence[int], goal: float) -> float:
+    """The least b with G(b) = sum of min(b, tau) = goal, for 0 < goal <= G(cap).
+    G is the expected level time at budget b (tau is an integer, b resolves to
+    its floor or ceiling with mean b) and linear between the sorted taus."""
+    tau = sorted(visits)
+    below = 0  # the sum of the taus before tau[k]
+    for k, t in enumerate(tau):
+        if below + t * (len(tau) - k) >= goal:
+            break
+        below += t
+    return (goal - below) / (len(tau) - k)
 
 
 def calibrate(
@@ -161,10 +184,12 @@ def calibrate(
 ) -> CalibrationResult:
     """Find budgets (and, when needed, scales) meeting the rate targets.
 
-    Runs one bisection per level from the top down using the renewal
-    estimator with common random numbers across candidates, then re-evaluates
-    the final parameters on a fresh, larger run. Non-convergence is reported
-    through the converged flag and residuals, not an exception.
+    Solves the levels from the top down, each from one recorded pass of
+    `search_cycles` cycles at `budget_cap` (plus one per scale escalation) and
+    the exact root on it; `evaluations` counts the passes and `passes` logs
+    them. The result is re-evaluated on a fresh run of `final_cycles`.
+    Non-convergence is reported through the converged flag and residuals,
+    not an exception.
     """
     if config is None:
         config = CalibrationConfig()
@@ -173,80 +198,45 @@ def calibrate(
     de = target.data_efficient
     betas = _resolve_betas(target, m)
     threshold = set_threshold(target.gamma)
-    scales = {i: config.initial_scale for i in range(2, m + 1)}
-    budgets = {j: 0.0 for j in range(1, m)}
-    if de:
-        scales[1] = config.initial_scale
-        budgets[0] = 0.0
+    lowest = 0 if de else 1
+    scales = {i: config.initial_scale for i in range(lowest + 1, m + 1)}
+    budgets = {j: 0.0 for j in range(lowest, m)}
 
-    evaluations = 0
+    passes: list[SearchPass] = []
     search_seed = seed_entropy(base_seed) + (11,)
     final_seed = seed_entropy(base_seed) + (99,)
 
-    def build(overrides: dict[int, float] | None = None) -> PolicyParams:
-        merged = dict(budgets)
-        if overrides:
-            merged.update(overrides)
-        return PolicyParams(
-            m=m,
-            A=threshold,
-            scales=dict(scales),
-            budgets=merged,
-            mu=config.mu if de else None,
-            data_efficient=de,
-        )
+    # each pass and the result copy the scales and budgets found so far into this
+    start = PolicyParams(m=m, A=threshold, scales=scales, budgets=budgets,
+                         mu=config.mu if de else None, data_efficient=de)
 
-    def ratio_at(j: int, candidate: float) -> float:
-        nonlocal evaluations
-        if evaluations >= config.max_evaluations:
-            raise _EvalBudget()
-        evaluations += 1
-        por = estimate_por_renewal(build({j: candidate}), models, config.search_cycles, search_seed)
-        return por[j].mean / por[m].mean
-
-    beta_m = betas[m]
-    lowest = 0 if de else 1
     ran_out = False
-    try:
-        for j in range(m - 1, lowest - 1, -1):
-            want = betas[j] / beta_m
-            if want == 0.0:
-                budgets[j] = 0.0
-                continue
-            ratio_tol = 0.25 * config.tolerance / beta_m
-            # make sure the target is reachable at all; escalate the scale
-            # feeding this level until the saturated ratio clears the target
-            while True:
-                cap_ratio = ratio_at(j, config.budget_cap)
-                if cap_ratio >= want:
-                    break
-                new_scale = scales[j + 1] * 10.0
-                if new_scale > config.scale_cap:
-                    budgets[j] = config.budget_cap
-                    ran_out = True
-                    break
-                scales[j + 1] = new_scale
+    for j in range(m - 1, lowest - 1, -1):
+        want = betas[j] / betas[m]
+        while want > 0.0 and not ran_out:
+            ran_out = len(passes) == config.max_evaluations
             if ran_out:
                 break
-            lo, hi = 0.0, config.budget_cap
-            for _ in range(60):
-                mid = 0.5 * (lo + hi)
-                r = ratio_at(j, mid)
-                if abs(r - want) <= ratio_tol:
-                    lo = hi = mid
-                    break
-                if r < want:
-                    lo = mid
-                else:
-                    hi = mid
-                if hi - lo <= 1e-4 * max(1.0, hi):
-                    break
-            budgets[j] = 0.5 * (lo + hi)
-    except _EvalBudget:
-        ran_out = True
+            at_cap = replace(start, scales=scales, budgets={**budgets, j: config.budget_cap})
+            kernel = _RenewalKernel(at_cap, models, search_seed, j)
+            top = sum(kernel.run(config.search_cycles)[m::m + 1])
+            visits = memoryview(kernel.visits).cast("q")
+            reach = sum(visits)
+            budget = (min(_budget_root(visits, want * top), config.budget_cap)
+                      if reach >= want * top else None)
+            passes.append(SearchPass(j, dict(scales), reach / top, budget))
+            if budget is not None:
+                budgets[j] = budget
+                break
+            # even the cap falls short: escalate the scale feeding level j
+            ran_out = scales[j + 1] * 10.0 > config.scale_cap
+            if ran_out:
+                budgets[j] = config.budget_cap
+            else:
+                scales[j + 1] *= 10.0
 
-    params = build()
+    params = replace(start, scales=scales, budgets=budgets)
     achieved = estimate_por_renewal(params, models, config.final_cycles, final_seed)
     residuals = {k: achieved[k].mean - betas[k] for k in achieved.components}
     converged = not ran_out and all(abs(r) <= config.tolerance for r in residuals.values())
-    return CalibrationResult(params, achieved, residuals, evaluations, converged)
+    return CalibrationResult(params, achieved, residuals, len(passes), converged, tuple(passes))

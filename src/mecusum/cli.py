@@ -538,6 +538,7 @@ def cmd_calibrate(cfg: RunConfig) -> int:
         "calibration": {
             "converged": result.converged,
             "evaluations": result.evaluations,
+            "passes": [asdict(p) for p in result.passes],
             "params": _policy_to_dict(
                 "de-me-cusum" if params.data_efficient else "me-cusum", params),
             "achieved": {_key_name(k): asdict(est) for k, est in achieved},

@@ -19,6 +19,7 @@ import math
 from dataclasses import dataclass, replace
 from functools import partial
 from statistics import NormalDist
+from struct import pack
 from typing import Sequence
 
 import numpy as np
@@ -237,10 +238,13 @@ class _RenewalKernel:
     inline, in the order of _GaussianStream.next and llr_from_terms. The
     tables are built once on the frozen inputs: ExperimentModel.terms and
     PolicyParams.fixed_budgets, so only a fractional budget calls
-    resolve_truncation.
+    resolve_truncation. With record = j, run() also appends the steps of
+    each level-j visit to self.visits, as native int64 in visit order: the
+    calibration search reads them.
     """
 
-    def __init__(self, params: PolicyParams, models: Sequence[ExperimentModel], base_seed) -> None:
+    def __init__(self, params: PolicyParams, models: Sequence[ExperimentModel], base_seed,
+                 record: int = -1) -> None:
         self.m = m = params.m
         by_id = check_models(models, m)
         self.de = params.data_efficient
@@ -257,6 +261,8 @@ class _RenewalKernel:
         self.streams = [None] + [_GaussianStream(mdl, partial(_philox, children[mdl.id - 1]))
                                  for mdl in by_id[1:]]
         self.budget_rng = _philox(children[m])
+        self.recorded = record
+        self.visits = bytearray()
 
     def run(self, cycles: int) -> memoryview:
         """Steps spent at each source in the next `cycles` cycles, as a flat
@@ -309,39 +315,42 @@ class _RenewalKernel:
                 used += 1
                 if d > ceiling or used == budget:
                     break
-            out[at] += used
-            return
-        a = self.a[j]
-        reflects = j == 1 and not self.de
-        s = self.streams[j]
-        buf, pos, end = s.buf, s.pos, s.end
-        pm, ps = s.pre_mean, s.pre_std
-        c, q0, m0, q1, m1 = s.terms
-        while True:
-            if pos == end:
-                s.refill()
-                buf, end, pos = s.buf, s.end, 0
-            x = pm + ps * buf[pos]
-            pos += 1
-            d0 = x - m0
-            d1 = x - m1
-            d += c + q0 * d0 * d0 - q1 * d1 * d1
-            used += 1
-            if reflects and d < floor:
-                d = floor
-            if d > ceiling:
-                break
-            if d < floor:
-                # the budget-consuming observation may still open the level
-                # below; the exhaustion return happens once it closes. The
-                # visit below reads only its own stream, so these locals
-                # stay valid across it.
-                self._sub(j - 1, floor + a * (d - floor), floor, out, at)
-                d = floor
-            if used == budget:
-                break
-        s.pos = pos
+        else:
+            a = self.a[j]
+            # nothing opens below level 1 of a plain policy, nor below a fixed
+            # budget of 0 (which draws nothing), so there the level reflects
+            reflects = self.fixed[j - 1] == 0 or j == 1 and not self.de
+            s = self.streams[j]
+            buf, pos, end = s.buf, s.pos, s.end
+            pm, ps = s.pre_mean, s.pre_std
+            c, q0, m0, q1, m1 = s.terms
+            while True:
+                if pos == end:
+                    s.refill()
+                    buf, end, pos = s.buf, s.end, 0
+                x = pm + ps * buf[pos]
+                pos += 1
+                d0 = x - m0
+                d1 = x - m1
+                d += c + q0 * d0 * d0 - q1 * d1 * d1
+                used += 1
+                if reflects and d < floor:
+                    d = floor
+                if d > ceiling:
+                    break
+                if d < floor:
+                    # the budget-consuming observation may still open the level
+                    # below; the exhaustion return happens once it closes. The
+                    # visit below reads only its own stream, so these locals
+                    # stay valid across it.
+                    self._sub(j - 1, floor + a * (d - floor), floor, out, at)
+                    d = floor
+                if used == budget:
+                    break
+            s.pos = pos
         out[at + j] += used
+        if j == self.recorded:
+            self.visits += pack("q", used)
 
 
 def _ratio_estimate(x: np.ndarray, y: np.ndarray, confidence: float) -> MetricEstimate:

@@ -37,6 +37,9 @@ Y_ONLY = (gaussian_model(1, 1.0),)
 MODELS2 = (gaussian_model(1, 0.75), gaussian_model(2, 1.0))
 MODELS3 = (gaussian_model(1, 0.5), gaussian_model(2, 0.75), gaussian_model(3, 1.0))
 WADD_TRIALS = 20_000
+# a correct episode with the change at n = 1 stops in tens of steps; a kernel
+# that cycles runs into this cap and fails on the horizon hits instead of hanging
+DELAY_HORIZON = 1000
 
 
 def verdict(capsys, num, name, ok, detail):
@@ -261,12 +264,15 @@ def delay_tables():
     for gi, gamma in enumerate((1e2, 1e3, 1e4)):
         a = set_threshold(gamma)
         out["cusum", gamma] = estimate_wadd(
-            PolicyParams(m=1, A=a), Y_ONLY, WADD_TRIALS, (112, gi))
+            PolicyParams(m=1, A=a), Y_ONLY, WADD_TRIALS, (112, gi),
+            safety_horizon=DELAY_HORIZON)
         out["2e", gamma] = estimate_wadd(
             PolicyParams(m=2, A=a, scales={2: 1.0}, budgets={1: 2.0}),
-            MODELS2, WADD_TRIALS, (113, gi))
+            MODELS2, WADD_TRIALS, (113, gi), safety_horizon=DELAY_HORIZON)
         out["rss", gamma] = estimate_wadd(
-            RssParams(A=a, p_hi=0.5), MODELS2, WADD_TRIALS, (114, gi))
+            RssParams(A=a, p_hi=0.5), MODELS2, WADD_TRIALS, (114, gi),
+            safety_horizon=DELAY_HORIZON)
+    assert all(est.horizon_hits == 0 for est in out.values())
     return out
 
 
@@ -306,7 +312,8 @@ def test_criterion_8_delay_ordering_and_design_levels(capsys, delay_tables):
             wadds.append(delay_tables["2e", 1e3])
         else:
             wadds.append(estimate_wadd(params, MODELS2, WADD_TRIALS,
-                                       (116, di)))
+                                       (116, di), safety_horizon=DELAY_HORIZON))
+    assert all(w.horizon_hits == 0 for w in wadds)
     ordered = (_gap_in_se(wadds[0], wadds[1]) >= 2.0
                and _gap_in_se(wadds[1], wadds[2]) >= 2.0)
     ok = ok and ordered

@@ -12,6 +12,7 @@ from mecusum import (
     calibrate,
     set_threshold,
 )
+from mecusum.calibrate import _budget_root
 from conftest import gaussian_model
 
 LIGHT = CalibrationConfig(search_cycles=20_000, final_cycles=60_000,
@@ -82,6 +83,7 @@ def test_all_top_target_needs_no_search(models3):
     result = calibrate(target, models3, config, base_seed=70)
     assert result.converged is True
     assert result.evaluations == 0
+    assert result.passes == ()
     assert result.params.budgets == {1: 0.0, 2: 0.0}
     assert result.params.A == math.log(1000.0)
     assert result.achieved[3].mean == 1.0
@@ -113,9 +115,64 @@ def test_three_level_search_hits_known_budgets(models3):
 
 
 def test_evaluation_budget_exhaustion_reports_not_raises(models3):
+    # m = 3 needs one pass per sub-level, so a cap of one pass runs out
     target = CalibrationTarget(1000.0, {1: 0.2, 2: 0.4, 3: 0.4})
     config = CalibrationConfig(search_cycles=2000, final_cycles=2000,
-                               max_evaluations=3)
+                               max_evaluations=1)
     result = calibrate(target, models3, config, base_seed=73)
     assert result.converged is False
-    assert result.evaluations == 3
+    assert result.evaluations == 1
+    assert [p.level for p in result.passes] == [2]
+
+
+def test_search_log_has_one_record_per_pass(models3):
+    target = CalibrationTarget(1000.0, {1: 0.2, 2: 0.4, 3: 0.4})
+    config = CalibrationConfig(search_cycles=2000, final_cycles=2000)
+    result = calibrate(target, models3, config, base_seed=73)
+    assert result.evaluations == len(result.passes) == 2
+    assert [p.level for p in result.passes] == [2, 1]
+    for p in result.passes:
+        assert p.scales == {2: 1.0, 3: 1.0}
+        assert p.budget == result.params.budgets[p.level]
+        # the cap reaches past the target, whose ratio to the top is 1 and 1/2
+        assert p.cap_ratio >= target.betas[p.level] / 0.4
+
+
+def test_short_cap_escalates_the_scale_with_one_more_pass(models2):
+    # with budgets of at most 3 at scale 1 the level-1 rate stays below
+    # 0.59 / 0.41 of the top rate; the deeper floors of scale 10 clear it
+    target = CalibrationTarget(1000.0, {1: 0.59, 2: 0.41})
+    config = CalibrationConfig(search_cycles=2000, final_cycles=20_000, budget_cap=3.0)
+    result = calibrate(target, models2, config, base_seed=74)
+    want = 0.59 / 0.41
+    assert result.params.scales == {2: 10.0}
+    assert result.converged is True
+    assert result.evaluations == 2
+    first, second = result.passes
+    assert (first.scales, first.budget) == ({2: 1.0}, None)
+    assert first.cap_ratio < want <= second.cap_ratio
+    assert second.scales == {2: 10.0}
+    assert 0.0 < second.budget == result.params.budgets[1] <= 3.0
+
+
+def _expected_time(taus, b):
+    # resolve_truncation's mean over the visits: floor(b) or ceil(b)
+    low, frac = math.floor(b), b - math.floor(b)
+    return sum((1.0 - frac) * min(low, t) + frac * min(low + 1, t) for t in taus)
+
+
+@pytest.mark.parametrize("taus, goal, root", [
+    ([1, 2, 3, 5], 7.0, 2.0),          # an integer root, on a tau
+    ([1, 2, 3, 5], 8.0, 2.5),          # between taus, slope 2
+    ([4, 1, 1, 6, 2], 9.0, 2.5),       # unsorted, ties; between taus, slope 2
+    ([3, 3, 3], 4.5, 1.5),             # below the least tau, slope 3
+    ([1, 1, 1], 0.3, 0.1),             # below one step
+    ([2, 7, 4096, 4096], 8201.0, 4096.0),  # the cap: the whole sample
+    ([2, 7, 4096, 4096], 8200.0, 4095.5),
+])
+def test_budget_root_is_exact_on_a_known_sample(taus, goal, root):
+    b = _budget_root(taus, goal)
+    assert b == pytest.approx(root, rel=1e-12)
+    assert abs(_expected_time(taus, b) - goal) <= 1e-12 * goal
+    # the least root: any smaller budget falls short
+    assert _expected_time(taus, b * (1.0 - 1e-9)) < goal

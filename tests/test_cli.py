@@ -428,6 +428,15 @@ def test_calibrate_json_and_csv(tmp_path):
     assert 1.0 <= calib["params"]["budgets"]["1"] <= 3.0
     assert abs(calib["achieved"]["2"]["mean"] - 0.5) <= 0.02
     assert abs(calib["residuals"]["2"]) <= 0.02
+    # one search-log record per pass; the seed fixes it, so the file is stable
+    assert calib["evaluations"] == len(calib["passes"]) == 1
+    (search,) = calib["passes"]
+    assert search["level"] == 1 and search["scales"] == {"2": 1.0}
+    assert search["budget"] == calib["params"]["budgets"]["1"]
+    assert search["cap_ratio"] >= 1.0
+    first = out_json.read_bytes()
+    assert main(["calibrate", "--config", path, "--output", str(out_json)]) == 0
+    assert out_json.read_bytes() == first
 
     out_csv = tmp_path / "calib.csv"
     assert main(["calibrate", "--config", path, "--output", str(out_csv)]) == 0
@@ -445,7 +454,7 @@ def test_calibrate_non_convergence_exit_code(tmp_path, capsys):
         "calibration": {"gamma": 1000.0,
                         "betas": {"1": 0.2, "2": 0.4, "3": 0.4},
                         "search_cycles": 2000, "final_cycles": 2000,
-                        "max_evaluations": 2},
+                        "max_evaluations": 1},
         "simulation": {"seed": 10},
     }
     out = tmp_path / "calib.json"

@@ -366,11 +366,11 @@ PINNED_RENEWAL_FRACTIONAL = {
            2: (0.2644867549668874, 0.006157538852068592),
            3: (0.21730132450331127, 0.010806243329813713)},
 }
-PINNED_CALIBRATE = (  # budgets, scales, achieved means, evaluations
-    {0: 1.46875, 1: 1.3125},
+PINNED_CALIBRATE = (  # budgets, scales, achieved means, evaluations (search passes)
+    {0: 1.4508293838862563, 1: 1.3263574660633481},
     {1: 1.0, 2: 1.0},
-    {0: 0.2539772727272727, 1: 0.2865909090909091, 2: 0.45943181818181816},
-    35,
+    {0: 0.25155666251556663, 1: 0.2907279519981886, 2: 0.45771538548624474},
+    2,
 )
 
 
