@@ -84,8 +84,9 @@ class CalibrationConfig:
                 raise ValueError(f"{name} must be positive and finite, got {value}")
         for name, low in (("search_cycles", 100), ("final_cycles", 100), ("max_evaluations", 1)):
             value = getattr(self, name)
-            if not value >= low:
-                raise ValueError(f"{name} must be >= {low}, got {value}")
+            if isinstance(value, bool) or not (float(value).is_integer() and value >= low):
+                raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+            object.__setattr__(self, name, int(value))
         if not (math.isfinite(self.scale_cap) and self.scale_cap >= self.initial_scale):
             raise ValueError(f"scale_cap must be finite and >= initial_scale, got {self.scale_cap}")
 

@@ -3,9 +3,9 @@
 Each experiment is a pre-change / post-change density pair. Everything else in
 the package touches observations only through the log-likelihood ratio, so
 this module is the single home for that arithmetic. It also holds the one
-check of a model set, which every route calls: m models carry the ids 1..m
-(models_by_id) in quality order, a higher id having a larger KL divergence
-(check_models; validate_ordering reports a disorder instead of raising).
+check of a model set, check_models, which every route calls, step() included:
+m models carry the ids 1..m in quality order, a higher id having a larger KL
+divergence. validate_ordering reports a disorder instead of raising.
 """
 
 from __future__ import annotations
@@ -124,9 +124,7 @@ class OrderingViolation:
         )
 
 
-def models_by_id(models: Sequence[ExperimentModel], m: int | None = None) -> list:
-    """[None, model 1, ..., model m], or ValueError unless models are m models
-    with the ids 1..m. m defaults to the number of models, or 1 for none."""
+def _layout(models: Sequence[ExperimentModel], m: int | None) -> list:
     if m is None:
         m = len(models) or 1
     slots = [None] * (m + 1)
@@ -144,21 +142,25 @@ def models_by_id(models: Sequence[ExperimentModel], m: int | None = None) -> lis
 
 def _violation(slots: list) -> OrderingViolation | None:
     # the first adjacent pair whose KL divergence falls as the id rises
-    return next((OrderingViolation(lower.id, upper.id, lower.kl, upper.kl)
-                 for lower, upper in zip(slots[1:], slots[2:]) if upper.kl < lower.kl), None)
+    lower = slots[1]
+    for upper in slots[2:]:
+        if upper.kl < lower.kl:
+            return OrderingViolation(lower.id, upper.id, lower.kl, upper.kl)
+        lower = upper
+    return None
 
 
 def validate_ordering(models: Sequence[ExperimentModel]) -> OrderingViolation | None:
     """Check ids are contiguous 1..m and KL divergence is non-decreasing in id.
-
-    A set that is not m models with the ids 1..m raises (models_by_id); an
-    ordering violation is returned as a report, not raised."""
-    return _violation(models_by_id(models))
+    A bad id layout raises as in check_models; a disorder is returned, not raised."""
+    return _violation(_layout(models, None))
 
 
 def check_models(models: Sequence[ExperimentModel], m: int | None = None) -> list:
-    """models_by_id, raising ValueError on a quality-ordering violation too."""
-    slots = models_by_id(models, m)
+    """[None, model 1, ..., model m], or ValueError unless models are m models
+    with the ids 1..m, KL non-decreasing in id. m defaults to the number of
+    models, or 1 for none. Every route that takes models calls it once."""
+    slots = _layout(models, m)
     violation = _violation(slots)
     if violation is not None:
         raise ValueError(str(violation))

@@ -14,7 +14,7 @@ ratio and the level changes written inline; the tables it reads (each
 model's LLR terms, each level's integer budget) are built once, on the frozen
 ExperimentModel and PolicyParams. The RSS baseline has its own loop, run_rss.
 Both report each step to record(n, experiment, x, statistic, event). The
-policy loop checks only the model ids, run_rss their quality order too.
+core takes no models (its streams carry their LLR terms); callers check them.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .densities import ExperimentModel, check_models, llr_from_terms, models_by_id
+from .densities import ExperimentModel, check_models, llr_from_terms
 
 
 @dataclass(frozen=True)
@@ -177,28 +177,23 @@ class _EngineCore:
     run() is the one place a step happens: the estimators' episodes, the
     traces and the public step() all go through it. It is one flat loop over
     locals, reading tables built once on the frozen inputs
-    (ExperimentModel.terms, PolicyParams.fixed_budgets). A core either starts
-    an episode, resolving a fractional top truncation with rng, or loads an
-    EngineState.
+    (the streams' LLR terms, PolicyParams.fixed_budgets); it takes no models,
+    which its callers have checked. A core either starts an episode,
+    resolving a fractional top truncation with rng, or loads an EngineState.
     """
 
     __slots__ = (
-        "m", "A", "de", "mu", "a", "N", "fixed", "by_id", "rng",
+        "m", "A", "de", "mu", "a", "N", "fixed", "rng",
         "D", "level", "floors", "remaining", "stopped", "stop_reason", "time", "counts",
     )
 
     def __init__(
         self,
         params: PolicyParams,
-        models: Sequence[ExperimentModel] | None,
         rng: np.random.Generator | None = None,
         state: EngineState | None = None,
     ) -> None:
-        # models is None only for init(), whose core is snapshot, never run
-        m = params.m
-        if models is not None:
-            self.by_id = models_by_id(models, m)
-        self.m = m
+        self.m = m = params.m
         self.A = params.A
         self.de = params.data_efficient
         self.mu = params.mu if params.mu is not None else 0.0
@@ -435,7 +430,7 @@ def init(params: PolicyParams, rng: np.random.Generator | None = None) -> Engine
     rng is needed only when top_truncation is fractional. A top budget that
     resolves to zero yields a state that is already stopped at time 0.
     """
-    return _EngineCore(params, None, rng).snapshot()
+    return _EngineCore(params, rng).snapshot()
 
 
 def next_action(state: EngineState) -> Action:
@@ -455,12 +450,14 @@ def step(
     """Pure one-step transition: (state, observation) -> (state, event, action).
 
     observation must be None exactly when the active level is the idle level.
-    rng is consumed only when a descent resolves a fractional budget. A state
-    whose levels do not run m, m-1, ... down from params.m raises ValueError.
+    rng is consumed only when a descent resolves a fractional budget. Models
+    that check_models rejects, or levels not running m, m-1, ... raise ValueError.
     """
     if state.stopped:
         raise RuntimeError("cannot step a stopped engine")
-    core = _EngineCore(params, models, rng, state)
+    m = params.m
+    by_id = check_models(models, m)
+    core = _EngineCore(params, rng, state)
     level = core.level
     if level == 0:
         if observation is not None:
@@ -471,8 +468,7 @@ def step(
         if not math.isfinite(observation):
             raise ValueError(f"observation must be finite, got {observation}")
         observation = float(observation)
-    m = params.m
-    obs = _Observation(observation, None if level == 0 else core.by_id[level].terms)
+    obs = _Observation(observation, None if level == 0 else by_id[level].terms)
     event = core.run([obs] * (m + 1), math.inf, state.time + 1)
     # the levels above the starting one are as the state had them
     new_state = core.snapshot(state.stack[:m - level])

@@ -26,7 +26,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .densities import ExperimentModel, check_models, models_by_id
+from .densities import ExperimentModel, check_models
 from .engine import (
     Action,
     PolicyParams,
@@ -403,9 +403,10 @@ def _drive(params, scenario, entropy, record=None, make_gen=None):
         if math.isinf(nu):
             raise ValueError("a horizon is required when change_point is infinite")
         horizon = _default_safety_horizon(params.A)
-    # streams[i] is experiment i's observation stream; ids run 1..m
+    # streams[i] is experiment i's observation stream; the policy's m is 2 for RSS
+    by_id = check_models(scenario.models, 2 if isinstance(params, RssParams) else params.m)
     streams = [None] + [_GaussianStream(mdl, partial(make_gen, (OBS_STREAM_TAG, mdl.id)))
-                        for mdl in models_by_id(scenario.models)[1:]]
+                        for mdl in by_id[1:]]
     ctrl = _ControlStream(partial(make_gen, (CONTROL_STREAM_TAG,)))
     on_step = None
     if record is not None:
@@ -416,7 +417,7 @@ def _drive(params, scenario, entropy, record=None, make_gen=None):
                          ctrl, max_steps=horizon, record=on_step)
         reason = "threshold" if result.stopping_time is not None else None
         return result.stopping_time, reason, {0: 0, **result.counts}
-    core = _EngineCore(params, scenario.models, ctrl)
+    core = _EngineCore(params, ctrl)
     core.run(streams, nu, horizon, on_step)
     stopping_time = core.time if core.stopped else None
     return stopping_time, core.stop_reason, dict(enumerate(core.counts))

@@ -44,6 +44,18 @@ def test_target_validation():
     assert ok.betas == {1: 0.25, 2: 0.75}
 
 
+def test_config_rejects_non_integer_counts():
+    # a fractional or bool count passes a bare >= check, then fails or
+    # truncates inside the renewal kernel
+    for name in ("search_cycles", "final_cycles", "max_evaluations"):
+        for bad in (1000.5, 1.5, True, math.nan):
+            with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+                CalibrationConfig(**{name: bad})
+    config = CalibrationConfig(search_cycles=1000.0, final_cycles=2000.0, max_evaluations=3.0)
+    assert [type(v) for v in (config.search_cycles, config.final_cycles,
+                              config.max_evaluations)] == [int, int, int]
+
+
 def test_infeasible_target_combinations(models2, models3):
     cases2 = [
         {1: 0.6, 2: 0.6},       # over-allocated

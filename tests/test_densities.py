@@ -5,6 +5,8 @@ from __future__ import annotations
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mecusum import (
     DensitySpec,
@@ -14,7 +16,7 @@ from mecusum import (
     log_likelihood_ratio,
     validate_ordering,
 )
-from mecusum.densities import llr_from_terms, llr_terms
+from mecusum.densities import check_models, llr_from_terms, llr_terms
 from conftest import gaussian_model, obs_for
 from straightline import numeric_kl_gaussian
 
@@ -123,3 +125,32 @@ def test_ordering_structural_errors_raise():
         validate_ordering((gaussian_model(1, 0.5), gaussian_model(3, 1.0)))
     with pytest.raises(ValueError):
         validate_ordering((gaussian_model(1, 0.5), gaussian_model(1, 1.0)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.integers(1, 5), st.floats(0.1, 2.0)), max_size=4))
+def test_check_models_raises_what_validate_ordering_reports(specs):
+    # ExperimentModel rejects ids below 1, so ids run 1..5: repeats, gaps and
+    # ids above m all occur
+    models = tuple(gaussian_model(i, mu) for i, mu in specs)
+    by_id = sorted(models, key=lambda mdl: mdl.id)
+    layout_ok = bool(models) and [mdl.id for mdl in by_id] == list(range(1, len(models) + 1))
+    try:
+        violation = validate_ordering(models)
+    except ValueError as layout:
+        assert not layout_ok
+        with pytest.raises(ValueError) as info:
+            check_models(models)
+        assert str(info.value) == str(layout)
+        return
+    assert layout_ok
+    # the first adjacent pair, in id order, whose KL divergence falls
+    first_bad = next(((lo.id, up.id) for lo, up in zip(by_id, by_id[1:]) if up.kl < lo.kl), None)
+    if violation is None:
+        assert first_bad is None
+        assert check_models(models) == [None] + by_id
+    else:
+        assert (violation.lower_id, violation.upper_id) == first_bad
+        with pytest.raises(ValueError) as info:
+            check_models(models)
+        assert str(info.value) == str(violation)

@@ -281,7 +281,7 @@ def test_step_snapshot_equals_one_built_fresh(models3):
                           budgets={1: 2, 2: 1})
 
     def fresh(state, x):
-        core = _EngineCore(params, models3, None, state)
+        core = _EngineCore(params, None, state)
         terms = models3[state.stack[-1].level - 1].terms
         core.run([_Observation(x, terms)] * 4, math.inf, state.time + 1)
         return core.snapshot()

@@ -23,6 +23,7 @@ from mecusum import (
     estimate_por_renewal,
     estimate_wadd,
     init,
+    run_episode,
     run_rss,
     step,
     tradeoff_curve,
@@ -173,14 +174,17 @@ def test_arlfa_safety_horizon_flags_cut_episodes():
 
 def test_wadd_adds_penalty_to_simulated_mean(models2):
     params = PolicyParams(m=2, A=math.log(100.0), scales={2: 1.0}, budgets={1: 2})
-    est = estimate_wadd(params, models2, 500, base_seed=62)
+    # an explicit horizon bounds the run should a kernel fault make the walk cycle
+    est = estimate_wadd(params, models2, 500, base_seed=62, safety_horizon=1000)
+    assert est.horizon_hits == 0
     assert est.penalty == 2.0
     assert est.mean == est.sim_mean + est.penalty
     assert est.ci[0] < est.mean < est.ci[1]
     assert (est.ci[0] + est.ci[1]) / 2.0 == pytest.approx(est.mean, abs=1e-9)
     # the informative stream alone must detect faster on average
     single = estimate_wadd(PolicyParams(m=1, A=math.log(100.0)),
-                           (gaussian_model(1, 1.0),), 500, base_seed=62)
+                           (gaussian_model(1, 1.0),), 500, base_seed=62, safety_horizon=1000)
+    assert single.horizon_hits == 0
     assert single.penalty == 0.0
     assert single.mean < est.mean
 
@@ -232,7 +236,11 @@ _ROUTES = {
     "step": lambda models: step(init(_POLICY2), _POLICY2, models, 0.5),
     "episode_summary": lambda models: episode_summary(
         _POLICY2, Scenario(models, 1, horizon=50), 0),
+    "run_episode": lambda models: run_episode(_POLICY2, Scenario(models, 1, horizon=50), 0),
     "estimate_wadd": lambda models: estimate_wadd(_POLICY2, models, 2, 0),
+    "estimate_arlfa": lambda models: estimate_arlfa(_POLICY2, models, 2, 0),
+    "estimate_por_direct": lambda models: estimate_por_direct(_POLICY2, models, 10_000, 1, 0),
+    "tradeoff_curve": lambda models: tradeoff_curve(_POLICY2, models, [10.0], 2, 0),
     "estimate_por_renewal": lambda models: estimate_por_renewal(_POLICY2, models, 1000, 1),
     "run_rss": lambda models: run_rss(RssParams(A=3.0, p_hi=0.5), models,
                                       lambda e, n: 0.0, np.random.default_rng(0)),
@@ -241,7 +249,8 @@ _ROUTES = {
                                           _SMALL_CALIBRATION),
 }
 # routes that build a scenario first, which takes m from the set itself
-_SCENARIO_FIRST = {"episode_summary", "estimate_wadd", "Scenario", "calibrate"}
+_SCENARIO_FIRST = {"episode_summary", "run_episode", "estimate_wadd", "estimate_arlfa",
+                   "estimate_por_direct", "tradeoff_curve", "Scenario", "calibrate"}
 _MODEL_SETS = {
     "empty": (),
     "three": (gaussian_model(1, 0.5), gaussian_model(2, 0.75), gaussian_model(3, 1.0)),
@@ -250,10 +259,9 @@ _MODEL_SETS = {
     "ids11": (gaussian_model(1, 0.75), gaussian_model(1, 1.0)),
     "reversed": (gaussian_model(1, 1.0), gaussian_model(2, 0.75)),
 }
-# a set of one or three ordered models is a valid scenario, and step() checks
-# the id layout only
+# a set of one or three ordered models is a valid scenario
 _SKIP = {("Scenario", "three"), ("calibrate", "three"), ("Scenario", "one"),
-         ("calibrate", "one"), ("step", "reversed")}
+         ("calibrate", "one")}
 
 
 @pytest.mark.parametrize("route, case", [
