@@ -21,7 +21,7 @@ from typing import Sequence
 from .densities import ExperimentModel, check_models
 from .engine import PolicyParams
 from .metrics import PorVector, _RenewalKernel, estimate_por_renewal
-from .simulate import seed_entropy
+from .simulate import _count, seed_entropy
 
 _SUM_EPS = 1e-9
 
@@ -83,10 +83,7 @@ class CalibrationConfig:
             if not (math.isfinite(value) and value > 0.0):
                 raise ValueError(f"{name} must be positive and finite, got {value}")
         for name, low in (("search_cycles", 100), ("final_cycles", 100), ("max_evaluations", 1)):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not (float(value).is_integer() and value >= low):
-                raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
-            object.__setattr__(self, name, int(value))
+            object.__setattr__(self, name, _count(name, getattr(self, name), low))
         if not (math.isfinite(self.scale_cap) and self.scale_cap >= self.initial_scale):
             raise ValueError(f"scale_cap must be finite and >= initial_scale, got {self.scale_cap}")
 

@@ -12,9 +12,11 @@ traces and the public step() all advance the policy state through it. It is
 one flat loop over locals, with the observation draw, the log-likelihood
 ratio and the level changes written inline; the tables it reads (each
 model's LLR terms, each level's integer budget) are built once, on the frozen
-ExperimentModel and PolicyParams. The RSS baseline has its own loop, run_rss.
-Both report each step to record(n, experiment, x, statistic, event). The
-core takes no models (its streams carry their LLR terms); callers check them.
+ExperimentModel and PolicyParams. The RSS baseline has its own loop: the
+public run_rss, fed by callbacks, is the reference for the private locals
+loop that simulated RSS episodes run (simulate._run_rss). All of them report
+each step to record(n, experiment, x, statistic, event). The core takes no
+models (its streams carry their LLR terms); callers check them.
 """
 
 from __future__ import annotations

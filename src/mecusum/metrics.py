@@ -30,6 +30,7 @@ from .simulate import (
     EpisodeKeys,
     Scenario,
     _default_safety_horizon,
+    _count,
     _GaussianStream,
     _philox,
     episode_summary,
@@ -105,8 +106,7 @@ def _trial_summaries(
     runs; the episodes run as the result is iterated, one after another, on
     the generators of one EpisodeKeys table.
     """
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
+    trials = _count("trials", trials, 1)
     _z_value(confidence)
     base = seed_entropy(base_seed)
     scenario = Scenario(tuple(models), change_point, horizon=horizon)
@@ -129,6 +129,8 @@ def _stopping_time_estimate(
         raise ValueError("stopping-time estimation needs a finite threshold")
     if safety_horizon is None:
         safety_horizon = _default_safety_horizon(params.A)
+    else:
+        safety_horizon = _count("safety_horizon", safety_horizon, 1)
     times = [s.stopping_time for s in _trial_summaries(
         params, models, change_point, safety_horizon, trials, base_seed, confidence)]
     taus = np.array([safety_horizon if t is None else t for t in times], dtype=float)
@@ -235,7 +237,7 @@ class _RenewalKernel:
     recursing into the level below on an undershoot. Each keeps the
     visited level's stream (buf, pos, end), pre-change mean and std and
     five LLR constants in locals, and draws and scores an observation
-    inline, in the order of _GaussianStream.next and llr_from_terms. The
+    inline, as pre_mean + pre_std * z and in the order of llr_from_terms. The
     tables are built once on the frozen inputs: ExperimentModel.terms and
     PolicyParams.fixed_budgets, so only a fractional budget calls
     resolve_truncation. With record = j, run() also appends the steps of
@@ -386,8 +388,7 @@ def estimate_por_renewal(
     """
     if not isinstance(params, PolicyParams):
         raise ValueError("renewal estimation is defined for engine policies, not RSS")
-    if cycles < 100:
-        raise ValueError(f"renewal estimation needs cycles >= 100, got {cycles}")
+    cycles = _count("cycles", cycles, 100)
     if params.top_truncation is not None:
         raise ValueError("renewal estimation assumes an untruncated top level")
     _z_value(confidence)  # a bad confidence fails before the first cycle

@@ -7,8 +7,11 @@ flips and budget resolutions draw from a separate control stream. Regime
 switching (pre to post change) only remaps the buffered standard normals, so
 it never perturbs stream alignment.
 
-The public single-episode calls build a fresh generator per stream on its
-first draw. The estimators instead pass an EpisodeKeys table: it hashes the
+Each stream is read in blocks that grow from 16 values, and a generator is
+built on a stream's first draw. An RSS episode runs _run_rss, a private
+loop over locals that takes the same steps as the public, callback-fed
+engine.run_rss. The public single-episode calls build a fresh generator per
+stream. The estimators instead pass an EpisodeKeys table: it hashes the
 Philox keys of every episode in one vectorised pass (SeedSequence's hash,
 ported to numpy) and re-keys one reused generator per stream on its first
 draw. The keys are SeedSequence's, so the values are the same either way. An
@@ -33,7 +36,6 @@ from .engine import (
     RssParams,
     _action,
     _EngineCore,
-    run_rss,
 )
 
 OBS_STREAM_TAG = 1
@@ -43,14 +45,23 @@ CONTROL_STREAM_TAG = 2
 # horizon was given explicitly.
 DEFAULT_INFINITE_HORIZON = 1_000_000
 
-# Standard normals are drawn in blocks of 64, 128, ..., 4096, then 4096 from
-# there on: a ~15-step detection episode draws 64 values, not 4096.
-_FIRST_BLOCK = 64
+# Standard normals, and the RSS coins, are drawn in blocks of 16, 32, ...,
+# 4096, then 4096 from there on: a ~15-step detection episode draws 16 values
+# per stream, not 4096.
+_FIRST_BLOCK = 16
 _MAX_BLOCK = 4096
 
 
 def seed_entropy(seed: int | Sequence[int]) -> tuple[int, ...]:
-    """Normalize a seed (int or sequence of ints) into SeedSequence entropy."""
+    """Normalize a seed (int or sequence of ints) into SeedSequence entropy.
+
+    A non-empty tuple of non-negative plain ints is returned as it is."""
+    if type(seed) is tuple and seed:
+        for p in seed:
+            if type(p) is not int or p < 0:
+                break
+        else:
+            return seed
     if isinstance(seed, (int, np.integer)):
         seed = (seed,)
     elif isinstance(seed, (str, bytes)) or not isinstance(seed, Iterable):
@@ -223,14 +234,14 @@ class EpisodeKeys:
 class _GaussianStream:
     """Buffered observation stream for one experiment.
 
-    make_gen builds the stream's generator; it runs on the first next(), so
-    an episode builds only the generators it draws from. Standard normals
-    come in blocks of 64, 128, ..., 4096, then 4096 each, and are mapped
+    make_gen builds the stream's generator; it runs on the first refill(),
+    so an episode builds only the generators it draws from. Standard normals
+    come in blocks of 16, 32, ..., 4096, then 4096 each, and are mapped
     through the pre- or post-change location/scale at consumption time.
     Chunked standard_normal draws from Philox give the same sequence as one
-    large block, so the values do not depend on the block sizes. The engine
-    reads buf, pos, end and the model's LLR terms directly and calls
-    refill() at the end of a block.
+    large block, so the values do not depend on the block sizes. The engine,
+    the RSS loop and the renewal kernel read buf, pos, end and the model's
+    LLR terms directly and call refill() at the end of a block.
     """
 
     __slots__ = ("make_gen", "gen", "buf", "pos", "end",
@@ -242,23 +253,12 @@ class _GaussianStream:
         self.gen = None
         self.buf: list[float] = []
         self.pos = 0
-        self.end = 0  # len(buf); next() compares with it because len() costs ~50 ns
+        self.end = 0  # len(buf); readers compare pos with it because len() costs ~50 ns
         self.pre_mean = model.pre.mean
         self.pre_std = model.pre.std
         self.post_mean = model.post.mean
         self.post_std = model.post.std
         self.terms = model.terms
-
-    def next(self, post: bool) -> float:
-        i = self.pos
-        if i == self.end:
-            self.refill()
-            i = 0
-        z = self.buf[i]
-        self.pos = i + 1
-        if post:
-            return self.post_mean + self.post_std * z
-        return self.pre_mean + self.pre_std * z
 
     def refill(self) -> None:
         if self.gen is None:
@@ -275,23 +275,38 @@ class _ControlStream:
     """An episode's control generator, made on its first random() call.
 
     Coin flips and fractional budgets are its only users, so CUSUM and
-    integer-budget episodes never make it.
+    integer-budget episodes never make it. The engine draws one double per
+    random() call; the RSS loop reads its coins as random(size) blocks,
+    which on Philox are the doubles of size random() calls.
     """
 
     def __init__(self, make_gen: Callable[[], np.random.Generator]) -> None:
         self.make_gen = make_gen
 
-    def random(self) -> float:
+    def random(self, size: int | None = None):
         # the instance attribute shadows this method: later calls go
         # straight to the generator
         self.random = self.make_gen().random
-        return self.random()
+        return self.random(size)
+
+
+def _count(name: str, value, low: int) -> int:
+    """value as an int, or ValueError unless it is an integer >= low (a
+    bool is not, nor is 2.5; 3.0 is)."""
+    if isinstance(value, bool) or not (float(value).is_integer() and value >= low):
+        raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+    return int(value)
 
 
 @dataclass(frozen=True)
 class Scenario:
     """Experiment set plus the change point nu (integer >= 1, or math.inf for
-    a run that never changes). horizon caps the episode length."""
+    a run that never changes). horizon caps the episode length.
+
+    by_id, check_models' [None, model 1, ..., model m], is kept as a plain
+    attribute, not a field, so an episode of an m-experiment policy reuses
+    it instead of checking the set again.
+    """
 
     models: tuple[ExperimentModel, ...]
     change_point: float
@@ -299,7 +314,7 @@ class Scenario:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "models", tuple(self.models))
-        check_models(self.models)
+        object.__setattr__(self, "by_id", check_models(self.models))
         nu = self.change_point
         if math.isinf(nu) and nu > 0:
             object.__setattr__(self, "change_point", math.inf)
@@ -310,9 +325,7 @@ class Scenario:
                 f"change_point must be an integer >= 1 or infinity, got {nu}"
             )
         if self.horizon is not None:
-            if not float(self.horizon).is_integer() or self.horizon < 1:
-                raise ValueError(f"horizon must be a positive integer, got {self.horizon}")
-            object.__setattr__(self, "horizon", int(self.horizon))
+            object.__setattr__(self, "horizon", _count("horizon", self.horizon, 1))
 
 
 @dataclass(frozen=True)
@@ -403,8 +416,11 @@ def _drive(params, scenario, entropy, record=None, make_gen=None):
         if math.isinf(nu):
             raise ValueError("a horizon is required when change_point is infinite")
         horizon = _default_safety_horizon(params.A)
-    # streams[i] is experiment i's observation stream; the policy's m is 2 for RSS
-    by_id = check_models(scenario.models, 2 if isinstance(params, RssParams) else params.m)
+    rss = isinstance(params, RssParams)
+    m = 2 if rss else params.m
+    # the scenario has checked its models for m = their number
+    by_id = scenario.by_id if m == len(scenario.models) else check_models(scenario.models, m)
+    # streams[i] is experiment i's observation stream
     streams = [None] + [_GaussianStream(mdl, partial(make_gen, (OBS_STREAM_TAG, mdl.id)))
                         for mdl in by_id[1:]]
     ctrl = _ControlStream(partial(make_gen, (CONTROL_STREAM_TAG,)))
@@ -412,12 +428,74 @@ def _drive(params, scenario, entropy, record=None, make_gen=None):
     if record is not None:
         def on_step(n, lvl, x, d, event):
             record(TraceStep(n, _action(lvl), x, d, lvl, event))
-    if isinstance(params, RssParams):
-        result = run_rss(params, scenario.models, lambda exp, n: streams[exp].next(n >= nu),
-                         ctrl, max_steps=horizon, record=on_step)
-        reason = "threshold" if result.stopping_time is not None else None
-        return result.stopping_time, reason, {0: 0, **result.counts}
+    if rss:
+        stopping_time, counts = _run_rss(params, streams, ctrl, nu, horizon, on_step)
+        return stopping_time, None if stopping_time is None else "threshold", counts
     core = _EngineCore(params, ctrl)
     core.run(streams, nu, horizon, on_step)
     stopping_time = core.time if core.stopped else None
     return stopping_time, core.stop_reason, dict(enumerate(core.counts))
+
+
+def _run_rss(params, streams, rng, nu, horizon, record=None):
+    """engine.run_rss on an episode's streams: (stopping time or None,
+    counts with key 0 for the idle steps, which RSS never takes).
+
+    The same steps, values and record rows as run_rss fed by the streams'
+    observations (post-change from step nu on) and rng.random(), as one
+    loop over locals, like _EngineCore.run: each experiment's stream and
+    LLR terms live in locals (lo for experiment 1, hi for 2), and the coins
+    are read in blocks of 16, 32, ..., 4096, the doubles of as many
+    random() calls. Every step n >= 2 takes a coin, whatever p_hi is.
+    """
+    A, p_hi = params.A, params.p_hi
+    if nu > horizon:
+        nu = horizon + 1  # an int, which compares faster than inf
+    lo, hi = streams[1], streams[2]
+    lbuf, lpos, lend = lo.buf, lo.pos, lo.end
+    lpm, lps, lqm, lqs = lo.pre_mean, lo.pre_std, lo.post_mean, lo.post_std
+    lc, lq0, lm0, lq1, lm1 = lo.terms
+    hbuf, hpos, hend = hi.buf, hi.pos, hi.end
+    hpm, hps, hqm, hqs = hi.pre_mean, hi.pre_std, hi.post_mean, hi.post_std
+    hc, hq0, hm0, hq1, hm1 = hi.terms
+    # step 1 takes experiment 2 without a coin: a coin of -inf stands in
+    coins, cpos, cend, size = [-math.inf], 0, 1, _FIRST_BLOCK
+    d = 0.0
+    n = lows = 0
+    while n < horizon:
+        n += 1
+        if cpos == cend:
+            coins = rng.random(size).tolist()
+            cpos, cend, size = 0, size, min(2 * size, _MAX_BLOCK)
+        up = coins[cpos] < p_hi
+        cpos += 1
+        if up:
+            if hpos == hend:
+                hi.refill()
+                hbuf, hend, hpos = hi.buf, hi.end, 0
+            z = hbuf[hpos]
+            hpos += 1
+            x = hqm + hqs * z if n >= nu else hpm + hps * z
+            d0 = x - hm0
+            d1 = x - hm1
+            d += hc + hq0 * d0 * d0 - hq1 * d1 * d1
+        else:
+            lows += 1
+            if lpos == lend:
+                lo.refill()
+                lbuf, lend, lpos = lo.buf, lo.end, 0
+            z = lbuf[lpos]
+            lpos += 1
+            x = lqm + lqs * z if n >= nu else lpm + lps * z
+            d0 = x - lm0
+            d1 = x - lm1
+            d += lc + lq0 * d0 * d0 - lq1 * d1 * d1
+        if d < 0.0:  # max(d, 0.0), as run_rss reflects
+            d = 0.0
+        if d >= A:
+            if record is not None:
+                record(n, 2 if up else 1, x, d, "stop")
+            return n, {0: 0, 1: lows, 2: n - lows}
+        if record is not None:
+            record(n, 2 if up else 1, x, d, "")
+    return None, {0: 0, 1: lows, 2: n - lows}

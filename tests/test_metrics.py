@@ -29,7 +29,7 @@ from mecusum import (
     tradeoff_curve,
     wadd_penalty,
 )
-from mecusum import simulate
+from mecusum import engine, simulate
 from mecusum.metrics import _trial_summaries, _z_value
 from conftest import gaussian_model
 
@@ -281,6 +281,55 @@ def test_every_route_rejects_a_bad_model_set_alike(route, case):
     with pytest.raises(ValueError) as info:
         _ROUTES[route](models)
     assert str(info.value) == message
+
+
+@pytest.mark.parametrize("params", [RssParams(A=3.0, p_hi=0.5), _POLICY2],
+                         ids=["rss", "2e"])
+def test_an_estimate_checks_its_model_set_once(monkeypatch, models2, params):
+    # the scenario checks the set; its 50 episodes reuse that check
+    calls = []
+    check = simulate.check_models
+
+    def counted(*args):
+        calls.append(args)
+        return check(*args)
+
+    for module in (simulate, engine):
+        monkeypatch.setattr(module, "check_models", counted)
+    estimate_wadd(params, models2, 50, 0)
+    assert len(calls) == 1
+
+
+_BAD_COUNTS = {
+    "trials-bool": (lambda models: estimate_wadd(_POLICY2, models, True, 0), "trials"),
+    "trials-fraction": (lambda models: estimate_wadd(_POLICY2, models, 10.5, 0), "trials"),
+    "direct-trials-bool": (lambda models: estimate_por_direct(_POLICY2, models, 10_000, True, 0),
+                           "trials"),
+    "safety-horizon-bool": (lambda models: estimate_arlfa(_POLICY2, models, 2, 0,
+                                                          safety_horizon=True),
+                            "safety_horizon"),
+    "safety-horizon-fraction": (lambda models: estimate_wadd(_POLICY2, models, 2, 0,
+                                                             safety_horizon=100.5),
+                                "safety_horizon"),
+    "cycles-fraction": (lambda models: estimate_por_renewal(_POLICY2, models, 150.5, 0),
+                        "cycles"),
+    "cycles-bool": (lambda models: estimate_por_renewal(_POLICY2, models, True, 0), "cycles"),
+    "scenario-horizon-bool": (lambda models: Scenario(models, 1, horizon=True), "horizon"),
+}
+
+
+@pytest.mark.parametrize("case", _BAD_COUNTS)
+def test_counts_must_be_integers(models2, case):
+    # a bool is not a count, nor is a fraction: each names its argument
+    call, name = _BAD_COUNTS[case]
+    with pytest.raises(ValueError, match=f"^{name} must be an integer >= "):
+        call(models2)
+
+
+def test_integral_float_counts_are_accepted(models2):
+    assert estimate_wadd(_POLICY2, models2, 5.0, 0, safety_horizon=1000.0) == \
+        estimate_wadd(_POLICY2, models2, 5, 0, safety_horizon=1000)
+    assert Scenario(models2, 1, horizon=7.0).horizon == 7
 
 
 def test_por_renewal_zero_budget_is_all_top(models2):

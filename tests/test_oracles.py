@@ -225,7 +225,7 @@ def test_renewal_kernel_matches_flat_cycle(params, models, seed, cycles):
 
 def test_renewal_kernel_refills_mid_visit():
     # budget ~300 at scale 10: a level-1 visit opens far below its ceiling,
-    # reflects there and runs its budget out, so the 64 -> 128 -> 256 block
+    # reflects there and runs its budget out, so the 16 -> 32 -> 64 block
     # refills of the level-1 stream fall inside visits
     models = _RENEWAL_MODELS[0][:2]
     params = PolicyParams(m=2, A=3.0, scales={2: 10.0}, budgets={1: 299.5})
@@ -234,5 +234,5 @@ def test_renewal_kernel_refills_mid_visit():
     assert kernel_rows(params, models, 5, 6) == oracle
     starts = [drawn[1] for drawn in visits]  # level 1 is the only level entered
     ends = starts[1:] + [sum(row[1] for row in oracle)]
-    for refill in (64, 64 + 128, 64 + 128 + 256):
+    for refill in (16, 16 + 32, 16 + 32 + 64):
         assert any(a < refill < b for a, b in zip(starts, ends)), refill

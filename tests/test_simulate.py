@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import time
+from collections.abc import Iterable
 from dataclasses import replace
 
 import numpy as np
@@ -21,6 +22,7 @@ from mecusum import (
     estimate_wadd,
     init,
     run_episode,
+    run_rss,
     step,
 )
 from mecusum import simulate
@@ -171,7 +173,7 @@ def test_step_replays_run_episode(models2, models3):
     # the public step(), fed a trace's observations and the episode's control
     # stream, retraces the episode step for step, and episode_summary stops
     # where the trace stops. At A = 8 with a horizon of 2000 the episodes run
-    # long enough that a level's stream crosses its 64 -> 128 -> 256 block
+    # long enough that a level's stream crosses its 16 -> 32 -> 64 block
     # refills in the middle of a visit. The A = 3 runs have a horizon too, so
     # a kernel fault that makes the walk cycle fails instead of running on
     policies = [
@@ -219,7 +221,7 @@ def test_step_replays_run_episode(models2, models3):
     assert stops == {("threshold", False), ("truncation", False), ("truncation", True),
                      (None, False)}
     # some lower level drew past its third block
-    assert lower_draws > 64 + 128 + 256
+    assert lower_draws > 16 + 32 + 64
 
 
 _MODELS3 = (gaussian_model(1, 0.5), gaussian_model(2, 0.75), gaussian_model(3, 1.0))
@@ -302,6 +304,40 @@ def test_rss_episode_trace(models2):
         assert len(capped.steps) == 40
 
 
+@settings(deadline=None, max_examples=120)
+@given(seed=st.integers(0, 2**32 - 1), nu=st.sampled_from([1, 7, math.inf]),
+       p_hi=st.sampled_from([0.0, 0.3, 1.0]), A=st.sampled_from([3.0, math.inf]),
+       horizon=st.one_of(st.none(), st.integers(100, 300)))
+def test_rss_episodes_match_the_public_run_rss(seed, nu, p_hi, A, horizon):
+    # the episodes' private loop against the callback-fed run_rss, given the
+    # episode's observation streams and one control-stream random() per coin.
+    # An infinite A or change point runs to a horizon of at least 100 steps,
+    # past the coin blocks that end at 16 and 48
+    if math.isinf(nu) or math.isinf(A):
+        horizon = horizon or 100
+    models = (gaussian_model(1, 0.75), gaussian_model(2, 1.0))
+    params = RssParams(A=A, p_hi=p_hi)
+    scenario = make_scenario(models, nu, horizon)
+    trace = run_episode(params, scenario, seed)
+    normals = {mdl.id: iter(observation_generator(seed, mdl.id).standard_normal(
+        horizon or 10_000).tolist()) for mdl in models}
+
+    def next_obs(exp, n):
+        density = models[exp - 1].post if n >= nu else models[exp - 1].pre
+        return density.mean + density.std * next(normals[exp])
+
+    rows = []
+    ref = run_rss(params, models, next_obs, control_generator(seed), max_steps=horizon,
+                  record=lambda *row: rows.append(row))
+    assert [(s.n, s.level, s.observation, s.statistic, s.event) for s in trace.steps] == rows
+    assert all(s.action == Action("sample", s.level) for s in trace.steps)
+    assert trace.stopping_time == ref.stopping_time
+    assert trace.stop_reason == (None if ref.stopping_time is None else "threshold")
+    assert trace.counts == {0: 0, **ref.counts}
+    summary = episode_summary(params, scenario, seed)
+    assert (summary.stopping_time, summary.counts) == (ref.stopping_time, trace.counts)
+
+
 def test_finite_change_point_without_horizon_stops_at_the_safety_horizon(models2):
     # idle at a climb rate of 1e-9 with a budget of 1e9 steps, the walk would
     # not reach the change at 10**9 for hours; the episode is cut at
@@ -342,7 +378,7 @@ def test_numpy_integer_seed_is_stored_as_int(models2):
 
 
 def test_streams_match_one_block_per_experiment():
-    # a long pre-change run crosses every block size of the 64 -> 4096
+    # a long pre-change run crosses every block size of the 16 -> 4096
     # schedule and several 4096 refills; the values must be the experiment's
     # substream read in one piece
     models = (gaussian_model(1, 1.0, pre_mean=0.25, std=1.5),
@@ -350,9 +386,9 @@ def test_streams_match_one_block_per_experiment():
     params = PolicyParams(m=2, A=math.inf, scales={2: 1.0}, budgets={1: 2})
     seed = (8, 3)
     trace = run_episode(params, make_scenario(models, math.inf, horizon=50_000), seed)
-    # 64 + 128 + ... + 4096 = 8128 values, then at least two 4096 refills
-    assert trace.counts[2] > 8128 + 2 * 4096
-    assert trace.counts[1] > 8128 + 2 * 4096
+    # 16 + 32 + ... + 4096 = 8176 values, then at least two 4096 refills
+    assert trace.counts[2] > 8176 + 2 * 4096
+    assert trace.counts[1] > 8176 + 2 * 4096
     for mdl in models:
         got = [s.observation for s in trace.steps if s.level == mdl.id]
         z = observation_generator(seed, mdl.id).standard_normal(len(got)).tolist()
@@ -361,9 +397,49 @@ def test_streams_match_one_block_per_experiment():
     kernel = _RenewalKernel(params, models, seed)
     children = np.random.SeedSequence(seed_entropy(seed) + (RENEWAL_TAG,)).spawn(3)
     for mdl, child in zip(models, children):
-        got = [kernel.streams[mdl.id].next(False) for _ in range(500)]
-        z = np.random.Generator(np.random.Philox(child)).standard_normal(500).tolist()
-        assert got == [mdl.pre.mean + mdl.pre.std * v for v in z]
+        s, got = kernel.streams[mdl.id], []
+        while len(got) < 500:
+            s.refill()
+            got += s.buf
+        z = np.random.Generator(np.random.Philox(child)).standard_normal(len(got)).tolist()
+        assert got == z
+
+
+def _general_entropy(seed):
+    # seed_entropy's rules for any seed, which its fast path for a tuple of
+    # non-negative plain ints must agree with
+    if isinstance(seed, (int, np.integer)):
+        seed = (seed,)
+    elif isinstance(seed, (str, bytes)) or not isinstance(seed, Iterable):
+        raise ValueError(f"seed must be an int or a sequence of ints, got {seed!r}")
+    parts = tuple(seed)
+    if not parts:
+        raise ValueError("seed must not be empty")
+    for p in parts:
+        if isinstance(p, bool) or not isinstance(p, (int, np.integer)) or p < 0:
+            raise ValueError(f"seed components must be non-negative ints, got {p!r}")
+    return tuple(int(p) for p in parts)
+
+
+def _outcome(fn, seed):
+    try:
+        value = fn(seed)
+    except ValueError as err:
+        return "raises", str(err)
+    return value, [type(p) for p in value]
+
+
+_seed_part = st.one_of(st.integers(0, 2**70), st.integers(-3, -1), st.booleans(),
+                       st.integers(-3, 2**62).map(np.int64), st.just(1.5), st.just(2.0),
+                       st.none(), st.just("7"))
+
+
+@settings(deadline=None, max_examples=300)
+@given(seed=st.one_of(st.lists(st.integers(0, 2**70), min_size=1, max_size=4).map(tuple),
+                      st.lists(_seed_part, max_size=4).map(tuple),
+                      st.lists(_seed_part, max_size=4), _seed_part))
+def test_seed_entropy_agrees_with_its_general_rules(seed):
+    assert _outcome(seed_entropy, seed) == _outcome(_general_entropy, seed)
 
 
 @pytest.fixture
