@@ -13,7 +13,6 @@ from .calibrate import (
     CalibrationResult,
     CalibrationTarget,
     calibrate,
-    set_threshold,
 )
 from .densities import (
     DensitySpec,
@@ -35,6 +34,7 @@ from .engine import (
     next_action,
     resolve_truncation,
     run_rss,
+    set_threshold,
     step,
 )
 from .metrics import (

@@ -14,29 +14,15 @@ the pass is run again.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, replace
 from typing import Sequence
 
-from .densities import ExperimentModel, check_models
-from .engine import PolicyParams
+from .densities import ExperimentModel, _count, check_models
+from .engine import PolicyParams, set_threshold
 from .metrics import PorVector, _RenewalKernel, estimate_por_renewal
-from .simulate import _count, seed_entropy
+from .simulate import seed_entropy
 
 _SUM_EPS = 1e-9
-
-
-def set_threshold(gamma: float) -> float:
-    """Threshold for a false-alarm target: A = ln(gamma).
-
-    gamma = 1 gives the degenerate A = 0 (stop almost immediately) and is
-    allowed with a warning; gamma < 1 is rejected.
-    """
-    if math.isnan(gamma) or gamma < 1.0:
-        raise ValueError(f"the false-alarm target gamma must be >= 1, got {gamma}")
-    if gamma == 1.0:
-        warnings.warn("gamma = 1 gives threshold 0: the policy stops almost immediately")
-    return math.log(gamma)
 
 
 @dataclass(frozen=True)

@@ -6,6 +6,8 @@ this module is the single home for that arithmetic. It also holds the one
 check of a model set, check_models, which every route calls, step() included:
 m models carry the ids 1..m in quality order, a higher id having a larger KL
 divergence. validate_ordering reports a disorder instead of raising.
+_count, the one check of an integer argument, lives here because every
+module imports this one.
 """
 
 from __future__ import annotations
@@ -17,6 +19,14 @@ from typing import Sequence
 GAUSSIAN = "gaussian"
 
 _FAMILIES = (GAUSSIAN,)
+
+
+def _count(name: str, value, low: int) -> int:
+    """value as an int, or ValueError unless it is an integer >= low (a
+    bool is not, nor is 2.5; 3.0 is)."""
+    if isinstance(value, bool) or not (float(value).is_integer() and value >= low):
+        raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+    return int(value)
 
 
 @dataclass(frozen=True)
@@ -56,9 +66,7 @@ class ExperimentModel:
     post: DensitySpec
 
     def __post_init__(self) -> None:
-        if not float(self.id).is_integer() or self.id < 1:
-            raise ValueError(f"experiment id must be an integer >= 1, got {self.id}")
-        object.__setattr__(self, "id", int(self.id))
+        object.__setattr__(self, "id", _count("experiment id", self.id, 1))
         kl = kl_divergence(self)
         if not (math.isfinite(kl) and kl > 0.0):
             raise ValueError(

@@ -17,17 +17,22 @@ public run_rss, fed by callbacks, is the reference for the private locals
 loop that simulated RSS episodes run (simulate._run_rss). All of them report
 each step to record(n, experiment, x, statistic, event). The core takes no
 models (its streams carry their LLR terms); callers check them.
+
+Every random value a loop reads comes through one buffered class, _Stream:
+an experiment's standard normals, an episode's control coins and the
+renewal kernel's budget coins, each drawn in blocks of 16, 32, ..., 4096.
 """
 
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .densities import ExperimentModel, check_models, llr_from_terms
+from .densities import ExperimentModel, _count, check_models, llr_from_terms
 
 
 @dataclass(frozen=True)
@@ -68,9 +73,7 @@ class PolicyParams:
     top_truncation: float | None = None
 
     def __post_init__(self) -> None:
-        if not float(self.m).is_integer() or self.m < 1:
-            raise ValueError(f"m must be an integer >= 1, got {self.m}")
-        object.__setattr__(self, "m", int(self.m))
+        object.__setattr__(self, "m", _count("m", self.m, 1))
         if math.isnan(self.A) or self.A < 0.0:
             raise ValueError(f"threshold A must be >= 0, got {self.A}")
         scales = {int(k): float(v) for k, v in self.scales.items()}
@@ -108,6 +111,19 @@ class PolicyParams:
         object.__setattr__(self, "fixed_budgets", tuple(
             n if n is not None and n.is_integer() else None
             for n in map(budgets.get, range(self.m))))
+
+
+def set_threshold(gamma: float) -> float:
+    """Threshold for a false-alarm target: A = ln(gamma).
+
+    gamma = 1 gives the degenerate A = 0 (stop almost immediately) and is
+    allowed with a warning; gamma < 1 is rejected.
+    """
+    if math.isnan(gamma) or gamma < 1.0:
+        raise ValueError(f"the false-alarm target gamma must be >= 1, got {gamma}")
+    if gamma == 1.0:
+        warnings.warn("gamma = 1 gives threshold 0: the policy stops almost immediately")
+    return math.log(gamma)
 
 
 @dataclass(frozen=True)
@@ -171,6 +187,66 @@ def resolve_truncation(budget: float, rng: np.random.Generator | None = None) ->
     if rng.random() < (low + 1.0 - b):
         return int(low)
     return int(low) + 1
+
+
+# Values are drawn in blocks of 16, 32, ..., 4096, then 4096 from there on:
+# a ~15-step detection episode draws 16 values per stream, not 4096.
+_FIRST_BLOCK = 16
+_MAX_BLOCK = 4096
+
+
+class _Stream:
+    """A buffered stream of random values: buf[pos:end] holds the next ones.
+
+    make_gen builds the stream's generator; it runs on the first refill(),
+    so an episode builds only the generators it draws from. Values come in
+    blocks of 16, 32, ..., 4096, then 4096 each. A stream with a model draws
+    standard normals and carries the model's pre- and post-change means and
+    stds, which map a normal z to an observation mean + std * z, and its LLR
+    terms. A stream without one draws uniforms, which random() hands out one
+    at a time. On Philox, chunked draws give the same sequence as one large
+    block or as many scalar calls, so the values do not depend on the block
+    sizes. The engine, the RSS loop and the renewal kernel read buf, pos and
+    end directly and call refill() at the end of a block.
+    """
+
+    __slots__ = ("make_gen", "gen", "buf", "pos", "end",
+                 "pre_mean", "pre_std", "post_mean", "post_std", "terms")
+
+    def __init__(self, make_gen: Callable[[], np.random.Generator] | None,
+                 model: ExperimentModel | None = None) -> None:
+        self.make_gen = make_gen
+        self.buf = ()
+        self.pos = self.end = 0  # end is len(buf): len() costs ~50 ns
+        if model is None:
+            self.terms = None
+        else:
+            self.pre_mean = model.pre.mean
+            self.pre_std = model.pre.std
+            self.post_mean = model.post.mean
+            self.post_std = model.post.std
+            self.terms = model.terms
+
+    def refill(self) -> None:
+        if self.end:
+            size = min(2 * self.end, _MAX_BLOCK)
+        else:
+            self.gen = self.make_gen()
+            size = _FIRST_BLOCK
+        gen = self.gen
+        draw = gen.random if self.terms is None else gen.standard_normal
+        # plain-float list: python float arithmetic beats numpy scalars here
+        self.buf = draw(size).tolist()
+        self.end = size
+
+    def random(self) -> float:
+        """The next uniform, as Generator.random() would give it."""
+        pos = self.pos
+        if pos == self.end:
+            self.refill()
+            pos = 0
+        self.pos = pos + 1
+        return self.buf[pos]
 
 
 class _EngineCore:
@@ -245,10 +321,11 @@ class _EngineCore:
     ) -> str:
         """Take steps until a stop or until the time reaches horizon.
 
-        streams[j] is level j's observation stream: standard normals
-        buf[pos:end], refill() for the next block, the pre- and post-change
-        means and stds that map a normal z to the observation mean + std * z
-        (step n is post-change when n >= nu), and the model's LLR terms.
+        streams[j] is level j's _Stream of standard normals: buf[pos:end],
+        refill() for the next block, the pre- and post-change means and stds
+        that map a normal z to the observation mean + std * z (step n is
+        post-change when n >= nu), and the model's LLR terms. rng, a
+        _Stream of uniforms in an episode, resolves fractional budgets.
         counts[j] counts the steps taken at level j (0 is idle). record, when
         given, gets (n, level, x, statistic, event) after every step, with x
         None at the idle level. Returns the last step's event ("" when no step
@@ -397,19 +474,14 @@ class _EngineCore:
         return EngineState(self.D, stack, self.stopped, self.stop_reason, self.time)
 
 
-class _Observation:
-    """A one-observation stream for step(), with the LLR terms of the level
-    the step is taken at: with mean 0.0 and std 1.0, 0.0 + 1.0 * z is z."""
-
-    __slots__ = ("buf", "pos", "end", "terms")
-    pre_mean = post_mean = 0.0
-    pre_std = post_std = 1.0
-
-    def __init__(self, x: float | None, terms: tuple | None) -> None:
-        self.buf = [x]
-        self.pos = 0
-        self.end = 1
-        self.terms = terms
+def _observed(x: float | None, terms: tuple | None) -> _Stream:
+    """A stream that holds the one value x, with a level's LLR terms: with
+    mean 0.0 and std 1.0, the engine reads 0.0 + 1.0 * x, which is x."""
+    s = _Stream(None)
+    s.buf, s.end, s.terms = [x], 1, terms
+    s.pre_mean = s.post_mean = 0.0
+    s.pre_std = s.post_std = 1.0
+    return s
 
 
 # one Action per level: Action is frozen, so the policy hands out the same one
@@ -470,7 +542,7 @@ def step(
         if not math.isfinite(observation):
             raise ValueError(f"observation must be finite, got {observation}")
         observation = float(observation)
-    obs = _Observation(observation, None if level == 0 else by_id[level].terms)
+    obs = _observed(observation, None if level == 0 else by_id[level].terms)
     event = core.run([obs] * (m + 1), math.inf, state.time + 1)
     # the levels above the starting one are as the state had them
     new_state = core.snapshot(state.stack[:m - level])

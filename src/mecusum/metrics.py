@@ -10,7 +10,8 @@ The renewal kernel keeps that recursive shape: one call per level visit,
 each a loop over locals that draws and scores its observations inline. Like
 the engine, it reads tables built once on the frozen inputs (each model's
 LLR terms, each level's integer budget), and resolves only fractional
-budgets per visit.
+budgets per visit. Its observations and its budget coins come through
+engine._Stream, as an episode's do.
 """
 
 from __future__ import annotations
@@ -24,14 +25,12 @@ from typing import Sequence
 
 import numpy as np
 
-from .densities import ExperimentModel, check_models
-from .engine import PolicyParams, RssParams, resolve_truncation
+from .densities import ExperimentModel, _count, check_models
+from .engine import PolicyParams, RssParams, _Stream, resolve_truncation, set_threshold
 from .simulate import (
     EpisodeKeys,
     Scenario,
     _default_safety_horizon,
-    _count,
-    _GaussianStream,
     _philox,
     episode_summary,
     seed_entropy,
@@ -240,9 +239,10 @@ class _RenewalKernel:
     inline, as pre_mean + pre_std * z and in the order of llr_from_terms. The
     tables are built once on the frozen inputs: ExperimentModel.terms and
     PolicyParams.fixed_budgets, so only a fractional budget calls
-    resolve_truncation. With record = j, run() also appends the steps of
-    each level-j visit to self.visits, as native int64 in visit order: the
-    calibration search reads them.
+    resolve_truncation, with budget_rng, a _Stream of uniforms read one at
+    a time. With record = j, run() also appends the steps of each level-j
+    visit to self.visits, as native int64 in visit order: the calibration
+    search reads them.
     """
 
     def __init__(self, params: PolicyParams, models: Sequence[ExperimentModel], base_seed,
@@ -260,9 +260,9 @@ class _RenewalKernel:
         entropy = seed_entropy(base_seed) + (RENEWAL_TAG,)
         children = np.random.SeedSequence(entropy).spawn(m + 1)
         # by level, as the engine reads them; pre-change draws only
-        self.streams = [None] + [_GaussianStream(mdl, partial(_philox, children[mdl.id - 1]))
+        self.streams = [None] + [_Stream(partial(_philox, children[mdl.id - 1]), mdl)
                                  for mdl in by_id[1:]]
-        self.budget_rng = _philox(children[m])
+        self.budget_rng = _Stream(partial(_philox, children[m]))
         self.recorded = record
         self.visits = bytearray()
 
@@ -420,20 +420,19 @@ def tradeoff_curve(
 ) -> list[TradeoffPoint]:
     """(log false-alarm time, delay) pairs along a grid of targets.
 
-    Each grid point re-thresholds the same policy at A = ln(gamma); the rest
-    of the parameters stay fixed.
+    Each grid point re-thresholds the same policy at A = set_threshold(gamma),
+    every gamma checked before the first estimate runs; the rest of the
+    parameters stay fixed.
     """
     if len(gammas) == 0:
         raise ValueError("the gamma grid must not be empty")
     if any(g2 <= g1 for g1, g2 in zip(gammas, gammas[1:])):
         raise ValueError(f"the gamma grid must be strictly increasing, got {list(gammas)}")
-    if any(g < 1.0 for g in gammas):
-        raise ValueError("gamma values must be >= 1")
+    thresholds = [set_threshold(gamma) for gamma in gammas]
     points = []
     base = seed_entropy(base_seed)
-    for k, gamma in enumerate(gammas):
-        athr = math.log(gamma)
-        p = replace(params, A=athr)
+    for k, (gamma, threshold) in enumerate(zip(gammas, thresholds)):
+        p = replace(params, A=threshold)
         arlfa = estimate_arlfa(p, models, trials, base + (100, k), confidence=confidence)
         wadd = estimate_wadd(p, models, trials, base + (200, k), confidence=confidence)
         points.append(

@@ -7,16 +7,19 @@ flips and budget resolutions draw from a separate control stream. Regime
 switching (pre to post change) only remaps the buffered standard normals, so
 it never perturbs stream alignment.
 
-Each stream is read in blocks that grow from 16 values, and a generator is
-built on a stream's first draw. An RSS episode runs _run_rss, a private
-loop over locals that takes the same steps as the public, callback-fed
-engine.run_rss. The public single-episode calls build a fresh generator per
-stream. The estimators instead pass an EpisodeKeys table: it hashes the
-Philox keys of every episode in one vectorised pass (SeedSequence's hash,
-ported to numpy) and re-keys one reused generator per stream on its first
-draw. The keys are SeedSequence's, so the values are the same either way. An
-episode with a finite change point and no horizon stops at the estimators'
-safety horizon, 1e4 * e^A steps, so no episode runs unbounded.
+Every stream is an engine._Stream, read in blocks that grow from 16 values,
+and its generator is built on its first draw. The engine takes the control
+stream's uniforms one at a time through random(), for fractional budgets;
+an RSS episode reads them a block at a time as its coins, in _run_rss, a
+private loop over locals that takes the same steps as the public,
+callback-fed engine.run_rss. The public single-episode calls build a fresh
+generator per stream. The estimators instead pass an EpisodeKeys table: it
+hashes the Philox keys of every episode in one vectorised pass
+(SeedSequence's hash, ported to numpy) and re-keys one reused generator per
+stream on its first draw. The keys are SeedSequence's, so the values are
+the same either way. An episode with a finite change point and no horizon
+stops at the estimators' safety horizon, 1e4 * e^A steps, so no episode
+runs unbounded.
 """
 
 from __future__ import annotations
@@ -29,14 +32,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .densities import ExperimentModel, check_models
-from .engine import (
-    Action,
-    PolicyParams,
-    RssParams,
-    _action,
-    _EngineCore,
-)
+from .densities import ExperimentModel, _count, check_models
+from .engine import Action, PolicyParams, RssParams, _action, _EngineCore, _Stream
 
 OBS_STREAM_TAG = 1
 CONTROL_STREAM_TAG = 2
@@ -44,12 +41,6 @@ CONTROL_STREAM_TAG = 2
 # Horizon used by config-driven flows when change_point is infinite and no
 # horizon was given explicitly.
 DEFAULT_INFINITE_HORIZON = 1_000_000
-
-# Standard normals, and the RSS coins, are drawn in blocks of 16, 32, ...,
-# 4096, then 4096 from there on: a ~15-step detection episode draws 16 values
-# per stream, not 4096.
-_FIRST_BLOCK = 16
-_MAX_BLOCK = 4096
 
 
 def seed_entropy(seed: int | Sequence[int]) -> tuple[int, ...]:
@@ -231,73 +222,6 @@ class EpisodeKeys:
         return _philox_keys(words)
 
 
-class _GaussianStream:
-    """Buffered observation stream for one experiment.
-
-    make_gen builds the stream's generator; it runs on the first refill(),
-    so an episode builds only the generators it draws from. Standard normals
-    come in blocks of 16, 32, ..., 4096, then 4096 each, and are mapped
-    through the pre- or post-change location/scale at consumption time.
-    Chunked standard_normal draws from Philox give the same sequence as one
-    large block, so the values do not depend on the block sizes. The engine,
-    the RSS loop and the renewal kernel read buf, pos, end and the model's
-    LLR terms directly and call refill() at the end of a block.
-    """
-
-    __slots__ = ("make_gen", "gen", "buf", "pos", "end",
-                 "pre_mean", "pre_std", "post_mean", "post_std", "terms")
-
-    def __init__(self, model: ExperimentModel,
-                 make_gen: Callable[[], np.random.Generator]) -> None:
-        self.make_gen = make_gen
-        self.gen = None
-        self.buf: list[float] = []
-        self.pos = 0
-        self.end = 0  # len(buf); readers compare pos with it because len() costs ~50 ns
-        self.pre_mean = model.pre.mean
-        self.pre_std = model.pre.std
-        self.post_mean = model.post.mean
-        self.post_std = model.post.std
-        self.terms = model.terms
-
-    def refill(self) -> None:
-        if self.gen is None:
-            self.gen = self.make_gen()
-            size = _FIRST_BLOCK
-        else:
-            size = min(2 * self.end, _MAX_BLOCK)
-        # plain-float list: python float arithmetic beats numpy scalars here
-        self.buf = self.gen.standard_normal(size).tolist()
-        self.end = size
-
-
-class _ControlStream:
-    """An episode's control generator, made on its first random() call.
-
-    Coin flips and fractional budgets are its only users, so CUSUM and
-    integer-budget episodes never make it. The engine draws one double per
-    random() call; the RSS loop reads its coins as random(size) blocks,
-    which on Philox are the doubles of size random() calls.
-    """
-
-    def __init__(self, make_gen: Callable[[], np.random.Generator]) -> None:
-        self.make_gen = make_gen
-
-    def random(self, size: int | None = None):
-        # the instance attribute shadows this method: later calls go
-        # straight to the generator
-        self.random = self.make_gen().random
-        return self.random(size)
-
-
-def _count(name: str, value, low: int) -> int:
-    """value as an int, or ValueError unless it is an integer >= low (a
-    bool is not, nor is 2.5; 3.0 is)."""
-    if isinstance(value, bool) or not (float(value).is_integer() and value >= low):
-        raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
-    return int(value)
-
-
 @dataclass(frozen=True)
 class Scenario:
     """Experiment set plus the change point nu (integer >= 1, or math.inf for
@@ -318,7 +242,7 @@ class Scenario:
         nu = self.change_point
         if math.isinf(nu) and nu > 0:
             object.__setattr__(self, "change_point", math.inf)
-        elif float(nu).is_integer() and nu >= 1:
+        elif not isinstance(nu, bool) and float(nu).is_integer() and nu >= 1:
             object.__setattr__(self, "change_point", int(nu))
         else:
             raise ValueError(
@@ -421,9 +345,9 @@ def _drive(params, scenario, entropy, record=None, make_gen=None):
     # the scenario has checked its models for m = their number
     by_id = scenario.by_id if m == len(scenario.models) else check_models(scenario.models, m)
     # streams[i] is experiment i's observation stream
-    streams = [None] + [_GaussianStream(mdl, partial(make_gen, (OBS_STREAM_TAG, mdl.id)))
+    streams = [None] + [_Stream(partial(make_gen, (OBS_STREAM_TAG, mdl.id)), mdl)
                         for mdl in by_id[1:]]
-    ctrl = _ControlStream(partial(make_gen, (CONTROL_STREAM_TAG,)))
+    ctrl = _Stream(partial(make_gen, (CONTROL_STREAM_TAG,)))
     on_step = None
     if record is not None:
         def on_step(n, lvl, x, d, event):
@@ -437,16 +361,16 @@ def _drive(params, scenario, entropy, record=None, make_gen=None):
     return stopping_time, core.stop_reason, dict(enumerate(core.counts))
 
 
-def _run_rss(params, streams, rng, nu, horizon, record=None):
+def _run_rss(params, streams, ctrl, nu, horizon, record=None):
     """engine.run_rss on an episode's streams: (stopping time or None,
     counts with key 0 for the idle steps, which RSS never takes).
 
     The same steps, values and record rows as run_rss fed by the streams'
-    observations (post-change from step nu on) and rng.random(), as one
+    observations (post-change from step nu on) and ctrl.random(), as one
     loop over locals, like _EngineCore.run: each experiment's stream and
-    LLR terms live in locals (lo for experiment 1, hi for 2), and the coins
-    are read in blocks of 16, 32, ..., 4096, the doubles of as many
-    random() calls. Every step n >= 2 takes a coin, whatever p_hi is.
+    LLR terms live in locals (lo for experiment 1, hi for 2), and so does
+    the control stream's block of coins. Every step n >= 2 takes a coin,
+    whatever p_hi is.
     """
     A, p_hi = params.A, params.p_hi
     if nu > horizon:
@@ -459,14 +383,14 @@ def _run_rss(params, streams, rng, nu, horizon, record=None):
     hpm, hps, hqm, hqs = hi.pre_mean, hi.pre_std, hi.post_mean, hi.post_std
     hc, hq0, hm0, hq1, hm1 = hi.terms
     # step 1 takes experiment 2 without a coin: a coin of -inf stands in
-    coins, cpos, cend, size = [-math.inf], 0, 1, _FIRST_BLOCK
+    coins, cpos, cend = [-math.inf], 0, 1
     d = 0.0
     n = lows = 0
     while n < horizon:
         n += 1
         if cpos == cend:
-            coins = rng.random(size).tolist()
-            cpos, cend, size = 0, size, min(2 * size, _MAX_BLOCK)
+            ctrl.refill()
+            coins, cend, cpos = ctrl.buf, ctrl.end, 0
         up = coins[cpos] < p_hi
         cpos += 1
         if up:

@@ -98,6 +98,8 @@ def test_model_validation():
         gaussian_model(0, 1.0)
     with pytest.raises(ValueError):
         gaussian_model(-3, 1.0)
+    with pytest.raises(ValueError, match="^experiment id must be an integer"):
+        gaussian_model(True, 1.0)  # True == 1, but a bool is no id
     # identical pre/post has zero divergence: no detectable change
     with pytest.raises(ValueError):
         gaussian_model(1, 0.0)

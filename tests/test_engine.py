@@ -21,7 +21,7 @@ from mecusum import (
     step,
 )
 from mecusum.densities import llr_from_terms, llr_terms
-from mecusum.engine import _EngineCore, _Observation
+from mecusum.engine import _EngineCore, _observed
 from conftest import gaussian_model, obs_for
 
 
@@ -34,6 +34,8 @@ def make_params2(**overrides):
 def test_policy_params_validation():
     with pytest.raises(ValueError):
         PolicyParams(m=0, A=1.0)
+    with pytest.raises(ValueError, match="^m must be an integer"):
+        PolicyParams(m=True, A=1.0)  # True == 1, but a bool is no count
     with pytest.raises(ValueError):
         PolicyParams(m=1, A=-0.5)
     with pytest.raises(ValueError):
@@ -283,7 +285,7 @@ def test_step_snapshot_equals_one_built_fresh(models3):
     def fresh(state, x):
         core = _EngineCore(params, None, state)
         terms = models3[state.stack[-1].level - 1].terms
-        core.run([_Observation(x, terms)] * 4, math.inf, state.time + 1)
+        core.run([_observed(x, terms)] * 4, math.inf, state.time + 1)
         return core.snapshot()
 
     state = init(params)

@@ -29,7 +29,7 @@ from mecusum import (
     tradeoff_curve,
     wadd_penalty,
 )
-from mecusum import engine, simulate
+from mecusum import engine, metrics, simulate
 from mecusum.metrics import _trial_summaries, _z_value
 from conftest import gaussian_model
 
@@ -148,9 +148,17 @@ def test_z_value_matches_normal_quantiles():
         assert _z_value(confidence) == pytest.approx(z, rel=1e-15)
 
 
-def test_import_does_not_load_scipy():
-    code = "import sys, mecusum; sys.exit('scipy' in sys.modules)"
-    assert subprocess.run([sys.executable, "-c", code]).returncode == 0
+def test_import_loads_no_third_party_module_but_numpy():
+    # the runtime dependency list is numpy alone: importing the package adds
+    # no other top-level module outside the standard library (the diff leaves
+    # out what the interpreter had loaded at start)
+    code = ("import sys\n"
+            "before = set(sys.modules)\n"
+            "import mecusum\n"
+            "added = {name.partition('.')[0] for name in set(sys.modules) - before}\n"
+            "print(sorted(added - sys.stdlib_module_names - {'mecusum', 'numpy'}))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 def test_arlfa_meets_target():
@@ -359,8 +367,13 @@ def test_por_routes_agree(models2):
         assert direct[key].mean == pytest.approx(renewal[key].mean, abs=0.015)
 
 
-def test_tradeoff_curve_validation(models2):
+def test_tradeoff_curve_validation(models2, monkeypatch):
     params = PolicyParams(m=2, A=3.0, scales={2: 1.0}, budgets={1: 2})
+    # each gamma goes through set_threshold: gamma = 1 warns
+    with pytest.warns(UserWarning, match="gamma = 1"):
+        tradeoff_curve(params, models2, [1.0], 2, 1)
+    # and a bad one fails before the first estimate runs
+    monkeypatch.setattr(metrics, "estimate_arlfa", lambda *args, **kwargs: pytest.fail())
     with pytest.raises(ValueError):
         tradeoff_curve(params, models2, [], 10, 1)
     with pytest.raises(ValueError):
@@ -369,6 +382,8 @@ def test_tradeoff_curve_validation(models2):
         tradeoff_curve(params, models2, [20.0, 10.0], 10, 1)
     with pytest.raises(ValueError):
         tradeoff_curve(params, models2, [0.5, 10.0], 10, 1)
+    with pytest.raises(ValueError, match="gamma must be >= 1, got nan"):
+        tradeoff_curve(params, models2, [10.0, math.nan], 10, 1)
 
 
 def test_tradeoff_curve_monotone_smoke():

@@ -226,12 +226,15 @@ def test_renewal_kernel_matches_flat_cycle(params, models, seed, cycles):
 def test_renewal_kernel_refills_mid_visit():
     # budget ~300 at scale 10: a level-1 visit opens far below its ceiling,
     # reflects there and runs its budget out, so the 16 -> 32 -> 64 block
-    # refills of the level-1 stream fall inside visits
+    # refills of the level-1 stream fall inside visits. Every visit resolves
+    # the fractional budget with one coin, so 60 cycles take the budget
+    # stream past its 16 -> 32 refills as well.
     models = _RENEWAL_MODELS[0][:2]
     params = PolicyParams(m=2, A=3.0, scales={2: 10.0}, budgets={1: 299.5})
     visits = []
-    oracle = renewal_oracle(params, models, 5, 6, visits)
-    assert kernel_rows(params, models, 5, 6) == oracle
+    oracle = renewal_oracle(params, models, 5, 60, visits)
+    assert kernel_rows(params, models, 5, 60) == oracle
+    assert len(visits) > 16 + 32  # one budget coin per visit
     starts = [drawn[1] for drawn in visits]  # level 1 is the only level entered
     ends = starts[1:] + [sum(row[1] for row in oracle)]
     for refill in (16, 16 + 32, 16 + 32 + 64):

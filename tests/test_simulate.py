@@ -48,6 +48,8 @@ def test_scenario_validation(models2):
         make_scenario(models2, -2)
     with pytest.raises(ValueError):
         make_scenario(models2, 2.5)
+    with pytest.raises(ValueError, match="^change_point must be an integer"):
+        make_scenario(models2, True)  # True == 1, but a bool is no change point
     with pytest.raises(ValueError):
         make_scenario(models2, -math.inf)
     with pytest.raises(ValueError):
@@ -174,8 +176,18 @@ def test_step_replays_run_episode(models2, models3):
     # stream, retraces the episode step for step, and episode_summary stops
     # where the trace stops. At A = 8 with a horizon of 2000 the episodes run
     # long enough that a level's stream crosses its 16 -> 32 -> 64 block
-    # refills in the middle of a visit. The A = 3 runs have a horizon too, so
-    # a kernel fault that makes the walk cycle fails instead of running on
+    # refills in the middle of a visit, and the control stream its 16 -> 32
+    # refills. The A = 3 runs have a horizon too, so a kernel fault that
+    # makes the walk cycle fails instead of running on
+    class Counted:
+        # the control generator, counting its scalar draws
+        def __init__(self, gen):
+            self.gen, self.drawn = gen, 0
+
+        def random(self):
+            self.drawn += 1
+            return self.gen.random()
+
     policies = [
         (PolicyParams(m=1, A=3.0), (gaussian_model(1, 1.0),)),
         (PolicyParams(m=2, A=3.0, scales={2: 1.2}, budgets={1: 2.5}), models2),
@@ -189,7 +201,7 @@ def test_step_replays_run_episode(models2, models3):
     ]
     runs = [(3.0, (5,), 5000, range(20)), (8.0, (1, 5, math.inf), 2000, range(6))]
     stops = set()
-    lower_draws = 0
+    lower_draws = control_draws = 0
     for A, change_points, horizon, seeds in runs:
         for params, models in policies:
             params = replace(params, A=A)
@@ -202,7 +214,7 @@ def test_step_replays_run_episode(models2, models3):
                             == (trace.stopping_time, trace.stop_reason, trace.counts))
                     lower_draws = max([lower_draws] + [trace.counts[j]
                                                        for j in range(1, params.m)])
-                    rng = control_generator(seed)
+                    rng = Counted(control_generator(seed))
                     state = init(params, rng)
                     for row in trace.steps:
                         assert not state.stopped
@@ -218,10 +230,13 @@ def test_step_replays_run_episode(models2, models3):
                     else:
                         assert state.time == horizon
                     stops.add((state.stop_reason, state.time == 0))
+                    control_draws = max(control_draws, rng.drawn)
     assert stops == {("threshold", False), ("truncation", False), ("truncation", True),
                      (None, False)}
-    # some lower level drew past its third block
+    # some lower level drew past its third block, some control stream past
+    # its second
     assert lower_draws > 16 + 32 + 64
+    assert control_draws > 16 + 32
 
 
 _MODELS3 = (gaussian_model(1, 0.5), gaussian_model(2, 0.75), gaussian_model(3, 1.0))
