@@ -19,8 +19,10 @@ each step to record(n, experiment, x, statistic, event). The core takes no
 models (its streams carry their LLR terms); callers check them.
 
 Every random value a loop reads comes through one buffered class, _Stream:
-an experiment's standard normals, an episode's control coins and the
-renewal kernel's budget coins, each drawn in blocks of 16, 32, ..., 4096.
+an experiment's standard normals, an episode's control coins, and the
+renewal kernel's budget coins and scored observations (each one's LLR
+increment, computed per block in numpy), each drawn in blocks of 16, 32,
+..., 4096.
 """
 
 from __future__ import annotations
@@ -203,19 +205,24 @@ class _Stream:
     blocks of 16, 32, ..., 4096, then 4096 each. A stream with a model draws
     standard normals and carries the model's pre- and post-change means and
     stds, which map a normal z to an observation mean + std * z, and its LLR
-    terms. A stream without one draws uniforms, which random() hands out one
-    at a time. On Philox, chunked draws give the same sequence as one large
-    block or as many scalar calls, so the values do not depend on the block
-    sizes. The engine, the RSS loop and the renewal kernel read buf, pos and
-    end directly and call refill() at the end of a block.
+    terms. A scored stream (the renewal kernel's, which reads pre-change
+    observations only) holds instead each observation's LLR increment,
+    llr_from_terms(terms, pre_mean + pre_std * z), computed per block in
+    numpy (_scored_draw). A stream without a model draws uniforms, which
+    random() hands out one at a time. On Philox, chunked draws give the same
+    sequence as one large block or as many scalar calls, so the values do not
+    depend on the block sizes. The engine, the RSS loop and the renewal
+    kernel read buf, pos and end directly and call refill() at the end of a
+    block.
     """
 
-    __slots__ = ("make_gen", "gen", "buf", "pos", "end",
+    __slots__ = ("make_gen", "scored", "draw", "buf", "pos", "end",
                  "pre_mean", "pre_std", "post_mean", "post_std", "terms")
 
     def __init__(self, make_gen: Callable[[], np.random.Generator] | None,
-                 model: ExperimentModel | None = None) -> None:
+                 model: ExperimentModel | None = None, scored: bool = False) -> None:
         self.make_gen = make_gen
+        self.scored = scored
         self.buf = ()
         self.pos = self.end = 0  # end is len(buf): len() costs ~50 ns
         if model is None:
@@ -231,12 +238,18 @@ class _Stream:
         if self.end:
             size = min(2 * self.end, _MAX_BLOCK)
         else:
-            self.gen = self.make_gen()
+            # draw(size) gives the next block as an array, chosen once
+            gen = self.make_gen()
+            if self.terms is None:
+                self.draw = gen.random
+            elif self.scored:
+                self.draw = _scored_draw(gen.standard_normal, self.pre_mean, self.pre_std,
+                                         self.terms)
+            else:
+                self.draw = gen.standard_normal
             size = _FIRST_BLOCK
-        gen = self.gen
-        draw = gen.random if self.terms is None else gen.standard_normal
         # plain-float list: python float arithmetic beats numpy scalars here
-        self.buf = draw(size).tolist()
+        self.buf = self.draw(size).tolist()
         self.end = size
 
     def random(self) -> float:
@@ -247,6 +260,24 @@ class _Stream:
             pos = 0
         self.pos = pos + 1
         return self.buf[pos]
+
+
+def _scored_draw(normals: Callable[[int], np.ndarray], mean: float, std: float,
+                 terms: tuple[float, float, float, float, float]
+                 ) -> Callable[[int], np.ndarray]:
+    """draw(size) for a scored stream: the LLR increments of size pre-change
+    observations. The operations are those of llr_from_terms, in its order;
+    a float64 ufunc rounds each one as a Python float operation does, so the
+    values are the same bits as the scalar loop's."""
+    c, q0, m0, q1, m1 = terms
+
+    def draw(size: int) -> np.ndarray:
+        x = mean + std * normals(size)
+        d0 = x - m0
+        d1 = x - m1
+        return c + q0 * d0 * d0 - q1 * d1 * d1
+
+    return draw
 
 
 class _EngineCore:

@@ -7,11 +7,12 @@ estimate_por_renewal transcribes the regenerative cycle structure directly
 touching the engine. The two cross-check each other.
 
 The renewal kernel keeps that recursive shape: one call per level visit,
-each a loop over locals that draws and scores its observations inline. Like
+each a loop over locals that adds up its observations' LLR increments. Like
 the engine, it reads tables built once on the frozen inputs (each model's
 LLR terms, each level's integer budget), and resolves only fractional
 budgets per visit. Its observations and its budget coins come through
-engine._Stream, as an episode's do.
+engine._Stream, as an episode's do; its level streams are scored, each block
+holding the increments, computed in numpy with the scalar arithmetic's bits.
 """
 
 from __future__ import annotations
@@ -234,9 +235,11 @@ class _RenewalKernel:
 
     run() holds the top excursion and _sub() one visit of a lower level,
     recursing into the level below on an undershoot. Each keeps the
-    visited level's stream (buf, pos, end), pre-change mean and std and
-    five LLR constants in locals, and draws and scores an observation
-    inline, as pre_mean + pre_std * z and in the order of llr_from_terms. The
+    visited level's stream (buf, pos, end) in locals and moves the statistic
+    by d += buf[pos]. The level streams are scored: each block already holds
+    its observations' LLR increments, llr_from_terms(terms, pre_mean +
+    pre_std * z), computed in numpy in that function's operation order, so
+    the sums are the bits a scalar loop would give. The
     tables are built once on the frozen inputs: ExperimentModel.terms and
     PolicyParams.fixed_budgets, so only a fractional budget calls
     resolve_truncation, with budget_rng, a _Stream of uniforms read one at
@@ -260,8 +263,8 @@ class _RenewalKernel:
         entropy = seed_entropy(base_seed) + (RENEWAL_TAG,)
         children = np.random.SeedSequence(entropy).spawn(m + 1)
         # by level, as the engine reads them; pre-change draws only
-        self.streams = [None] + [_Stream(partial(_philox, children[mdl.id - 1]), mdl)
-                                 for mdl in by_id[1:]]
+        self.streams = [None] + [_Stream(partial(_philox, children[mdl.id - 1]), mdl,
+                                         scored=True) for mdl in by_id[1:]]
         self.budget_rng = _Stream(partial(_philox, children[m]))
         self.recorded = record
         self.visits = bytearray()
@@ -278,8 +281,6 @@ class _RenewalKernel:
         a = self.a[m]
         s = self.streams[m]
         buf, pos, end = s.buf, s.pos, s.end
-        pm, ps = s.pre_mean, s.pre_std
-        c, q0, m0, q1, m1 = s.terms
         for at in range(0, width * cycles, width):
             d = 0.0
             steps = 0
@@ -287,11 +288,8 @@ class _RenewalKernel:
                 if pos == end:
                     s.refill()
                     buf, end, pos = s.buf, s.end, 0
-                x = pm + ps * buf[pos]
+                d += buf[pos]
                 pos += 1
-                d0 = x - m0
-                d1 = x - m1
-                d += c + q0 * d0 * d0 - q1 * d1 * d1
                 steps += 1
                 if d < 0.0:
                     break
@@ -324,17 +322,12 @@ class _RenewalKernel:
             reflects = self.fixed[j - 1] == 0 or j == 1 and not self.de
             s = self.streams[j]
             buf, pos, end = s.buf, s.pos, s.end
-            pm, ps = s.pre_mean, s.pre_std
-            c, q0, m0, q1, m1 = s.terms
             while True:
                 if pos == end:
                     s.refill()
                     buf, end, pos = s.buf, s.end, 0
-                x = pm + ps * buf[pos]
+                d += buf[pos]
                 pos += 1
-                d0 = x - m0
-                d1 = x - m1
-                d += c + q0 * d0 * d0 - q1 * d1 * d1
                 used += 1
                 if reflects and d < floor:
                     d = floor

@@ -6,6 +6,7 @@ import math
 import time
 from collections.abc import Iterable
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -14,6 +15,8 @@ from hypothesis import strategies as st
 
 from mecusum import (
     Action,
+    DensitySpec,
+    ExperimentModel,
     PolicyParams,
     RssParams,
     Scenario,
@@ -409,6 +412,8 @@ def test_streams_match_one_block_per_experiment():
         z = observation_generator(seed, mdl.id).standard_normal(len(got)).tolist()
         assert got == [mdl.pre.mean + mdl.pre.std * v for v in z]
 
+    # the renewal kernel's streams are scored: each value is the LLR of the
+    # pre-change observation that the substream's normal maps to
     kernel = _RenewalKernel(params, models, seed)
     children = np.random.SeedSequence(seed_entropy(seed) + (RENEWAL_TAG,)).spawn(3)
     for mdl, child in zip(models, children):
@@ -417,7 +422,31 @@ def test_streams_match_one_block_per_experiment():
             s.refill()
             got += s.buf
         z = np.random.Generator(np.random.Philox(child)).standard_normal(len(got)).tolist()
-        assert got == z
+        assert got == [llr_from_terms(mdl.terms, mdl.pre.mean + mdl.pre.std * v) for v in z]
+
+
+_finite = partial(st.floats, allow_nan=False, allow_infinity=False, allow_subnormal=False)
+
+
+@settings(deadline=None, max_examples=100)
+@given(pre_mean=_finite(-5.0, 5.0), pre_std=_finite(0.1, 5.0),
+       shift=_finite(0.05, 3.0), post_std=_finite(0.1, 5.0), seed=st.integers(0, 2**32 - 1))
+def test_scored_blocks_are_the_scalar_llrs(pre_mean, pre_std, shift, post_std, seed):
+    # every block of the 16 -> 4096 schedule, and a 4096 refill past it, must
+    # hold llr_from_terms(terms, pre_mean + pre_std * z) of the substream's
+    # normals bit for bit: the numpy scoring follows the scalar operations
+    mdl = ExperimentModel(1, DensitySpec("gaussian", pre_mean, pre_std),
+                          DensitySpec("gaussian", pre_mean + shift, post_std))
+    s = _RenewalKernel(PolicyParams(m=1, A=3.0), (mdl,), seed).streams[1]
+    child = np.random.SeedSequence(seed_entropy(seed) + (RENEWAL_TAG,)).spawn(2)[0]
+    z = np.random.Generator(np.random.Philox(child)).standard_normal(8176 + 4096).tolist()
+    start = 0
+    for size in (16, 32, 64, 128, 256, 512, 1024, 2048, 4096, 4096):
+        s.refill()
+        assert (s.pos, s.end) == (0, size)
+        assert s.buf == [llr_from_terms(mdl.terms, pre_mean + pre_std * v)
+                         for v in z[start:start + size]]
+        start += size
 
 
 def _general_entropy(seed):
