@@ -4,11 +4,16 @@ The search leans on a decoupling property of the level stack: the time spent
 at any level per renewal cycle is unaffected by the budgets and scales of the
 levels below it. Budgets are therefore solved one level at a time from the
 top down. A level-j visit with budget B takes min(B, tau) observations, tau
-being its first passage above its ceiling, so one pass of cycles with level
-j at the budget cap that records each visit's tau gives the level's rate for
-every budget: the budget is the exact root of that piecewise-linear sum. When
-even the cap falls short, the scale feeding level j is escalated by 10x and
-the pass is run again.
+being its first passage above its ceiling, so a pass of cycles with level j
+at a cap c that records each visit's min(tau, c) gives the level's rate for
+every budget up to c: the budget is the exact root of that piecewise-linear
+sum. Most budgets are a few steps, while a visit at a large cap may run
+thousands, so a level's passes run at caps 16, 256 and then budget_cap (each
+clipped to budget_cap) and stop at the first whose rate reaches the target.
+When even budget_cap falls short, the scale feeding level j is escalated by
+10x and the passes start again at cap 16. The passes run the renewal kernel,
+whose streams hand it each observation's LLR increment, scored in numpy a
+block at a time.
 """
 
 from __future__ import annotations
@@ -23,6 +28,8 @@ from .metrics import PorVector, _RenewalKernel, estimate_por_renewal
 from .simulate import seed_entropy
 
 _SUM_EPS = 1e-9
+# the caps of a level's first passes, before budget_cap
+_FIRST_CAPS = (16.0, 256.0)
 
 
 @dataclass(frozen=True)
@@ -76,11 +83,15 @@ class CalibrationConfig:
 
 @dataclass(frozen=True)
 class SearchPass:
-    """One search pass: level j at the budget cap under these scales, its rate
-    over the top rate there, and the budget solved (None: the scale escalated)."""
+    """One search pass: level j run with budget cap under these scales, its
+    rate over the top rate at that cap, and the budget solved (None: the cap
+    fell short, so the next pass runs at a longer cap or, after budget_cap,
+    at an escalated scale). A level's caps are 16, 256 and budget_cap, each
+    clipped to budget_cap."""
 
     level: int
     scales: dict[int, float]
+    cap: float
     cap_ratio: float
     budget: float | None
 
@@ -168,10 +179,14 @@ def calibrate(
 ) -> CalibrationResult:
     """Find budgets (and, when needed, scales) meeting the rate targets.
 
-    Solves the levels from the top down, each from one recorded pass of
-    `search_cycles` cycles at `budget_cap` (plus one per scale escalation) and
-    the exact root on it; `evaluations` counts the passes and `passes` logs
-    them. The result is re-evaluated on a fresh run of `final_cycles`.
+    Solves the levels from the top down, each from a recorded pass of
+    `search_cycles` renewal cycles and the exact root on it. A level's passes
+    run at caps 16, 256 and `budget_cap` (each clipped to `budget_cap`) until
+    one reaches the target rate; after a pass at `budget_cap` falls short the
+    scale feeding the level is escalated and the caps start again at 16.
+    `evaluations` counts the passes, `max_evaluations` caps them, and `passes`
+    logs each with its cap. The result is re-evaluated on a fresh run of
+    `final_cycles`.
     Non-convergence is reported through the converged flag and residuals,
     not an exception.
     """
@@ -194,25 +209,33 @@ def calibrate(
     start = PolicyParams(m=m, A=threshold, scales=scales, budgets=budgets,
                          mu=config.mu if de else None, data_efficient=de)
 
+    # each level's passes run at these caps in turn, up to budget_cap
+    caps = sorted({min(cap, config.budget_cap) for cap in (*_FIRST_CAPS, config.budget_cap)})
     ran_out = False
     for j in range(m - 1, lowest - 1, -1):
         want = betas[j] / betas[m]
+        k = 0  # caps[k] is the next pass's cap
         while want > 0.0 and not ran_out:
             ran_out = len(passes) == config.max_evaluations
             if ran_out:
                 break
-            at_cap = replace(start, scales=scales, budgets={**budgets, j: config.budget_cap})
+            cap = caps[k]
+            at_cap = replace(start, scales=scales, budgets={**budgets, j: cap})
             kernel = _RenewalKernel(at_cap, models, search_seed, j)
             top = sum(kernel.run(config.search_cycles)[m::m + 1])
             visits = memoryview(kernel.visits).cast("q")
             reach = sum(visits)
-            budget = (min(_budget_root(visits, want * top), config.budget_cap)
-                      if reach >= want * top else None)
-            passes.append(SearchPass(j, dict(scales), reach / top, budget))
+            budget = min(_budget_root(visits, want * top), cap) if reach >= want * top else None
+            passes.append(SearchPass(j, dict(scales), cap, reach / top, budget))
             if budget is not None:
                 budgets[j] = budget
                 break
-            # even the cap falls short: escalate the scale feeding level j
+            k += 1
+            if k < len(caps):
+                continue  # a longer cap may still reach the goal
+            # even budget_cap falls short: escalate the scale feeding level j
+            # and start again from the shortest cap
+            k = 0
             ran_out = scales[j + 1] * 10.0 > config.scale_cap
             if ran_out:
                 budgets[j] = config.budget_cap

@@ -145,6 +145,8 @@ def test_search_log_has_one_record_per_pass(models3):
     assert [p.level for p in result.passes] == [2, 1]
     for p in result.passes:
         assert p.scales == {2: 1.0, 3: 1.0}
+        # budgets of 1-3 steps: the first cap reaches them
+        assert p.cap == 16.0
         assert p.budget == result.params.budgets[p.level]
         # the cap reaches past the target, whose ratio to the top is 1 and 1/2
         assert p.cap_ratio >= target.betas[p.level] / 0.4
@@ -165,6 +167,47 @@ def test_short_cap_escalates_the_scale_with_one_more_pass(models2):
     assert first.cap_ratio < want <= second.cap_ratio
     assert second.scales == {2: 10.0}
     assert 0.0 < second.budget == result.params.budgets[1] <= 3.0
+
+
+def test_long_budget_runs_the_whole_cap_schedule(models2):
+    # a level-1 budget of several hundred steps: neither 16 nor 256 reaches
+    # the goal of 9 level-1 steps per top step, budget_cap does
+    target = CalibrationTarget(1000.0, {2: 0.1})
+    config = CalibrationConfig(search_cycles=2000, final_cycles=2000)
+    result = calibrate(target, models2, config, base_seed=5)
+    assert [p.cap for p in result.passes] == [16.0, 256.0, 4096.0]
+    assert [p.budget for p in result.passes] == [None, None, result.params.budgets[1]]
+    assert all(p.scales == {2: 1.0} for p in result.passes)
+    assert result.passes[1].cap_ratio < 9.0 <= result.passes[2].cap_ratio
+    assert 256.0 < result.params.budgets[1] < 4096.0
+    assert result.evaluations == 3 and result.converged is True
+
+
+def test_cap_schedule_clips_to_the_budget_cap_and_restarts_after_an_escalation(models2):
+    # caps 16 and 50 fall short of 7 level-1 steps per top step at scale 1;
+    # the deeper floors of scale 10 reach it at the first cap again
+    target = CalibrationTarget(1000.0, {2: 0.125})
+    config = CalibrationConfig(search_cycles=2000, final_cycles=2000, budget_cap=50.0)
+    result = calibrate(target, models2, config, base_seed=5)
+    assert [(p.cap, p.scales) for p in result.passes] == \
+        [(16.0, {2: 1.0}), (50.0, {2: 1.0}), (16.0, {2: 10.0})]
+    assert [p.budget is None for p in result.passes] == [True, True, False]
+    assert result.passes[1].cap_ratio < 7.0 <= result.passes[2].cap_ratio
+    assert 0.0 < result.passes[2].budget == result.params.budgets[1] <= 16.0
+    assert result.params.scales == {2: 10.0}
+
+
+def test_large_scale_needs_one_short_pass(models2):
+    # at scale 8 a level-1 visit opens far below its ceiling, so a pass at
+    # budget_cap runs many visits out to 4096 steps; the first cap solves
+    # the ~3-step budget from visits of at most 16 steps
+    target = CalibrationTarget(1000.0, {2: 0.4})
+    config = CalibrationConfig(search_cycles=20_000, final_cycles=20_000, initial_scale=8.0)
+    result = calibrate(target, models2, config, base_seed=5)
+    (only,) = result.passes
+    assert (only.level, only.scales, only.cap) == (1, {2: 8.0}, 16.0)
+    assert 2.0 < only.budget == result.params.budgets[1] < 4.0
+    assert result.converged is True
 
 
 def _expected_time(taus, b):

@@ -433,7 +433,7 @@ def test_calibrate_json_and_csv(tmp_path):
     (search,) = calib["passes"]
     assert search["level"] == 1 and search["scales"] == {"2": 1.0}
     assert search["budget"] == calib["params"]["budgets"]["1"]
-    assert search["cap_ratio"] >= 1.0
+    assert search["cap"] == 16.0 and search["cap_ratio"] >= 1.0
     first = out_json.read_bytes()
     assert main(["calibrate", "--config", path, "--output", str(out_json)]) == 0
     assert out_json.read_bytes() == first

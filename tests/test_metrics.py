@@ -429,7 +429,8 @@ PINNED_RENEWAL = {  # estimate_por_renewal on 3e, 300 cycles, seed 9
 # estimate_por_renewal with fractional budgets (300 cycles, seed 9) on de2e
 # and on a 3e whose level 1 reflects, and one small calibrate (500 search and
 # 2000 final cycles, seed 9), recorded before the renewal kernel became one
-# locals loop per visit
+# locals loop per visit; PINNED_CALIBRATE re-recorded when each level's search
+# began at cap 16 instead of budget_cap, which reads the level's stream differently
 PINNED_RENEWAL_FRACTIONAL = {
     "de2e": {0: (0.40240050536955146, 0.015456619029561166),
              1: (0.2520530638029059, 0.008916234075984795),
@@ -439,9 +440,9 @@ PINNED_RENEWAL_FRACTIONAL = {
            3: (0.21730132450331127, 0.010806243329813713)},
 }
 PINNED_CALIBRATE = (  # budgets, scales, achieved means, evaluations (search passes)
-    {0: 1.4508293838862563, 1: 1.3263574660633481},
+    {0: 1.4508293838862563, 1: 1.3256207674943563},
     {1: 1.0, 2: 1.0},
-    {0: 0.25155666251556663, 1: 0.2907279519981886, 2: 0.45771538548624474},
+    {0: 0.25093336350265866, 1: 0.2916619527095825, 2: 0.4574046837877588},
     2,
 )
 
