@@ -40,6 +40,9 @@ class CalibrationTarget:
     experiment may be omitted and gets the remaining mass. Data-efficient
     policies need every experiment listed, with the strict remainder to 1
     becoming the idle-fraction target.
+
+    threshold, set_threshold(gamma), is checked and kept here, as a plain
+    attribute, not a field, so calibrate reads it without a second check.
     """
 
     gamma: float
@@ -47,8 +50,7 @@ class CalibrationTarget:
     data_efficient: bool = False
 
     def __post_init__(self) -> None:
-        if math.isnan(self.gamma) or self.gamma < 1.0:
-            raise ValueError(f"gamma must be >= 1, got {self.gamma}")
+        object.__setattr__(self, "threshold", set_threshold(self.gamma))
         betas = {int(k): float(v) for k, v in self.betas.items()}
         object.__setattr__(self, "betas", betas)
         for k, v in betas.items():
@@ -196,7 +198,7 @@ def calibrate(
     m = len(models)
     de = target.data_efficient
     betas = _resolve_betas(target, m)
-    threshold = set_threshold(target.gamma)
+    threshold = target.threshold
     lowest = 0 if de else 1
     scales = {i: config.initial_scale for i in range(lowest + 1, m + 1)}
     budgets = {j: 0.0 for j in range(lowest, m)}

@@ -387,11 +387,14 @@ def _apply_overrides(cfg: RunConfig, args: argparse.Namespace) -> RunConfig:
     if args.trials is not None:
         cfg = replace(cfg, trials=args.trials)
     if args.gamma is not None:
-        threshold = set_threshold(args.gamma)
-        if cfg.policy is not None:
-            cfg = replace(cfg, policy=replace(cfg.policy, A=threshold))
+        # the override's gamma is checked once, by the target when there is one
         if cfg.calibration_target is not None:
             cfg = replace(cfg, calibration_target=replace(cfg.calibration_target, gamma=args.gamma))
+            threshold = cfg.calibration_target.threshold
+        else:
+            threshold = set_threshold(args.gamma)
+        if cfg.policy is not None:
+            cfg = replace(cfg, policy=replace(cfg.policy, A=threshold))
     if args.output is not None:
         cfg = replace(cfg, output_path=args.output)
     return cfg

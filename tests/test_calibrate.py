@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import warnings
 
 import pytest
 
@@ -31,7 +32,7 @@ def test_set_threshold_is_natural_log():
         assert set_threshold(1.0) == 0.0
 
 
-def test_target_validation():
+def test_target_validation(models2):
     with pytest.raises(ValueError):
         CalibrationTarget(gamma=0.5, betas={1: 1.0})
     with pytest.raises(ValueError):
@@ -42,6 +43,18 @@ def test_target_validation():
         CalibrationTarget(gamma=100.0, betas={1: 1.5})
     ok = CalibrationTarget(gamma=100.0, betas={1: 0.25, 2: 0.75})
     assert ok.betas == {1: 0.25, 2: 0.75}
+    assert ok.threshold == set_threshold(100.0)
+    # gamma is checked by set_threshold's rule, with its message
+    with pytest.raises(ValueError, match="^the false-alarm target gamma must be >= 1, got nan$"):
+        CalibrationTarget(math.nan, {1: 0.5})
+    with pytest.warns(UserWarning, match="gamma = 1"):
+        degenerate = CalibrationTarget(1.0, {1: 0.5, 2: 0.5})
+    assert degenerate.threshold == 0.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # the target has warned once; calibrate does not
+        result = calibrate(degenerate, models2,
+                           CalibrationConfig(search_cycles=1000, final_cycles=1000))
+    assert result.params.A == 0.0
 
 
 def test_config_rejects_non_integer_counts():
