@@ -430,7 +430,7 @@ _finite = partial(st.floats, allow_nan=False, allow_infinity=False, allow_subnor
 
 @settings(deadline=None, max_examples=100)
 @given(pre_mean=_finite(-5.0, 5.0), pre_std=_finite(0.1, 5.0),
-       shift=_finite(0.05, 3.0), post_std=_finite(0.1, 5.0), seed=st.integers(0, 2**32 - 1))
+       shift=_finite(0.05, 3.0) | _finite(-3.0, -0.05), post_std=_finite(0.1, 5.0), seed=st.integers(0, 2**32 - 1))
 def test_scored_blocks_are_the_scalar_llrs(pre_mean, pre_std, shift, post_std, seed):
     # every block of the 16 -> 4096 schedule, and a 4096 refill past it, must
     # hold llr_from_terms(terms, pre_mean + pre_std * z) of the substream's
