@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from numbers import Real
 from typing import Sequence
 
 GAUSSIAN = "gaussian"
@@ -22,9 +23,10 @@ _FAMILIES = (GAUSSIAN,)
 
 
 def _count(name: str, value, low: int) -> int:
-    """value as an int, or ValueError unless it is an integer >= low (a
-    bool is not, nor is 2.5; 3.0 is)."""
-    if isinstance(value, bool) or not (float(value).is_integer() and value >= low):
+    """value as an int, or ValueError unless it is a real number that is an
+    integer >= low (a bool is not, nor is 2.5 or "3"; 3.0 is)."""
+    if (isinstance(value, bool) or not isinstance(value, Real)
+            or not (float(value).is_integer() and value >= low)):
         raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
     return int(value)
 

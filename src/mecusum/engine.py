@@ -22,7 +22,11 @@ Every random value a loop reads comes through one buffered class, _Stream:
 an experiment's standard normals, an episode's control coins, and the
 renewal kernel's budget coins and scored observations (each one's LLR
 increment, computed per block in numpy), each drawn in blocks of 16, 32,
-..., 4096.
+..., 4096. From an experiment stream's 64-value block on, an unrecorded
+episode's pre-change steps add increments scored in numpy as well (sbuf),
+so a long pre-change run pays one addition per step for its LLR. Scoring
+in numpy follows llr_from_terms's operations in order, so every path gives
+the same bits.
 """
 
 from __future__ import annotations
@@ -195,6 +199,9 @@ def resolve_truncation(budget: float, rng: np.random.Generator | None = None) ->
 # a ~15-step detection episode draws 16 values per stream, not 4096.
 _FIRST_BLOCK = 16
 _MAX_BLOCK = 4096
+# an engine stream scores its blocks from the third (64 values) on: a block
+# scored in numpy pays only when about 20 or more of its values are read
+_SCORED_BLOCK = 64
 
 
 class _Stream:
@@ -208,15 +215,18 @@ class _Stream:
     terms. A scored stream (the renewal kernel's, which reads pre-change
     observations only) holds instead each observation's LLR increment,
     llr_from_terms(terms, pre_mean + pre_std * z), computed per block in
-    numpy (_scored_draw). A stream without a model draws uniforms, which
-    random() hands out one at a time. On Philox, chunked draws give the same
-    sequence as one large block or as many scalar calls, so the values do not
-    depend on the block sizes. The engine, the RSS loop and the renewal
-    kernel read buf, pos and end directly and call refill() at the end of a
-    block.
+    numpy (_llrs). An engine observation stream keeps its normals in buf;
+    refill(True), which the engine calls on a pre-change step of a run
+    without record, also fills sbuf with their pre-change LLR increments
+    from the 64-value block on, the same bits as the scalar loop's. Else
+    sbuf is None. A stream without a model draws uniforms, which random()
+    hands out one at a time. On Philox, chunked draws give the same sequence
+    as one large block or as many scalar calls, so the values do not depend
+    on the block sizes. The engine, the RSS loop and the renewal kernel read
+    buf, sbuf, pos and end directly and call refill() at the end of a block.
     """
 
-    __slots__ = ("make_gen", "scored", "draw", "buf", "pos", "end",
+    __slots__ = ("make_gen", "scored", "draw", "buf", "sbuf", "pos", "end",
                  "pre_mean", "pre_std", "post_mean", "post_std", "terms")
 
     def __init__(self, make_gen: Callable[[], np.random.Generator] | None,
@@ -224,6 +234,7 @@ class _Stream:
         self.make_gen = make_gen
         self.scored = scored
         self.buf = ()
+        self.sbuf = None
         self.pos = self.end = 0  # end is len(buf): len() costs ~50 ns
         if model is None:
             self.terms = None
@@ -234,23 +245,35 @@ class _Stream:
             self.post_std = model.post.std
             self.terms = model.terms
 
-    def refill(self) -> None:
+    def refill(self, score: bool = False) -> None:
+        """Draw the next block; with score, an unscored stream with a model
+        also fills sbuf from the 64-value block on."""
         if self.end:
             size = min(2 * self.end, _MAX_BLOCK)
         else:
             # draw(size) gives the next block as an array, chosen once
             gen = self.make_gen()
-            if self.terms is None:
-                self.draw = gen.random
-            elif self.scored:
-                self.draw = _scored_draw(gen.standard_normal, self.pre_mean, self.pre_std,
-                                         self.terms)
-            else:
-                self.draw = gen.standard_normal
+            self.draw = gen.random if self.terms is None else gen.standard_normal
             size = _FIRST_BLOCK
-        # plain-float list: python float arithmetic beats numpy scalars here
-        self.buf = self.draw(size).tolist()
+        block = self.draw(size)
         self.end = size
+        # plain-float lists: python float arithmetic beats numpy scalars here
+        if self.scored:
+            self.buf = self._llrs(block).tolist()
+            return
+        self.buf = block.tolist()
+        self.sbuf = self._llrs(block).tolist() if score and size >= _SCORED_BLOCK else None
+
+    def _llrs(self, z: np.ndarray) -> np.ndarray:
+        """The LLR increments of the pre-change observations of the normals
+        z. The operations are those of llr_from_terms, in its order; a
+        float64 ufunc rounds each one as a Python float operation does, so
+        the values are the same bits as the scalar loop's."""
+        c, q0, m0, q1, m1 = self.terms
+        x = self.pre_mean + self.pre_std * z
+        d0 = x - m0
+        d1 = x - m1
+        return c + q0 * d0 * d0 - q1 * d1 * d1
 
     def random(self) -> float:
         """The next uniform, as Generator.random() would give it."""
@@ -260,24 +283,6 @@ class _Stream:
             pos = 0
         self.pos = pos + 1
         return self.buf[pos]
-
-
-def _scored_draw(normals: Callable[[int], np.ndarray], mean: float, std: float,
-                 terms: tuple[float, float, float, float, float]
-                 ) -> Callable[[int], np.ndarray]:
-    """draw(size) for a scored stream: the LLR increments of size pre-change
-    observations. The operations are those of llr_from_terms, in its order;
-    a float64 ufunc rounds each one as a Python float operation does, so the
-    values are the same bits as the scalar loop's."""
-    c, q0, m0, q1, m1 = terms
-
-    def draw(size: int) -> np.ndarray:
-        x = mean + std * normals(size)
-        d0 = x - m0
-        d1 = x - m1
-        return c + q0 * d0 * d0 - q1 * d1 * d1
-
-    return draw
 
 
 class _EngineCore:
@@ -367,6 +372,16 @@ class _EngineCore:
         (the parent floor, or A at the top) are loaded into locals when a
         visit of the level begins; its stream position is saved back when
         the visit ends.
+
+        A pre-change step of a run without record asks refill() to score
+        the block it starts, and one that reads a scored block (sbuf, from
+        a stream's 64-value block on) adds the precomputed increment, the
+        same bits as scoring x inline. Every other step scores x inline:
+        post-change steps, which test n >= nu first and so pay one
+        comparison, steps on the 16- and 32-value blocks, which a short
+        episode rarely reads to the end, every step of a run with record,
+        which reports x (traces), and step(), whose one-value stream is
+        never refilled.
         """
         if self.stopped:
             return ""
@@ -393,7 +408,7 @@ class _EngineCore:
             ceil = A if top else floors[lvl + 1]
             if not idle:
                 s = streams[lvl]
-                buf, pos, end = s.buf, s.pos, s.end
+                buf, sbuf, pos, end = s.buf, s.sbuf, s.pos, s.end
                 pm, ps, qm, qs = s.pre_mean, s.pre_std, s.post_mean, s.post_std
                 c, q0, m0, q1, m1 = s.terms
             new = lvl
@@ -406,17 +421,24 @@ class _EngineCore:
                     d = D + mu
                 else:
                     if pos == end:
-                        s.refill()
-                        buf, end, pos = s.buf, s.end, 0
-                    z = buf[pos]
-                    pos += 1
+                        # a block started before the change, in a run that
+                        # reports no x, is scored from the 64-value block on
+                        s.refill(n < nu and record is None)
+                        buf, sbuf, end, pos = s.buf, s.sbuf, s.end, 0
+                    # post-change first: those steps pay one comparison
                     if n >= nu:
-                        x = qm + qs * z
+                        x = qm + qs * buf[pos]
+                        d0 = x - m0
+                        d1 = x - m1
+                        d = D + (c + q0 * d0 * d0 - q1 * d1 * d1)
+                    elif sbuf is not None:
+                        d = D + sbuf[pos]
                     else:
-                        x = pm + ps * z
-                    d0 = x - m0
-                    d1 = x - m1
-                    d = D + (c + q0 * d0 * d0 - q1 * d1 * d1)
+                        x = pm + ps * buf[pos]
+                        d0 = x - m0
+                        d1 = x - m1
+                        d = D + (c + q0 * d0 * d0 - q1 * d1 * d1)
+                    pos += 1
                 if floor <= d <= ceil and rem > 0.0:
                     D = d
                     event = ""

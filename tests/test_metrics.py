@@ -323,12 +323,22 @@ _BAD_COUNTS = {
                         "cycles"),
     "cycles-bool": (lambda models: estimate_por_renewal(_POLICY2, models, True, 0), "cycles"),
     "scenario-horizon-bool": (lambda models: Scenario(models, 1, horizon=True), "horizon"),
+    # a value that is not a real number fails with the same message, not
+    # with the TypeError of a comparison or of float()
+    "trials-str": (lambda models: estimate_wadd(_POLICY2, models, "3", 0), "trials"),
+    "trials-none": (lambda models: estimate_wadd(_POLICY2, models, None, 0), "trials"),
+    "cycles-word": (lambda models: estimate_por_renewal(_POLICY2, models, "abc", 0), "cycles"),
+    "safety-horizon-complex": (lambda models: estimate_arlfa(_POLICY2, models, 2, 0,
+                                                             safety_horizon=3 + 0j),
+                               "safety_horizon"),
+    "scenario-horizon-list": (lambda models: Scenario(models, 1, horizon=[5]), "horizon"),
 }
 
 
 @pytest.mark.parametrize("case", _BAD_COUNTS)
 def test_counts_must_be_integers(models2, case):
-    # a bool is not a count, nor is a fraction: each names its argument
+    # a bool is not a count, nor is a fraction or a string: each names its
+    # argument
     call, name = _BAD_COUNTS[case]
     with pytest.raises(ValueError, match=f"^{name} must be an integer >= "):
         call(models2)

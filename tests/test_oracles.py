@@ -10,15 +10,18 @@ every cycle's steps per source must match exactly.
 
 from __future__ import annotations
 
+import math
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mecusum import PolicyParams, resolve_truncation
+from mecusum import PolicyParams, Scenario, episode_summary, resolve_truncation, run_episode
 from mecusum.densities import llr_from_terms, llr_terms
 from mecusum.metrics import RENEWAL_TAG, _RenewalKernel
-from mecusum.simulate import seed_entropy
+from mecusum.simulate import control_generator, observation_generator, seed_entropy
 from conftest import gaussian_model, obs_for
 from drivers import engine_records, normal_stream
 import straightline
@@ -239,3 +242,92 @@ def test_renewal_kernel_refills_mid_visit():
     ends = starts[1:] + [sum(row[1] for row in oracle)]
     for refill in (16, 16 + 32, 16 + 32 + 64):
         assert any(a < refill < b for a, b in zip(starts, ends)), refill
+
+
+# Unrecorded episodes (episode_summary) add the pre-change LLR increments
+# that the streams score in numpy from their 64-value block on; recorded ones
+# (run_episode) score every observation inline. Change points 48, 49 and 50
+# put the change at a single-level stream's 32 -> 64 block edge, 112 at its
+# 64 -> 128 edge, and 9000 inside the 4096-value blocks.
+_MODELS3 = (gaussian_model(1, 0.5), gaussian_model(2, 0.75), gaussian_model(3, 1.0))
+_SCORED_POLICIES = {
+    "cusum": PolicyParams(m=1, A=7.0),
+    "2e": PolicyParams(m=2, A=7.0, scales={2: 1.0}, budgets={1: 2}),
+    "3e": PolicyParams(m=3, A=7.0, scales={2: 1.0, 3: 1.5}, budgets={1: 2, 2: 3}),
+    "de2e": PolicyParams(m=2, A=7.0, scales={1: 1.0, 2: 1.0}, budgets={0: 3, 1: 2},
+                         mu=0.1, data_efficient=True),
+    "truncated": PolicyParams(m=2, A=7.0, scales={2: 1.0}, budgets={1: 2},
+                              top_truncation=4000.5),
+    "fractional": PolicyParams(m=3, A=7.0, scales={2: 2.0, 3: 1.0},
+                               budgets={1: 2.5, 2: 1.3}),
+}
+_SCORED_CHANGES = (1, 48, 49, 50, 112, 9000, math.inf)
+
+
+def _crosses_into_scored_block(steps, nu):
+    """Whether one visit takes a level's 48th and 49th observations, the
+    last of its stream's 32-value block and the first of its 64-value one,
+    before the change."""
+    drawn = [0] * 4
+    for prev, cur in zip((None,) + steps, steps):
+        drawn[cur.level] += 1
+        if drawn[cur.level] == 49 and cur.level and cur.n < nu and prev.level == cur.level:
+            return True
+    return False
+
+
+@pytest.mark.parametrize("name", _SCORED_POLICIES)
+def test_unrecorded_episodes_match_recorded_ones(name):
+    params = _SCORED_POLICIES[name]
+    models = _MODELS3[:params.m]
+    crossed = False
+    for nu in _SCORED_CHANGES:
+        scenario = Scenario(models, nu, horizon=20_000)
+        for seed in range(3):
+            trace = run_episode(params, scenario, (seed,))
+            summary = episode_summary(params, scenario, (seed,))
+            assert (summary.stopping_time, summary.stop_reason, summary.counts) == \
+                (trace.stopping_time, trace.stop_reason, trace.counts)
+            crossed = crossed or _crosses_into_scored_block(trace.steps, nu)
+    assert crossed
+
+
+def _pre_change(mdl, seed, size):
+    """The observations an episode seeded seed draws from mdl's substream
+    before the change, one per call."""
+    z = iter(observation_generator(seed, mdl.id).standard_normal(size).tolist())
+    return lambda: mdl.pre.mean + mdl.pre.std * next(z)
+
+
+def test_unrecorded_long_episodes_match_the_flat_loops():
+    # long pre-change episodes, in which the engine adds scored increments
+    # from every stream's 64-value block on, against the flat loops fed the
+    # same substreams and the episode's control stream; every one stops at
+    # the threshold, after 268 to 17290 steps
+    horizon = 60_000
+    two = PolicyParams(m=2, A=6.0, scales={2: 1.0}, budgets={1: 2.5})
+    de = PolicyParams(m=2, A=6.0, scales={1: 1.0, 2: 1.0}, budgets={0: 3.5, 1: 2},
+                      mu=0.1, data_efficient=True)
+    stops = []
+    for seed in range(6):
+        scenario = Scenario(MODELS, math.inf, horizon=horizon)
+        cusum = episode_summary(PolicyParams(m=1, A=6.0), Scenario(MODELS[:1], math.inf,
+                                                                   horizon=horizon), seed)
+        assert cusum.stopping_time == straightline.run_cusum(
+            6.0, llr_x, _pre_change(MODELS[0], seed, horizon), max_steps=horizon)
+        stops.append(cusum.stopping_time)
+        for params, flat, args in ((two, straightline.run_2e, (1.0, 2.5)),
+                                   (de, straightline.run_de2e, (1.0, 1.0, 2, 3.5, 0.1))):
+            ctrl = control_generator(seed)
+            got = episode_summary(params, scenario, seed)
+            records, stop, _ = flat(*args, 6.0, llr_y, llr_x,
+                                    _pre_change(MODELS[1], seed, horizon),
+                                    _pre_change(MODELS[0], seed, horizon),
+                                    lambda v: resolve_truncation(v, ctrl),
+                                    max_steps=horizon)
+            counts = Counter(source for _, source, _, _ in records)
+            assert (got.stopping_time, got.counts) == (stop, {j: counts[j] for j in range(3)})
+            stops.append(stop)
+    assert None not in stops
+    # some outlast the 16 + 32 + ... + 4096 = 8176 steps of the block schedule
+    assert sum(n > 8176 for n in stops) >= 4

@@ -37,6 +37,7 @@ from mecusum.simulate import (
     observation_generator,
     seed_entropy,
 )
+from mecusum.engine import _Stream
 from conftest import gaussian_model
 
 
@@ -440,13 +441,35 @@ def test_scored_blocks_are_the_scalar_llrs(pre_mean, pre_std, shift, post_std, s
     s = _RenewalKernel(PolicyParams(m=1, A=3.0), (mdl,), seed).streams[1]
     child = np.random.SeedSequence(seed_entropy(seed) + (RENEWAL_TAG,)).spawn(2)[0]
     z = np.random.Generator(np.random.Philox(child)).standard_normal(8176 + 4096).tolist()
+    # an engine stream, asked to score every block as a pre-change step of
+    # an unrecorded run does, keeps the substream's normals in buf and holds
+    # their increments in sbuf from the 64-value block on; an engine's
+    # control stream, read through random(), never scores
+    eng = _Stream(partial(observation_generator, seed, 1), mdl)
+    normals = observation_generator(seed, 1).standard_normal(8176 + 4096).tolist()
+    ctrl = _Stream(partial(control_generator, seed))
     start = 0
     for size in (16, 32, 64, 128, 256, 512, 1024, 2048, 4096, 4096):
         s.refill()
         assert (s.pos, s.end) == (0, size)
         assert s.buf == [llr_from_terms(mdl.terms, pre_mean + pre_std * v)
                          for v in z[start:start + size]]
+        assert s.sbuf is None
+        eng.refill(True)
+        assert (eng.pos, eng.end) == (0, size)
+        assert eng.buf == normals[start:start + size]
+        assert eng.sbuf == (None if size < 64 else
+                            [llr_from_terms(mdl.terms, pre_mean + pre_std * v)
+                             for v in eng.buf])
+        ctrl.pos = ctrl.end
+        ctrl.random()
+        assert ctrl.end == size and ctrl.sbuf is None
         start += size
+    # unasked, as on a post-change or recorded step, a block is not scored
+    eng.refill()
+    assert eng.buf == observation_generator(seed, 1).standard_normal(
+        start + 4096)[start:].tolist()
+    assert eng.sbuf is None
 
 
 def _general_entropy(seed):
