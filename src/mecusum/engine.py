@@ -215,15 +215,16 @@ class _Stream:
     terms. A scored stream (the renewal kernel's, which reads pre-change
     observations only) holds instead each observation's LLR increment,
     llr_from_terms(terms, pre_mean + pre_std * z), computed per block in
-    numpy (_llrs). An engine observation stream keeps its normals in buf;
-    refill(True), which the engine calls on a pre-change step of a run
-    without record, also fills sbuf with their pre-change LLR increments
-    from the 64-value block on, the same bits as the scalar loop's. Else
-    sbuf is None. A stream without a model draws uniforms, which random()
-    hands out one at a time. On Philox, chunked draws give the same sequence
-    as one large block or as many scalar calls, so the values do not depend
-    on the block sizes. The engine, the RSS loop and the renewal kernel read
-    buf, sbuf, pos and end directly and call refill() at the end of a block.
+    numpy (llrs). An engine observation stream keeps its normals in buf;
+    sbuf, None until then, holds the increments (llrs) of the last block
+    that the engine scored: it scores the blocks from the 64-value one on
+    that a pre-change step of a run without record draws, and reads sbuf
+    only on such steps, so only while it belongs to the current block. A
+    stream without a model draws uniforms, which random() hands out one at
+    a time. On Philox, chunked draws give the same sequence as one large
+    block or as many scalar calls, so the values do not depend on the block
+    sizes. The engine (sbuf too), the RSS loop and the renewal kernel read
+    buf, pos and end directly and call refill() at the end of a block.
     """
 
     __slots__ = ("make_gen", "scored", "draw", "buf", "sbuf", "pos", "end",
@@ -245,26 +246,28 @@ class _Stream:
             self.post_std = model.post.std
             self.terms = model.terms
 
-    def refill(self, score: bool = False) -> None:
-        """Draw the next block; with score, an unscored stream with a model
-        also fills sbuf from the 64-value block on."""
+    def refill(self) -> np.ndarray:
+        """Draw the next block into buf; returns it as drawn, an array."""
         if self.end:
             size = min(2 * self.end, _MAX_BLOCK)
         else:
             # draw(size) gives the next block as an array, chosen once
             gen = self.make_gen()
-            self.draw = gen.random if self.terms is None else gen.standard_normal
+            if self.terms is None:
+                self.draw = gen.random
+            elif self.scored:
+                normals = gen.standard_normal
+                self.draw = lambda size: self.llrs(normals(size))
+            else:
+                self.draw = gen.standard_normal
             size = _FIRST_BLOCK
         block = self.draw(size)
-        self.end = size
-        # plain-float lists: python float arithmetic beats numpy scalars here
-        if self.scored:
-            self.buf = self._llrs(block).tolist()
-            return
+        # plain-float list: python float arithmetic beats numpy scalars here
         self.buf = block.tolist()
-        self.sbuf = self._llrs(block).tolist() if score and size >= _SCORED_BLOCK else None
+        self.end = size
+        return block
 
-    def _llrs(self, z: np.ndarray) -> np.ndarray:
+    def llrs(self, z: np.ndarray) -> np.ndarray:
         """The LLR increments of the pre-change observations of the normals
         z. The operations are those of llr_from_terms, in its order; a
         float64 ufunc rounds each one as a Python float operation does, so
@@ -373,15 +376,14 @@ class _EngineCore:
         visit of the level begins; its stream position is saved back when
         the visit ends.
 
-        A pre-change step of a run without record asks refill() to score
-        the block it starts, and one that reads a scored block (sbuf, from
-        a stream's 64-value block on) adds the precomputed increment, the
-        same bits as scoring x inline. Every other step scores x inline:
-        post-change steps, which test n >= nu first and so pay one
-        comparison, steps on the 16- and 32-value blocks, which a short
-        episode rarely reads to the end, every step of a run with record,
-        which reports x (traces), and step(), whose one-value stream is
-        never refilled.
+        A pre-change step of a run without record scores the block it
+        starts into sbuf (llrs), from a stream's 64-value block on, and one
+        that reads a scored block adds the precomputed increment, the same
+        bits as scoring x inline. Every other step scores x inline:
+        post-change steps, which pay one comparison (n < nu) and no jump,
+        steps on the 16- and 32-value blocks, which a short episode rarely
+        reads to the end, and every step of a run with record, which reports
+        x (traces). step() runs its one step as post-change.
         """
         if self.stopped:
             return ""
@@ -408,7 +410,9 @@ class _EngineCore:
             ceil = A if top else floors[lvl + 1]
             if not idle:
                 s = streams[lvl]
-                buf, sbuf, pos, end = s.buf, s.sbuf, s.pos, s.end
+                # a 3-name unpack swaps on the stack; a 4-name one builds a tuple
+                buf, pos, end = s.buf, s.pos, s.end
+                sbuf = s.sbuf
                 pm, ps, qm, qs = s.pre_mean, s.pre_std, s.post_mean, s.post_std
                 c, q0, m0, q1, m1 = s.terms
             new = lvl
@@ -421,20 +425,25 @@ class _EngineCore:
                     d = D + mu
                 else:
                     if pos == end:
+                        block = s.refill()
+                        buf, end, pos = s.buf, s.end, 0
                         # a block started before the change, in a run that
-                        # reports no x, is scored from the 64-value block on
-                        s.refill(n < nu and record is None)
-                        buf, sbuf, end, pos = s.buf, s.sbuf, s.end, 0
-                    # post-change first: those steps pay one comparison
-                    if n >= nu:
-                        x = qm + qs * buf[pos]
-                        d0 = x - m0
-                        d1 = x - m1
-                        d = D + (c + q0 * d0 * d0 - q1 * d1 * d1)
-                    elif sbuf is not None:
-                        d = D + sbuf[pos]
+                        # reports no x, is scored from the 64-value block on;
+                        # after the change sbuf is stale, and never read
+                        if n < nu and record is None and end >= _SCORED_BLOCK:
+                            sbuf = s.sbuf = s.llrs(block).tolist()
+                    if n < nu:
+                        if sbuf is not None:
+                            d = D + sbuf[pos]
+                        else:
+                            x = pm + ps * buf[pos]
+                            d0 = x - m0
+                            d1 = x - m1
+                            d = D + (c + q0 * d0 * d0 - q1 * d1 * d1)
                     else:
-                        x = pm + ps * buf[pos]
+                        # post-change last, so it falls through: one
+                        # comparison and no jump per step
+                        x = qm + qs * buf[pos]
                         d0 = x - m0
                         d1 = x - m1
                         d = D + (c + q0 * d0 * d0 - q1 * d1 * d1)
@@ -529,9 +538,11 @@ class _EngineCore:
 
 def _observed(x: float | None, terms: tuple | None) -> _Stream:
     """A stream that holds the one value x, with a level's LLR terms: with
-    mean 0.0 and std 1.0, the engine reads 0.0 + 1.0 * x, which is x."""
-    s = _Stream(None)
-    s.buf, s.end, s.terms = [x], 1, terms
+    mean 0.0 and std 1.0, the engine reads 0.0 + 1.0 * x, which is x. It is
+    never refilled, so it skips __init__ and sets only the slots run() reads:
+    step() builds one per call."""
+    s = _Stream.__new__(_Stream)
+    s.buf, s.sbuf, s.pos, s.end, s.terms = [x], None, 0, 1, terms
     s.pre_mean = s.post_mean = 0.0
     s.pre_std = s.post_std = 1.0
     return s
@@ -596,7 +607,9 @@ def step(
             raise ValueError(f"observation must be finite, got {observation}")
         observation = float(observation)
     obs = _observed(observation, None if level == 0 else by_id[level].terms)
-    event = core.run([obs] * (m + 1), math.inf, state.time + 1)
+    # obs reads x before and after the change alike, so the step runs as
+    # post-change (nu = 0): it pays the one comparison and never reads sbuf
+    event = core.run([obs] * (m + 1), 0, state.time + 1)
     # the levels above the starting one are as the state had them
     new_state = core.snapshot(state.stack[:m - level])
     return StepResult(new_state, event, STOP if core.stopped else _action(core.level))

@@ -245,10 +245,10 @@ def test_renewal_kernel_refills_mid_visit():
 
 
 # Unrecorded episodes (episode_summary) add the pre-change LLR increments
-# that the streams score in numpy from their 64-value block on; recorded ones
-# (run_episode) score every observation inline. Change points 48, 49 and 50
-# put the change at a single-level stream's 32 -> 64 block edge, 112 at its
-# 64 -> 128 edge, and 9000 inside the 4096-value blocks.
+# that the engine scores in numpy from a stream's 64-value block on;
+# recorded ones (run_episode) score every observation inline. Change points
+# 48, 49 and 50 put the change at a single-level stream's 32 -> 64 block
+# edge, 112 at its 64 -> 128 edge, and 9000 inside the 4096-value blocks.
 _MODELS3 = (gaussian_model(1, 0.5), gaussian_model(2, 0.75), gaussian_model(3, 1.0))
 _SCORED_POLICIES = {
     "cusum": PolicyParams(m=1, A=7.0),

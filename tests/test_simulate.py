@@ -37,7 +37,7 @@ from mecusum.simulate import (
     observation_generator,
     seed_entropy,
 )
-from mecusum.engine import _Stream
+from mecusum.engine import _EngineCore, _Stream
 from conftest import gaussian_model
 
 
@@ -441,10 +441,10 @@ def test_scored_blocks_are_the_scalar_llrs(pre_mean, pre_std, shift, post_std, s
     s = _RenewalKernel(PolicyParams(m=1, A=3.0), (mdl,), seed).streams[1]
     child = np.random.SeedSequence(seed_entropy(seed) + (RENEWAL_TAG,)).spawn(2)[0]
     z = np.random.Generator(np.random.Philox(child)).standard_normal(8176 + 4096).tolist()
-    # an engine stream, asked to score every block as a pre-change step of
-    # an unrecorded run does, keeps the substream's normals in buf and holds
-    # their increments in sbuf from the 64-value block on; an engine's
-    # control stream, read through random(), never scores
+    # an engine stream keeps the substream's normals in buf and scores a
+    # block it returns (llrs) to the same bits; the engine's scoring (sbuf)
+    # is checked across block edges in tests/test_oracles.py. No stream
+    # sets sbuf itself: not the kernel's, an engine's or a control stream
     eng = _Stream(partial(observation_generator, seed, 1), mdl)
     normals = observation_generator(seed, 1).standard_normal(8176 + 4096).tolist()
     ctrl = _Stream(partial(control_generator, seed))
@@ -454,22 +454,29 @@ def test_scored_blocks_are_the_scalar_llrs(pre_mean, pre_std, shift, post_std, s
         assert (s.pos, s.end) == (0, size)
         assert s.buf == [llr_from_terms(mdl.terms, pre_mean + pre_std * v)
                          for v in z[start:start + size]]
-        assert s.sbuf is None
-        eng.refill(True)
+        block = eng.refill()
         assert (eng.pos, eng.end) == (0, size)
-        assert eng.buf == normals[start:start + size]
-        assert eng.sbuf == (None if size < 64 else
-                            [llr_from_terms(mdl.terms, pre_mean + pre_std * v)
-                             for v in eng.buf])
+        assert eng.buf == block.tolist() == normals[start:start + size]
+        assert eng.llrs(block).tolist() == [llr_from_terms(mdl.terms, pre_mean + pre_std * v)
+                                            for v in eng.buf]
         ctrl.pos = ctrl.end
         ctrl.random()
-        assert ctrl.end == size and ctrl.sbuf is None
+        assert ctrl.end == size
+        assert s.sbuf is eng.sbuf is ctrl.sbuf is None
         start += size
-    # unasked, as on a post-change or recorded step, a block is not scored
-    eng.refill()
-    assert eng.buf == observation_generator(seed, 1).standard_normal(
-        start + 4096)[start:].tolist()
-    assert eng.sbuf is None
+    # a pre-change run without record scores the blocks it draws from the
+    # 64-value one on into sbuf; a recorded run never scores. A cusum with
+    # A = inf never stops, so each horizon below ends one step into a block
+    unrec, rec = (_Stream(partial(observation_generator, seed, 1), mdl) for _ in range(2))
+    core, traced = _EngineCore(PolicyParams(m=1, A=math.inf)), _EngineCore(PolicyParams(m=1, A=math.inf))
+    for horizon, size in ((1, 16), (17, 32), (49, 64), (113, 128), (241, 256)):
+        core.run([None, unrec], math.inf, horizon)
+        traced.run([None, rec], math.inf, horizon, lambda *step: None)
+        assert unrec.end == rec.end == size
+        assert unrec.buf == rec.buf
+        assert unrec.sbuf == (None if size < 64 else
+                              [llr_from_terms(mdl.terms, pre_mean + pre_std * v) for v in unrec.buf])
+        assert rec.sbuf is None
 
 
 def _general_entropy(seed):
