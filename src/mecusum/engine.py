@@ -247,21 +247,17 @@ class _Stream:
             self.terms = model.terms
 
     def refill(self) -> np.ndarray:
-        """Draw the next block into buf; returns it as drawn, an array."""
+        """Draw the next block into buf and return it as an array."""
         if self.end:
             size = min(2 * self.end, _MAX_BLOCK)
         else:
             # draw(size) gives the next block as an array, chosen once
             gen = self.make_gen()
-            if self.terms is None:
-                self.draw = gen.random
-            elif self.scored:
-                normals = gen.standard_normal
-                self.draw = lambda size: self.llrs(normals(size))
-            else:
-                self.draw = gen.standard_normal
+            self.draw = gen.random if self.terms is None else gen.standard_normal
             size = _FIRST_BLOCK
         block = self.draw(size)
+        if self.scored:
+            block = self.llrs(block)
         # plain-float list: python float arithmetic beats numpy scalars here
         self.buf = block.tolist()
         self.end = size
