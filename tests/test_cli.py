@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 
@@ -654,3 +655,66 @@ def test_gamma_override_rethresholds_policy(tmp_path):
     comment = out.read_text().splitlines()[0]
     embedded = json.loads(comment[len("# config: "):])
     assert embedded["policy"]["A"] == math.log(50.0)
+
+
+# Fixed-seed artifacts stay byte-identical across changes that keep the
+# numbers: the sha256 of each command's stdout, per config. The traces at
+# change points 40 and 200 each have a level-1 visit that spans the change.
+ARTIFACT_CONFIGS = {
+    "me-cusum": {
+        "scenario": scenario_dict(2, change_point=40),
+        "policy": {"variant": "me-cusum", "gamma": 1000.0, "budgets": {"1": 2.5}},
+        "simulation": {"trials": 12, "seed": 21, "horizon": 10_000},
+    },
+    "de-me-cusum": {
+        "scenario": scenario_dict(3, change_point=200),
+        "policy": {"variant": "de-me-cusum", "gamma": 1000.0,
+                   "budgets": {"0": 4, "1": 3, "2": 2.5}, "mu": 0.1},
+        "simulation": {"trials": 8, "seed": 22, "horizon": 10_000},
+    },
+    "rss": {
+        "scenario": scenario_dict(2, change_point=70),
+        "policy": {"variant": "rss", "gamma": 1000.0, "p_hi": 0.5},
+        "simulation": {"trials": 12, "seed": 23, "horizon": 10_000},
+        "tradeoff": {"gammas": [10.0, 100.0], "policies": [
+            {"label": "rss", "variant": "rss", "p_hi": 0.5},
+            {"label": "pair", "variant": "me-cusum", "budgets": {"1": 2.5}},
+        ]},
+    },
+}
+ARTIFACT_COMMANDS = (("trace",), ("evaluate", "arlfa"), ("evaluate", "wadd"),
+                     ("evaluate", "por"), ("tradeoff",))
+ARTIFACT_DIGESTS = {
+    "me-cusum": {
+        "trace": "cb8164026351eda719f2b4de9acd114b744566718d8b7f780a96d8328f42f808",
+        "evaluate arlfa": "e26da284eb75bbf044ecf997de9596960d26d9c1307bc625a23f009cc0d93118",
+        "evaluate wadd": "bb3910c40e626394c5aa26499840b32efa3a5502cdf7a98d475292a41e82db32",
+        "evaluate por": "e95f6bcd9ce0906e6c16b3a7e307688ececd7b86d885faeee380fe83cb4ef416",
+    },
+    "de-me-cusum": {
+        "trace": "4ae76d2ed3092f58339fe136dd0c647e575cd1b06d2ca2326a122b4faffe08c8",
+        "evaluate arlfa": "5f2d6a7416e1cba5ae08b53f2aa34e943fdd4c1192c4fa5075ec8a0390c5b15c",
+        "evaluate wadd": "ad6724d0cd9b229af87a96a0c29cae6b45ff11b865f8da03bc357e7beac2d919",
+        "evaluate por": "f0e8f81f42dc2054e2c36b7969442a6522de3b2070c96fc973ec8a67ea83469c",
+    },
+    "rss": {
+        "trace": "6b2db738610acd399543c1a4c263ae3eb3db8fe0a4158541ed10713bdc6296cd",
+        "evaluate arlfa": "e34fdb412ce4fbca46f68b1cfafd75a6d4f4fb2f4e59a5973ab0a5242e861337",
+        "evaluate wadd": "02e3b99651101c8401d212018f30a18f2d9a6eff6de2a89e4fda0f24f6793c9d",
+        "evaluate por": "42315065767a42f050925eb281b80365abd559b9840d39978088859c78092c52",
+        "tradeoff": "2ddf5d43a8882a8daad3dd6d73974148da55d3381751c99a22a68672a0676074",
+    },
+}
+
+
+@pytest.mark.parametrize("name", list(ARTIFACT_CONFIGS))
+def test_fixed_seed_artifacts_are_pinned(tmp_path, capsys, name):
+    path = write_config(tmp_path, ARTIFACT_CONFIGS[name])
+    digests = {}
+    for command in ARTIFACT_COMMANDS:
+        if command == ("tradeoff",) and "tradeoff" not in ARTIFACT_CONFIGS[name]:
+            continue
+        assert main([*command, "--config", path]) == 0
+        out = capsys.readouterr().out
+        digests[" ".join(command)] = hashlib.sha256(out.encode()).hexdigest()
+    assert digests == ARTIFACT_DIGESTS[name]
