@@ -12,21 +12,21 @@ traces and the public step() all advance the policy state through it. It is
 one flat loop over locals, with the observation draw, the log-likelihood
 ratio and the level changes written inline; the tables it reads (each
 model's LLR terms, each level's integer budget) are built once, on the frozen
-ExperimentModel and PolicyParams. The RSS baseline has its own loop: the
-public run_rss, fed by callbacks, is the reference for the private locals
-loop that simulated RSS episodes run (simulate._run_rss). All of them report
-each step to record(n, experiment, x, statistic, event). The core takes no
-models (its streams carry their LLR terms); callers check them.
+ExperimentModel and PolicyParams. An episode runs its pre-change steps,
+then its post-change steps, as two runs. The RSS baseline has its own loop:
+the public run_rss, fed by callbacks, is the reference for the private
+locals loop that simulated RSS episodes run (simulate._run_rss). All of them
+report each step to record(n, experiment, x, statistic, event). The core
+takes no models (its streams carry their LLR terms); callers check them.
 
 Every random value a loop reads comes through one buffered class, _Stream:
 an experiment's standard normals, an episode's control coins, and the
 renewal kernel's budget coins and scored observations (each one's LLR
 increment, computed per block in numpy), each drawn in blocks of 16, 32,
-..., 4096. From an experiment stream's 64-value block on, an unrecorded
-episode's pre-change steps add increments scored in numpy as well (sbuf),
-so a long pre-change run pays one addition per step for its LLR. Scoring
-in numpy follows llr_from_terms's operations in order, so every path gives
-the same bits.
+..., 4096. A pre-change run that records nothing scores its experiment
+streams' blocks in numpy as well (sbuf), so a long pre-change run pays one
+addition per step for its LLR. Scoring in numpy follows llr_from_terms's
+operations in order, so every path gives the same bits.
 """
 
 from __future__ import annotations
@@ -34,6 +34,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
+from numbers import Real
 from typing import Callable, Sequence
 
 import numpy as np
@@ -199,9 +200,6 @@ def resolve_truncation(budget: float, rng: np.random.Generator | None = None) ->
 # a ~15-step detection episode draws 16 values per stream, not 4096.
 _FIRST_BLOCK = 16
 _MAX_BLOCK = 4096
-# an engine stream scores its blocks from the third (64 values) on: a block
-# scored in numpy pays only when about 20 or more of its values are read
-_SCORED_BLOCK = 64
 
 
 class _Stream:
@@ -217,14 +215,14 @@ class _Stream:
     llr_from_terms(terms, pre_mean + pre_std * z), computed per block in
     numpy (llrs). An engine observation stream keeps its normals in buf;
     sbuf, None until then, holds the increments (llrs) of the last block
-    that the engine scored: it scores the blocks from the 64-value one on
-    that a pre-change step of a run without record draws, and reads sbuf
-    only on such steps, so only while it belongs to the current block. A
-    stream without a model draws uniforms, which random() hands out one at
-    a time. On Philox, chunked draws give the same sequence as one large
-    block or as many scalar calls, so the values do not depend on the block
-    sizes. The engine (sbuf too), the RSS loop and the renewal kernel read
-    buf, pos and end directly and call refill() at the end of a block.
+    that a pre-change run without record drew. Only pre-change runs read
+    it, and an episode's streams see one pre-change run, before any other,
+    so while read it belongs to the current block. A stream without a model
+    draws uniforms, which random() hands out one at a time. On Philox,
+    chunked draws give the same sequence as one large block or as many
+    scalar calls, so the values do not depend on the block sizes. The
+    engine (sbuf too), the RSS loop and the renewal kernel read buf, pos
+    and end directly and call refill() at the end of a block.
     """
 
     __slots__ = ("make_gen", "scored", "draw", "buf", "sbuf", "pos", "end",
@@ -350,44 +348,41 @@ class _EngineCore:
     def run(
         self,
         streams: Sequence[object | None],
-        nu: float,
+        post: bool,
         horizon: int,
         record: Callable[[int, int, float | None, float, str], None] | None = None,
     ) -> str:
-        """Take steps until a stop or until the time reaches horizon.
+        """Take steps of one regime until a stop or until the time reaches
+        horizon: an episode runs its pre-change steps (post False), then its
+        post-change ones, on one core.
 
         streams[j] is level j's _Stream of standard normals: buf[pos:end],
-        refill() for the next block, the pre- and post-change means and stds
-        that map a normal z to the observation mean + std * z (step n is
-        post-change when n >= nu), and the model's LLR terms. rng, a
-        _Stream of uniforms in an episode, resolves fractional budgets.
-        counts[j] counts the steps taken at level j (0 is idle). record, when
-        given, gets (n, level, x, statistic, event) after every step, with x
-        None at the idle level. Returns the last step's event ("" when no step
-        was taken).
+        refill() for the next block, each regime's mean and std that map a
+        normal z to the observation mean + std * z, and the model's LLR
+        terms. rng, a _Stream of uniforms in an episode, resolves fractional
+        budgets. counts[j] counts the steps taken at level j (0 is idle).
+        record, when given, gets (n, level, x, statistic, event) after every
+        step, with x None at the idle level. Returns the last step's event
+        ("" when no step was taken).
 
         The state lives in locals while the loop runs and is saved back at
-        the end. The active level's stream, LLR constants, floor and ceiling
-        (the parent floor, or A at the top) are loaded into locals when a
-        visit of the level begins; its stream position is saved back when
-        the visit ends.
+        the end. The active level's stream, regime mean and std, LLR
+        constants, floor and ceiling (the parent floor, or A at the top) are
+        loaded into locals when a visit of the level begins; its budget,
+        step count and stream position are saved back when the visit or the
+        run ends, and the next run resumes the visit.
 
-        A pre-change step of a run without record scores the block it
-        starts into sbuf (llrs), from a stream's 64-value block on, and one
-        that reads a scored block adds the precomputed increment, the same
-        bits as scoring x inline. Every other step scores x inline:
-        post-change steps, which pay one comparison (n < nu) and no jump,
-        steps on the 16- and 32-value blocks, which a short episode rarely
-        reads to the end, and every step of a run with record, which reports
-        x (traces). step() runs its one step as post-change.
+        A pre-change run without record scores each block it draws into
+        sbuf (llrs) and adds the precomputed increments, the same bits as
+        scoring x inline; it reads the sbuf its streams hold, so it comes
+        before any other run on them. Other runs score x inline.
         """
         if self.stopped:
             return ""
         m, A, de, mu = self.m, self.A, self.de, self.mu
         a, N, fixed, rng = self.a, self.N, self.fixed, self.rng
         floors, remaining, counts = self.floors, self.remaining, self.counts
-        if nu > horizon:
-            nu = horizon + 1  # an int, which compares faster than inf
+        score = not post and record is None
         D = self.D
         lvl = self.level
         n = self.time
@@ -408,8 +403,10 @@ class _EngineCore:
                 s = streams[lvl]
                 # a 3-name unpack swaps on the stack; a 4-name one builds a tuple
                 buf, pos, end = s.buf, s.pos, s.end
-                sbuf = s.sbuf
-                pm, ps, qm, qs = s.pre_mean, s.pre_std, s.post_mean, s.post_std
+                if post:
+                    sbuf, mean, std = None, s.post_mean, s.post_std
+                else:
+                    sbuf, mean, std = s.sbuf, s.pre_mean, s.pre_std
                 c, q0, m0, q1, m1 = s.terms
             new = lvl
             while n < horizon:
@@ -423,23 +420,12 @@ class _EngineCore:
                     if pos == end:
                         block = s.refill()
                         buf, end, pos = s.buf, s.end, 0
-                        # a block started before the change, in a run that
-                        # reports no x, is scored from the 64-value block on;
-                        # after the change sbuf is stale, and never read
-                        if n < nu and record is None and end >= _SCORED_BLOCK:
+                        if score:
                             sbuf = s.sbuf = s.llrs(block).tolist()
-                    if n < nu:
-                        if sbuf is not None:
-                            d = D + sbuf[pos]
-                        else:
-                            x = pm + ps * buf[pos]
-                            d0 = x - m0
-                            d1 = x - m1
-                            d = D + (c + q0 * d0 * d0 - q1 * d1 * d1)
+                    if sbuf is not None:
+                        d = D + sbuf[pos]
                     else:
-                        # post-change last, so it falls through: one
-                        # comparison and no jump per step
-                        x = qm + qs * buf[pos]
+                        x = mean + std * buf[pos]
                         d0 = x - m0
                         d1 = x - m1
                         d = D + (c + q0 * d0 * d0 - q1 * d1 * d1)
@@ -534,13 +520,12 @@ class _EngineCore:
 
 def _observed(x: float | None, terms: tuple | None) -> _Stream:
     """A stream that holds the one value x, with a level's LLR terms: with
-    mean 0.0 and std 1.0, the engine reads 0.0 + 1.0 * x, which is x. It is
-    never refilled, so it skips __init__ and sets only the slots run() reads:
-    step() builds one per call."""
+    post-change mean 0.0 and std 1.0, a post-change run reads 0.0 + 1.0 * x,
+    which is x. It is never refilled, so it skips __init__ and sets only the
+    slots a post-change run reads: step() builds one per call."""
     s = _Stream.__new__(_Stream)
-    s.buf, s.sbuf, s.pos, s.end, s.terms = [x], None, 0, 1, terms
-    s.pre_mean = s.post_mean = 0.0
-    s.pre_std = s.post_std = 1.0
+    s.buf, s.pos, s.end, s.terms = [x], 0, 1, terms
+    s.post_mean, s.post_std = 0.0, 1.0
     return s
 
 
@@ -599,13 +584,17 @@ def step(
     else:
         if observation is None:
             raise ValueError(f"level {level} requires an observation")
-        if not math.isfinite(observation):
-            raise ValueError(f"observation must be finite, got {observation}")
+        # a bool is not an observation, though float(True) is 1.0; a float
+        # skips the isinstance tests (an ABC check costs about 0.4 us)
+        if (type(observation) is not float
+                and (isinstance(observation, bool) or not isinstance(observation, Real))
+                or not math.isfinite(observation)):
+            raise ValueError(f"observation must be a finite real number, got {observation!r}")
         observation = float(observation)
     obs = _observed(observation, None if level == 0 else by_id[level].terms)
-    # obs reads x before and after the change alike, so the step runs as
-    # post-change (nu = 0): it pays the one comparison and never reads sbuf
-    event = core.run([obs] * (m + 1), 0, state.time + 1)
+    # obs maps its normal to x in the post-change regime, which scores x
+    # inline: the step reads x, whichever side of a change it is on
+    event = core.run([obs] * (m + 1), True, state.time + 1)
     # the levels above the starting one are as the state had them
     new_state = core.snapshot(state.stack[:m - level])
     return StepResult(new_state, event, STOP if core.stopped else _action(core.level))

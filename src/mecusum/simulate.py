@@ -3,9 +3,10 @@
 Observations for each experiment come from their own counter-based substream,
 so trials are reproducible and order-independent: the stream for experiment i
 in a run seeded s is Philox keyed by (s..., OBS_STREAM_TAG, i), and all coin
-flips and budget resolutions draw from a separate control stream. Regime
-switching (pre to post change) only remaps the buffered standard normals, so
-it never perturbs stream alignment.
+flips and budget resolutions draw from a separate control stream. The
+change point ends one run and starts the next: steps before nu map the
+buffered standard normals through the pre-change densities, the rest through
+the post-change ones, so the change never perturbs stream alignment.
 
 Every stream is an engine._Stream, read in blocks that grow from 16 values,
 and its generator is built on its first draw. The engine takes the control
@@ -356,7 +357,10 @@ def _drive(params, scenario, entropy, record=None, make_gen=None):
         stopping_time, counts = _run_rss(params, streams, ctrl, nu, horizon, on_step)
         return stopping_time, None if stopping_time is None else "threshold", counts
     core = _EngineCore(params, ctrl)
-    core.run(streams, nu, horizon, on_step)
+    # the change point ends one run and starts the next on the same core
+    if nu > 1:
+        core.run(streams, False, min(nu - 1, horizon), on_step)
+    core.run(streams, True, horizon, on_step)
     stopping_time = core.time if core.stopped else None
     return stopping_time, core.stop_reason, dict(enumerate(core.counts))
 
@@ -369,57 +373,56 @@ def _run_rss(params, streams, ctrl, nu, horizon, record=None):
     observations (post-change from step nu on) and ctrl.random(), as one
     loop over locals, like _EngineCore.run: each experiment's stream and
     LLR terms live in locals (lo for experiment 1, hi for 2), and so does
-    the control stream's block of coins. Every step n >= 2 takes a coin,
-    whatever p_hi is.
+    the control stream's block of coins. It runs the pre-change steps, then
+    the post-change ones, with that regime's means and stds in locals.
+    Every step n >= 2 takes a coin, whatever p_hi is.
     """
     A, p_hi = params.A, params.p_hi
-    if nu > horizon:
-        nu = horizon + 1  # an int, which compares faster than inf
     lo, hi = streams[1], streams[2]
     lbuf, lpos, lend = lo.buf, lo.pos, lo.end
-    lpm, lps, lqm, lqs = lo.pre_mean, lo.pre_std, lo.post_mean, lo.post_std
     lc, lq0, lm0, lq1, lm1 = lo.terms
     hbuf, hpos, hend = hi.buf, hi.pos, hi.end
-    hpm, hps, hqm, hqs = hi.pre_mean, hi.pre_std, hi.post_mean, hi.post_std
     hc, hq0, hm0, hq1, hm1 = hi.terms
     # step 1 takes experiment 2 without a coin: a coin of -inf stands in
     coins, cpos, cend = [-math.inf], 0, 1
     d = 0.0
     n = lows = 0
-    while n < horizon:
-        n += 1
-        if cpos == cend:
-            ctrl.refill()
-            coins, cend, cpos = ctrl.buf, ctrl.end, 0
-        up = coins[cpos] < p_hi
-        cpos += 1
-        if up:
-            if hpos == hend:
-                hi.refill()
-                hbuf, hend, hpos = hi.buf, hi.end, 0
-            z = hbuf[hpos]
-            hpos += 1
-            x = hqm + hqs * z if n >= nu else hpm + hps * z
-            d0 = x - hm0
-            d1 = x - hm1
-            d += hc + hq0 * d0 * d0 - hq1 * d1 * d1
-        else:
-            lows += 1
-            if lpos == lend:
-                lo.refill()
-                lbuf, lend, lpos = lo.buf, lo.end, 0
-            z = lbuf[lpos]
-            lpos += 1
-            x = lqm + lqs * z if n >= nu else lpm + lps * z
-            d0 = x - lm0
-            d1 = x - lm1
-            d += lc + lq0 * d0 * d0 - lq1 * d1 * d1
-        if d < 0.0:  # max(d, 0.0), as run_rss reflects
-            d = 0.0
-        if d >= A:
+    for stop, lm, ls, hm, hs in (
+        (min(nu - 1, horizon), lo.pre_mean, lo.pre_std, hi.pre_mean, hi.pre_std),
+        (horizon, lo.post_mean, lo.post_std, hi.post_mean, hi.post_std),
+    ):
+        while n < stop:
+            n += 1
+            if cpos == cend:
+                ctrl.refill()
+                coins, cend, cpos = ctrl.buf, ctrl.end, 0
+            up = coins[cpos] < p_hi
+            cpos += 1
+            if up:
+                if hpos == hend:
+                    hi.refill()
+                    hbuf, hend, hpos = hi.buf, hi.end, 0
+                x = hm + hs * hbuf[hpos]
+                hpos += 1
+                d0 = x - hm0
+                d1 = x - hm1
+                d += hc + hq0 * d0 * d0 - hq1 * d1 * d1
+            else:
+                lows += 1
+                if lpos == lend:
+                    lo.refill()
+                    lbuf, lend, lpos = lo.buf, lo.end, 0
+                x = lm + ls * lbuf[lpos]
+                lpos += 1
+                d0 = x - lm0
+                d1 = x - lm1
+                d += lc + lq0 * d0 * d0 - lq1 * d1 * d1
+            if d < 0.0:  # max(d, 0.0), as run_rss reflects
+                d = 0.0
+            if d >= A:
+                if record is not None:
+                    record(n, 2 if up else 1, x, d, "stop")
+                return n, {0: 0, 1: lows, 2: n - lows}
             if record is not None:
-                record(n, 2 if up else 1, x, d, "stop")
-            return n, {0: 0, 1: lows, 2: n - lows}
-        if record is not None:
-            record(n, 2 if up else 1, x, d, "")
+                record(n, 2 if up else 1, x, d, "")
     return None, {0: 0, 1: lows, 2: n - lows}

@@ -30,7 +30,7 @@ def run_2e(a_y, n_x, threshold, llr_y, llr_x, next_y, next_x, resolve,
     """Two-experiment scheme, optionally truncated at the top level.
 
     Returns (records, stopping_time, reason); stopping_time is None if
-    max_steps ran out first.
+    max_steps ran out first, at whatever level the episode was.
     """
     records = []
     n = 0
@@ -67,6 +67,8 @@ def run_2e(a_y, n_x, threshold, llr_y, llr_x, next_y, next_x, resolve,
         records.append((n, 2, x, d))
         used = 0
         while True:
+            if n == max_steps:
+                return records, None, "max-steps"
             x = next_x()
             n += 1
             d = max(d + llr_x(x), b)
@@ -81,7 +83,9 @@ def run_2e(a_y, n_x, threshold, llr_y, llr_x, next_y, next_x, resolve,
 
 def run_de2e(a_y, a_x, n_x, n_0, mu, threshold, llr_y, llr_x, next_y, next_x,
              resolve, max_steps=10_000_000):
-    """Data-efficient two-experiment scheme: idle phase below the bottom level."""
+    """Data-efficient two-experiment scheme: idle phase below the bottom level.
+
+    Returns what run_2e returns, with max_steps cutting any phase."""
     records = []
     n = 0
     d = 0.0
@@ -105,6 +109,8 @@ def run_de2e(a_y, a_x, n_x, n_0, mu, threshold, llr_y, llr_x, next_y, next_x,
         records.append((n, 2, x, d))
         used1 = 0
         while True:
+            if n == max_steps:
+                return records, None, "max-steps"
             x = next_x()
             n += 1
             d = d + llr_x(x)  # no reflection: may keep falling into the idle phase
@@ -128,6 +134,8 @@ def run_de2e(a_y, a_x, n_x, n_0, mu, threshold, llr_y, llr_x, next_y, next_x,
                 records.append((n, 1, x, d))
                 used0 = 0
                 while True:
+                    if n == max_steps:
+                        return records, None, "max-steps"
                     n += 1
                     d = d + mu
                     used0 += 1

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -285,7 +286,7 @@ def test_step_snapshot_equals_one_built_fresh(models3):
     def fresh(state, x):
         core = _EngineCore(params, None, state)
         terms = models3[state.stack[-1].level - 1].terms
-        core.run([_observed(x, terms)] * 4, math.inf, state.time + 1)
+        core.run([_observed(x, terms)] * 4, True, state.time + 1)
         return core.snapshot()
 
     state = init(params)
@@ -378,8 +379,14 @@ def test_step_observation_contract(models2):
     state = init(params)
     with pytest.raises(ValueError):
         step(state, params, models2, None)
-    with pytest.raises(ValueError):
-        step(state, params, models2, math.inf)
+    # a bool or a string is named, not read as 1.0 or left to float()
+    for bad in (math.inf, math.nan, True, np.bool_(True), "1.5", np.array(1.0)):
+        with pytest.raises(ValueError, match="observation must be a finite real number"):
+            step(state, params, models2, bad)
+    # any other real number is an observation
+    assert (step(state, params, models2, np.float32(0.5)).state
+            == step(state, params, models2, Fraction(1, 2)).state
+            == step(state, params, models2, 0.5).state)
     r = step(state, params, models2, obs_for(models2[1], -0.8))
     r = step(r.state, params, models2, obs_for(models2[0], -0.7))
     assert r.action == Action("idle")

@@ -245,10 +245,10 @@ def test_renewal_kernel_refills_mid_visit():
 
 
 # Unrecorded episodes (episode_summary) add the pre-change LLR increments
-# that the engine scores in numpy from a stream's 64-value block on;
-# recorded ones (run_episode) score every observation inline. Change points
-# 48, 49 and 50 put the change at a single-level stream's 32 -> 64 block
-# edge, 112 at its 64 -> 128 edge, and 9000 inside the 4096-value blocks.
+# that the engine scores per block in numpy; recorded ones (run_episode)
+# score every observation inline. Change points 48, 49 and 50 put the change
+# at a single-level stream's 32 -> 64 block edge, 112 at its 64 -> 128 edge,
+# and 9000 inside the 4096-value blocks.
 _MODELS3 = (gaussian_model(1, 0.5), gaussian_model(2, 0.75), gaussian_model(3, 1.0))
 _SCORED_POLICIES = {
     "cusum": PolicyParams(m=1, A=7.0),
@@ -267,7 +267,7 @@ _SCORED_CHANGES = (1, 48, 49, 50, 112, 9000, math.inf)
 def _crosses_into_scored_block(steps, nu):
     """Whether one visit takes a level's 48th and 49th observations, the
     last of its stream's 32-value block and the first of its 64-value one,
-    before the change."""
+    before the change: a scored block drawn in mid-visit."""
     drawn = [0] * 4
     for prev, cur in zip((None,) + steps, steps):
         drawn[cur.level] += 1
@@ -292,42 +292,113 @@ def test_unrecorded_episodes_match_recorded_ones(name):
     assert crossed
 
 
-def _pre_change(mdl, seed, size):
-    """The observations an episode seeded seed draws from mdl's substream
-    before the change, one per call."""
+def _observations(mdl, seed, size, nu=math.inf, calls=None):
+    """The observations an episode seeded seed draws from mdl's substream,
+    one per call: pre-change before step nu, post-change from nu on.
+    calls[0], shared by the experiments of one episode, counts the calls,
+    which is the step n when every step draws."""
     z = iter(observation_generator(seed, mdl.id).standard_normal(size).tolist())
-    return lambda: mdl.pre.mean + mdl.pre.std * next(z)
+    calls = calls or [0]
+
+    def draw():
+        calls[0] += 1
+        density = mdl.post if calls[0] >= nu else mdl.pre
+        return density.mean + density.std * next(z)
+    return draw
+
+
+def _long_episodes(seed, A, horizon):
+    """Pre-change cusum, 2e and de2e episodes seeded seed, with threshold A
+    and the horizon, each as (engine summary, flat stopping time, flat
+    records or None for cusum). The flat loops draw from the same substreams
+    and resolve budgets from the episode's control stream."""
+    cusum = episode_summary(PolicyParams(m=1, A=A),
+                            Scenario(MODELS[:1], math.inf, horizon=horizon), seed)
+    yield cusum, straightline.run_cusum(
+        A, llr_x, _observations(MODELS[0], seed, horizon), max_steps=horizon), None
+    two = PolicyParams(m=2, A=A, scales={2: 1.0}, budgets={1: 2.5})
+    de = PolicyParams(m=2, A=A, scales={1: 1.0, 2: 1.0}, budgets={0: 3.5, 1: 2},
+                      mu=0.1, data_efficient=True)
+    scenario = Scenario(MODELS, math.inf, horizon=horizon)
+    for params, flat, args in ((two, straightline.run_2e, (1.0, 2.5)),
+                               (de, straightline.run_de2e, (1.0, 1.0, 2, 3.5, 0.1))):
+        ctrl = control_generator(seed)
+        records, stop, _ = flat(*args, A, llr_y, llr_x,
+                                _observations(MODELS[1], seed, horizon),
+                                _observations(MODELS[0], seed, horizon),
+                                lambda v: resolve_truncation(v, ctrl),
+                                max_steps=horizon)
+        yield episode_summary(params, scenario, seed), stop, records
 
 
 def test_unrecorded_long_episodes_match_the_flat_loops():
-    # long pre-change episodes, in which the engine adds scored increments
-    # from every stream's 64-value block on, against the flat loops fed the
-    # same substreams and the episode's control stream; every one stops at
-    # the threshold, after 268 to 17290 steps
-    horizon = 60_000
-    two = PolicyParams(m=2, A=6.0, scales={2: 1.0}, budgets={1: 2.5})
-    de = PolicyParams(m=2, A=6.0, scales={1: 1.0, 2: 1.0}, budgets={0: 3.5, 1: 2},
-                      mu=0.1, data_efficient=True)
+    # long pre-change episodes, in which the engine adds scored increments,
+    # against the flat loops. At A = 6 every one stops at the threshold,
+    # after 268 to 17290 steps; at A = inf every one is cut at its horizon,
+    # some inside a visit below the top
     stops = []
+    cut_below = 0
     for seed in range(6):
-        scenario = Scenario(MODELS, math.inf, horizon=horizon)
-        cusum = episode_summary(PolicyParams(m=1, A=6.0), Scenario(MODELS[:1], math.inf,
-                                                                   horizon=horizon), seed)
-        assert cusum.stopping_time == straightline.run_cusum(
-            6.0, llr_x, _pre_change(MODELS[0], seed, horizon), max_steps=horizon)
-        stops.append(cusum.stopping_time)
-        for params, flat, args in ((two, straightline.run_2e, (1.0, 2.5)),
-                                   (de, straightline.run_de2e, (1.0, 1.0, 2, 3.5, 0.1))):
-            ctrl = control_generator(seed)
-            got = episode_summary(params, scenario, seed)
-            records, stop, _ = flat(*args, 6.0, llr_y, llr_x,
-                                    _pre_change(MODELS[1], seed, horizon),
-                                    _pre_change(MODELS[0], seed, horizon),
-                                    lambda v: resolve_truncation(v, ctrl),
-                                    max_steps=horizon)
-            counts = Counter(source for _, source, _, _ in records)
-            assert (got.stopping_time, got.counts) == (stop, {j: counts[j] for j in range(3)})
-            stops.append(stop)
+        for A, horizon in ((6.0, 60_000), (math.inf, 9000 + 101 * seed)):
+            for got, stop, records in _long_episodes(seed, A, horizon):
+                assert got.stopping_time == stop
+                if records is None:
+                    assert got.counts[1] == got.steps_run
+                else:
+                    counts = Counter(source for _, source, _, _ in records)
+                    assert got.counts == {j: counts[j] for j in range(3)}
+                if math.isinf(A):
+                    assert stop is None and got.steps_run == horizon
+                    if records is not None:
+                        # the last step neither is at the top nor returns to it
+                        cut_below += records[-1][1] != 2 and records[-1][3] != 0.0
+                else:
+                    stops.append(stop)
     assert None not in stops
     # some outlast the 16 + 32 + ... + 4096 = 8176 steps of the block schedule
     assert sum(n > 8176 for n in stops) >= 4
+    assert cut_below >= 3
+
+
+def _in_level1_visit(seed):
+    """A step k > 64 at which the pre-change 2e episode seeded seed is in a
+    level-1 visit that step k - 1 did not end, or None."""
+    ctrl = control_generator(seed)
+    records, _, _ = straightline.run_2e(
+        1.0, 2.5, math.inf, llr_y, llr_x, _observations(MODELS[1], seed, 400),
+        _observations(MODELS[0], seed, 400),
+        lambda v: resolve_truncation(v, ctrl), max_steps=400)
+    for n, source, _, d in records[64:]:
+        if source == 1 and d != 0.0:
+            return n + 1
+    return None
+
+
+def test_episodes_across_the_change_match_the_flat_loops():
+    # the engine runs the steps before nu and the steps from nu on as two
+    # runs; the flat loops switch densities inside one loop. Change points 49
+    # and 113 are the first values of a single stream's 64- and 128-value
+    # blocks; the last one falls inside a level-1 visit
+    two = PolicyParams(m=2, A=6.0, scales={2: 1.0}, budgets={1: 2.5})
+    spans = 0
+    for seed in range(4):
+        for nu in (2, 49, 50, 113, _in_level1_visit(seed)):
+            cusum = episode_summary(PolicyParams(m=1, A=6.0), Scenario(MODELS[:1], nu), seed)
+            assert cusum.stopping_time == straightline.run_cusum(
+                6.0, llr_x, _observations(MODELS[0], seed, 2000, nu), max_steps=2000)
+            calls = [0]
+            ctrl = control_generator(seed)
+            records, stop, reason = straightline.run_2e(
+                1.0, 2.5, 6.0, llr_y, llr_x, _observations(MODELS[1], seed, 2000, nu, calls),
+                _observations(MODELS[0], seed, 2000, nu, calls),
+                lambda v: resolve_truncation(v, ctrl), max_steps=2000)
+            got = episode_summary(two, Scenario(MODELS, nu), seed)
+            counts = Counter(source for _, source, _, _ in records)
+            assert (got.stopping_time, got.stop_reason, got.counts) == \
+                (stop, reason, {j: counts[j] for j in range(3)})
+            assert calls[0] == stop
+            # a level-1 visit that step nu - 1 leaves open runs on at nu
+            if stop is not None and nu < stop:
+                n, source, _, d = records[nu - 2]
+                spans += source == 1 and d != 0.0
+    assert spans >= 4

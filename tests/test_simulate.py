@@ -324,14 +324,15 @@ def test_rss_episode_trace(models2):
 
 
 @settings(deadline=None, max_examples=120)
-@given(seed=st.integers(0, 2**32 - 1), nu=st.sampled_from([1, 7, math.inf]),
+@given(seed=st.integers(0, 2**32 - 1), nu=st.sampled_from([1, 7, 40, 100, math.inf]),
        p_hi=st.sampled_from([0.0, 0.3, 1.0]), A=st.sampled_from([3.0, math.inf]),
        horizon=st.one_of(st.none(), st.integers(100, 300)))
 def test_rss_episodes_match_the_public_run_rss(seed, nu, p_hi, A, horizon):
     # the episodes' private loop against the callback-fed run_rss, given the
     # episode's observation streams and one control-stream random() per coin.
     # An infinite A or change point runs to a horizon of at least 100 steps,
-    # past the coin blocks that end at 16 and 48
+    # past the coin blocks that end at 16 and 48; change points 40 and 100
+    # fall inside the coins' 32- and 64-value blocks
     if math.isinf(nu) or math.isinf(A):
         horizon = horizon or 100
     models = (gaussian_model(1, 0.75), gaussian_model(2, 1.0))
@@ -464,18 +465,18 @@ def test_scored_blocks_are_the_scalar_llrs(pre_mean, pre_std, shift, post_std, s
         assert ctrl.end == size
         assert s.sbuf is eng.sbuf is ctrl.sbuf is None
         start += size
-    # a pre-change run without record scores the blocks it draws from the
-    # 64-value one on into sbuf; a recorded run never scores. A cusum with
-    # A = inf never stops, so each horizon below ends one step into a block
+    # a pre-change run without record scores every block it draws into
+    # sbuf; a recorded run never scores. A cusum with A = inf never stops,
+    # so each horizon below ends one step into a block
     unrec, rec = (_Stream(partial(observation_generator, seed, 1), mdl) for _ in range(2))
     core, traced = _EngineCore(PolicyParams(m=1, A=math.inf)), _EngineCore(PolicyParams(m=1, A=math.inf))
     for horizon, size in ((1, 16), (17, 32), (49, 64), (113, 128), (241, 256)):
-        core.run([None, unrec], math.inf, horizon)
-        traced.run([None, rec], math.inf, horizon, lambda *step: None)
+        core.run([None, unrec], False, horizon)
+        traced.run([None, rec], False, horizon, lambda *step: None)
         assert unrec.end == rec.end == size
         assert unrec.buf == rec.buf
-        assert unrec.sbuf == (None if size < 64 else
-                              [llr_from_terms(mdl.terms, pre_mean + pre_std * v) for v in unrec.buf])
+        assert unrec.sbuf == [llr_from_terms(mdl.terms, pre_mean + pre_std * v)
+                              for v in unrec.buf]
         assert rec.sbuf is None
 
 
