@@ -196,6 +196,18 @@ def resolve_truncation(budget: float, rng: np.random.Generator | None = None) ->
     return int(low) + 1
 
 
+def _llrs(z: np.ndarray, mean: float, std: float, terms: tuple) -> np.ndarray:
+    """The LLR increments of the observations mean + std * z. The operations
+    are those of llr_from_terms, in its order; a float64 ufunc rounds each
+    one as a Python float operation does, so the values are the same bits as
+    the scalar loop's."""
+    c, q0, m0, q1, m1 = terms
+    x = mean + std * z
+    d0 = x - m0
+    d1 = x - m1
+    return c + q0 * d0 * d0 - q1 * d1 * d1
+
+
 # Values are drawn in blocks of 16, 32, ..., 4096, then 4096 from there on:
 # a ~15-step detection episode draws 16 values per stream, not 4096.
 _FIRST_BLOCK = 16
@@ -262,15 +274,8 @@ class _Stream:
         return block
 
     def llrs(self, z: np.ndarray) -> np.ndarray:
-        """The LLR increments of the pre-change observations of the normals
-        z. The operations are those of llr_from_terms, in its order; a
-        float64 ufunc rounds each one as a Python float operation does, so
-        the values are the same bits as the scalar loop's."""
-        c, q0, m0, q1, m1 = self.terms
-        x = self.pre_mean + self.pre_std * z
-        d0 = x - m0
-        d1 = x - m1
-        return c + q0 * d0 * d0 - q1 * d1 * d1
+        """The LLR increments of the pre-change observations of the normals z."""
+        return _llrs(z, self.pre_mean, self.pre_std, self.terms)
 
     def random(self) -> float:
         """The next uniform, as Generator.random() would give it."""

@@ -13,6 +13,11 @@ LLR terms, each level's integer budget), and resolves only fractional
 budgets per visit. Its observations and its budget coins come through
 engine._Stream, as an episode's do; its level streams are scored, each block
 holding the increments, computed in numpy with the scalar arithmetic's bits.
+
+The stopping-time and direct estimators share one trial loop,
+_trial_summaries. Below _LOCKSTEP_TRIALS trials it runs one episode at a
+time; from there on it steps a key chunk's episodes together
+(simulate._lockstep), which yields the same summaries.
 """
 
 from __future__ import annotations
@@ -32,12 +37,28 @@ from .simulate import (
     EpisodeKeys,
     Scenario,
     _default_safety_horizon,
+    _lockstep,
     _philox,
     episode_summary,
     seed_entropy,
 )
 
 RENEWAL_TAG = 3
+
+# _trial_summaries steps its episodes in lockstep from this many trials on,
+# the CLI's default. Lockstep against scalar on a 2-CPU VM:
+# - estimate_wadd on the benchmark's gamma = 1000 policies (medians of 7
+#   alternating runs, lockstep faster in 7 of 7 each): at 1000 trials cusum
+#   22.9 -> 13.8 ms, 2e 30.0 -> 19.2, 3e 33.2 -> 23.3, rss 36.5 -> 24.6; at
+#   1200, 30.5 -> 17.2, 39.6 -> 23.5, 44.8 -> 28.3, 29.9 -> 18.8. Below
+#   that a pass costs more than it saves: at 300 trials 3e took 11.6 ->
+#   13.0 ms.
+# - estimate_arlfa with no change: criterion 1's calls (5000 trials capped
+#   at 4000 steps) cusum 5.2 -> 1.9 s, 2e 10.1 -> 5.2, 3e 10.9 -> 5.9, de2e
+#   8.5 -> 4.3; an uncapped 1000-trial 2e call (mean 12755 steps) 9.4 ->
+#   7.6 s, which took 12.2 s in lockstep before the last trials went to
+#   the scalar loop (simulate._HANDOFF_ROWS).
+_LOCKSTEP_TRIALS = 1000
 
 
 @dataclass(frozen=True)
@@ -100,17 +121,26 @@ def _trial_summaries(
     base_seed: int | Sequence[int],
     confidence: float,
 ):
-    """Summaries of the seeded episodes, trial t seeded base_seed + (t,).
+    """Summaries of the seeded episodes, trial t seeded base_seed + (t,),
+    in trial order.
 
     The arguments are checked when this is called, before the first episode
-    runs; the episodes run as the result is iterated, one after another, on
-    the generators of one EpisodeKeys table.
+    runs; the episodes run as the result is iterated, on the generators of
+    one EpisodeKeys table. Below _LOCKSTEP_TRIALS trials they run one after
+    another, each as episode_summary runs it. From there on,
+    simulate._lockstep steps each _KEY_CHUNK of them together, one numpy
+    pass per time step, and yields the same summaries: each trial's streams
+    are keyed as its episode's are, Philox gives the same values whatever
+    the block sizes, and every float operation is the scalar loop's, in its
+    order.
     """
     trials = _count("trials", trials, 1)
     _z_value(confidence)
     base = seed_entropy(base_seed)
     scenario = Scenario(tuple(models), change_point, horizon=horizon)
     keys = EpisodeKeys(base, trials)
+    if trials >= _LOCKSTEP_TRIALS:
+        return _lockstep(params, scenario, keys)
     return (episode_summary(params, scenario, base + (t,), keys=keys) for t in range(trials))
 
 
@@ -218,8 +248,7 @@ def estimate_por_direct(
     Renewal resets still happen whenever the statistic returns to the top
     level; only the stopping rule is switched off.
     """
-    if horizon < 10_000:
-        raise ValueError(f"direct estimation needs horizon >= 10000, got {horizon}")
+    horizon = _count("horizon", horizon, 10_000)
     counts = [s.counts for s in _trial_summaries(
         _disable_threshold(params), models, math.inf, horizon, trials, base_seed, confidence)]
     # the scenario has checked that the ids run 1..m; key 0 is the idle fraction

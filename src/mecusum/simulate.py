@@ -21,11 +21,21 @@ stream on its first draw. The keys are SeedSequence's, so the values are
 the same either way. An episode with a finite change point and no horizon
 stops at the estimators' safety horizon, 1e4 * e^A steps, so no episode
 runs unbounded.
+
+From metrics._LOCKSTEP_TRIALS trials on, the estimators run their episodes
+in lockstep (_lockstep): a batch of up to _KEY_CHUNK trials advances one
+time step per numpy pass, every trial's state held in arrays, with the
+regime switch at pass nu and the horizon shared. Each trial reads its own
+streams, keyed from the same EpisodeKeys table, in blocks whose sizes do
+not change Philox's values, and each pass does the scalar loop's float
+operations in its order, so every summary is the one its episode gives
+alone. Single episodes, traces and step() keep the scalar loops.
 """
 
 from __future__ import annotations
 
 import math
+import mmap
 from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import partial
@@ -34,7 +44,17 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .densities import ExperimentModel, _count, check_models
-from .engine import Action, PolicyParams, RssParams, _action, _EngineCore, _Stream
+from .engine import (
+    Action,
+    EngineState,
+    LevelState,
+    PolicyParams,
+    RssParams,
+    _action,
+    _EngineCore,
+    _llrs,
+    _Stream,
+)
 
 OBS_STREAM_TAG = 1
 CONTROL_STREAM_TAG = 2
@@ -211,6 +231,26 @@ class EpisodeKeys:
         gen.bit_generator.state = self.state
         return gen
 
+    def own(self, t: int, tag: tuple[int, ...]) -> np.random.Generator:
+        """A generator of its own for trial t's stream tag, keyed as rekey
+        keys the shared one."""
+        self.rekey(t, tag)  # hashes the keys of t's chunk
+        return np.random.Generator(np.random.Philox(key=self.keys[tag][t - self.start]))
+
+    def first_blocks(self, tag: tuple[int, ...], trials: np.ndarray, out: np.ndarray) -> None:
+        """Row k of out: the first values of trial trials[k]'s stream tag,
+        each drawn as rekey keys it; the trials lie in one _KEY_CHUNK.
+        Uniforms for the control tag, else standard normals."""
+        gen = self.rekey(int(trials[0]), tag)
+        draw = gen.random if tag[0] == CONTROL_STREAM_TAG else gen.standard_normal
+        draw(out=out[0])
+        state = self.state
+        key, bits = state["state"], gen.bit_generator
+        for row, k in zip(out[1:], self.keys[tag][trials[1:] - self.start].tolist()):
+            key["key"] = k
+            bits.state = state
+            draw(out=row)
+
     def _hash(self, tag: tuple[int, ...]) -> np.ndarray:
         start = self.start
         stop = min(start + _KEY_CHUNK, self.trials)
@@ -365,7 +405,7 @@ def _drive(params, scenario, entropy, record=None, make_gen=None):
     return stopping_time, core.stop_reason, dict(enumerate(core.counts))
 
 
-def _run_rss(params, streams, ctrl, nu, horizon, record=None):
+def _run_rss(params, streams, ctrl, nu, horizon, record=None, n=0, d=0.0, lows=0):
     """engine.run_rss on an episode's streams: (stopping time or None,
     counts with key 0 for the idle steps, which RSS never takes).
 
@@ -375,7 +415,9 @@ def _run_rss(params, streams, ctrl, nu, horizon, record=None):
     LLR terms live in locals (lo for experiment 1, hi for 2), and so does
     the control stream's block of coins. It runs the pre-change steps, then
     the post-change ones, with that regime's means and stds in locals.
-    Every step n >= 2 takes a coin, whatever p_hi is.
+    Every step n >= 2 takes a coin, whatever p_hi is. An episode that the
+    lockstep runner hands over resumes after step n, with statistic d and
+    lows steps of experiment 1 taken.
     """
     A, p_hi = params.A, params.p_hi
     lo, hi = streams[1], streams[2]
@@ -383,10 +425,11 @@ def _run_rss(params, streams, ctrl, nu, horizon, record=None):
     lc, lq0, lm0, lq1, lm1 = lo.terms
     hbuf, hpos, hend = hi.buf, hi.pos, hi.end
     hc, hq0, hm0, hq1, hm1 = hi.terms
-    # step 1 takes experiment 2 without a coin: a coin of -inf stands in
-    coins, cpos, cend = [-math.inf], 0, 1
-    d = 0.0
-    n = lows = 0
+    if n:
+        coins, cpos, cend = ctrl.buf, ctrl.pos, ctrl.end
+    else:
+        # step 1 takes experiment 2 without a coin: a coin of -inf stands in
+        coins, cpos, cend = [-math.inf], 0, 1
     for stop, lm, ls, hm, hs in (
         (min(nu - 1, horizon), lo.pre_mean, lo.pre_std, hi.pre_mean, hi.pre_std),
         (horizon, lo.post_mean, lo.post_std, hi.post_mean, hi.post_std),
@@ -426,3 +469,403 @@ def _run_rss(params, streams, ctrl, nu, horizon, record=None):
             if record is not None:
                 record(n, 2 if up else 1, x, d, "")
     return None, {0: 0, 1: lows, 2: n - lows}
+
+
+# A lockstep stream is read in blocks of _ROW values; a refill draws and
+# scores the blocks of at most _FILL_ROWS streams at a time. A batch's
+# arrays keep at least _MIN_ROWS rows: numpy keeps freed arrays under 1 KiB
+# for reuse, a few of each size, so masks of every size below 1024 rows,
+# from a set of trials that shrank step by step, would pile up there. A
+# pass costs ~100 us however few trials are left, against ~0.6 us per
+# scalar step, so a run that can hand its trials to the scalar loops (one
+# that starts before the change, and so keeps normals) does so at
+# _HANDOFF_ROWS live trials: an uncapped 1200-trial 2e estimate_arlfa at
+# gamma = 1000 took 7.4, 5.5 and 5.9 s with 64, 128 and 256 (scalar 8.2 s).
+_ROW = 32
+_FILL_ROWS = 128
+_MIN_ROWS = 1024
+_HANDOFF_ROWS = 128
+
+
+def _mapped(streams: int) -> np.ndarray:
+    """Zeroed rows of _ROW doubles on an anonymous map, which goes back to
+    the system when the array goes: freed through malloc, buffers this size
+    would leave the process holding their pages."""
+    return np.frombuffer(mmap.mmap(-1, streams * _ROW * 8)).reshape(streams, _ROW)
+
+
+class _TrialStreams:
+    """The streams of a batch of trials, for the lockstep runner: stream
+    (i - 1) * stride + r holds row r's experiment i observations, as LLR
+    increments of the current regime, and, when the runs read coins,
+    stream m * stride + r its control stream (uniforms). Row r < rows is
+    trial first + r; slot rows of each plane is a ghost stream of zeros,
+    which the runners point stopped trials at and which never runs out.
+    buf[s, pos[s]:] holds stream s's next values.
+
+    A stream's first block is drawn on its first read, re-keyed as its
+    scalar episode's stream is. Its first refill gives it a generator of
+    its own, with the same key, which skips the first block and draws the
+    rest. On Philox the values do not depend on the block sizes, so each
+    row reads the values its scalar episode reads. The increments are
+    scored per block in llr_from_terms's operation order (engine._llrs), so
+    they are the bits the scalar loop adds. A run that starts before the
+    change keeps the normals in raw as well: it scores them again at the
+    change, and hands them to the scalar loops that take its last trials.
+    """
+
+    def __init__(self, keys: EpisodeKeys, first: int, rows: int,
+                 by_id: Sequence[ExperimentModel | None], nu: float, coins: bool) -> None:
+        self.keys = keys
+        self.first = first
+        self.stride = stride = rows + 1
+        self.by_id = by_id
+        self.m = m = len(by_id) - 1
+        streams = (m + coins) * stride
+        self.buf = _mapped(streams)
+        self.pos = np.full(streams, _ROW)  # every stream starts with a block read
+        self.ghosts = np.arange(rows, streams, stride)
+        self.pos[self.ghosts] = 0
+        self.drawn = np.zeros(streams, bool)
+        self.gens: dict[int, np.random.Generator] = {}
+        self.post = nu == 1
+        # zeros, so that rows never drawn score to finite values at the change
+        self.raw = None if self.post else _mapped(streams)
+
+    def take(self, streams: np.ndarray) -> np.ndarray:
+        """The next value of each of streams, which are distinct but for
+        the ghosts."""
+        pos = self.pos[streams]
+        empty = pos == _ROW
+        if empty.any():
+            self._refill(streams[empty])
+            pos[empty] = 0
+        self.pos[streams] = pos + 1
+        self.pos[self.ghosts] = 0
+        return self.buf.ravel().take(streams * _ROW + pos)
+
+    def scalar(self, plane: int, row: int) -> _Stream:
+        """A scalar _Stream that goes on from where stream plane * stride +
+        row stands: experiment plane + 1's observations, as normals, or the
+        control stream's uniforms for plane m."""
+        i, tag = self._plane(plane)
+        t = self.first + row
+        s = _Stream(partial(self.keys.rekey, t, tag), self.by_id[i] if i else None)
+        sid = plane * self.stride + row
+        if self.drawn[sid]:
+            gen = self._continued(sid, t, tag)
+            s.draw = gen.standard_normal if i else gen.random
+            s.buf = (self.raw if i else self.buf)[sid].tolist()
+            s.pos, s.end = int(self.pos[sid]), _ROW
+        return s
+
+    def _plane(self, plane: int) -> tuple[int, tuple[int, ...]]:
+        """The experiment id of a plane, 0 for the control stream, and its tag."""
+        if plane < self.m:
+            return plane + 1, (OBS_STREAM_TAG, plane + 1)
+        return 0, (CONTROL_STREAM_TAG,)
+
+    def _continued(self, sid: int, t: int, tag: tuple[int, ...]) -> np.random.Generator:
+        """Stream sid's own generator, past its first block."""
+        gen = self.gens.get(sid)
+        if gen is None:
+            gen = self.gens[sid] = self.keys.own(t, tag)
+            (gen.random if tag[0] == CONTROL_STREAM_TAG else gen.standard_normal)(_ROW)
+        return gen
+
+    def switch(self) -> None:
+        """Score every observation for the post-change regime."""
+        self.post = True
+        k = self.stride
+        for i in range(1, self.m + 1):
+            self.buf[(i - 1) * k:i * k] = self._score(i, self.raw[(i - 1) * k:i * k])
+        self.buf[self.ghosts] = 0.0
+
+    def _score(self, i: int, z: np.ndarray) -> np.ndarray:
+        model = self.by_id[i]
+        side = model.post if self.post else model.pre
+        return _llrs(z, side.mean, side.std, model.terms)
+
+    def _refill(self, streams: np.ndarray) -> None:
+        """Draw the next block of each of streams, in trial order per plane."""
+        k = self.stride
+        planes = streams // k
+        for plane in sorted(set(planes.tolist())):
+            i, tag = self._plane(plane)
+            ids = streams[planes == plane]
+            new = ~self.drawn[ids]
+            self.drawn[ids] = True
+            for group, fresh in ((ids[new], True), (ids[~new], False)):
+                for at in range(0, group.size, _FILL_ROWS):
+                    part = group[at:at + _FILL_ROWS]
+                    z = np.empty((part.size, _ROW))
+                    if fresh:
+                        self.keys.first_blocks(tag, self.first + part - plane * k, z)
+                    else:
+                        for row, s in zip(z, part.tolist()):
+                            gen = self._continued(s, self.first + s - plane * k, tag)
+                            (gen.standard_normal if i else gen.random)(out=row)
+                    if i and self.raw is not None:
+                        self.raw[part] = z
+                    self.buf[part] = self._score(i, z) if i else z
+
+
+def _lockstep(params, scenario, keys):
+    """The summaries of every episode of keys, in trial order, as
+    episode_summary gives them: each _KEY_CHUNK of trials runs as one
+    batch, all of its episodes stepped together, one pass per time step."""
+    rss = isinstance(params, RssParams)
+    m = 2 if rss else params.m
+    by_id = scenario.by_id if m == len(scenario.models) else check_models(scenario.models, m)
+    nu = scenario.change_point
+    horizon = scenario.horizon
+    if horizon is None:
+        if math.isinf(nu):
+            raise ValueError("a horizon is required when change_point is infinite")
+        horizon = _default_safety_horizon(params.A)
+    if rss:
+        run, coins = _lockstep_rss, True
+    else:
+        run = _lockstep_engine
+        top = params.top_truncation
+        coins = (top is not None and not top.is_integer()
+                 or None in params.fixed_budgets[0 if params.data_efficient else 1:])
+    reasons = (None, "threshold", "truncation")
+    for first in range(0, keys.trials, _KEY_CHUNK):
+        rows = min(_KEY_CHUNK, keys.trials - first)
+        # the streams go when the run returns, before the summaries are built
+        times, why, counts = run(params, nu, horizon,
+                                 _TrialStreams(keys, first, rows, by_id, nu, coins), rows)
+        for t, w, c in zip(times.tolist(), why.tolist(), counts.tolist()):
+            yield EpisodeSummary(None if t < 0 else t, reasons[w], dict(enumerate(c)), sum(c))
+
+
+def _lockstep_engine(params, nu, horizon, streams, k):
+    """_EngineCore.run's decision tree over k trials at once: returns the
+    stopping times (-1 for none), the stop reasons (0 none, 1 threshold,
+    2 truncation) and the steps per level.
+
+    Row r of the arrays holds the statistic, level, stream, visit start,
+    floor, ceiling and budget left of trial rows[r]; floors[r, j] and
+    budgets[r, j] hold level j's, with floors[:, 0] = -inf (the idle level
+    has no floor), floors[:, m] = 0 and floors[:, m + 1] = A, so a level's
+    ceiling is the floor above it. A stopped trial's row becomes a ghost:
+    trial k, which reads a ghost stream and never leaves its band. The
+    rows are compacted when half of them are ghosts, down to _MIN_ROWS
+    rows, so every mask of a pass spans the rows. A run that starts before
+    the change hands its last _HANDOFF_ROWS trials to _EngineCore.run, each
+    core loaded with its row's state. Every float operation is the scalar
+    loop's, in its order, so the values are the same bits.
+    """
+    m, A, de = params.m, params.A, params.data_efficient
+    mu = params.mu if params.mu is not None else 0.0
+    stride = streams.stride
+    scale = np.array([params.scales.get(j, 0.0) for j in range(m + 1)])
+    # a descent into level j takes budget[j], or with a control coin
+    # (coined[j]) low = budget[j] below (low + 1 - N_j), else low + 1
+    fixed = params.fixed_budgets
+    coined = np.array([b is None for b in fixed] + [False])
+    lows = [math.floor(params.budgets.get(j, 0.0)) for j in range(m)]
+    budget = np.array([low if b is None else b for low, b in zip(lows, fixed)] + [0.0])
+    below = np.array([low + 1.0 - params.budgets.get(j, 0.0) for j, low in enumerate(lows)]
+                     + [0.0])
+    lowest = 0 if de else 1
+    coins = coined[lowest:m].any()
+    bounces = coins or not budget[lowest:m].all()
+    # row k of the results is the ghosts'
+    times = np.full(k + 1, -1, np.int64)
+    why = np.zeros(k + 1, np.int8)
+    counts = np.zeros((k + 1, m + 1), np.int64)
+    rows = np.arange(k)
+    D = np.zeros(k)
+    floor = np.zeros(k)
+    ceil = np.full(k, A)
+    top = params.top_truncation
+    if top is None:
+        rem = np.full(k, math.inf)
+    elif top.is_integer():
+        rem = np.full(k, top)
+    else:
+        # the first control coin
+        low = math.floor(top)
+        rem = np.where(streams.take(m * stride + rows) < low + 1.0 - top, float(low), low + 1.0)
+    lvl = np.full(k, m, np.intp)
+    start = np.zeros(k, np.int64)
+    floors = np.zeros((k, m + 2))
+    floors[:, 0] = -math.inf
+    floors[:, m + 1] = A
+    budgets = np.zeros((k, m + 1))
+    budgets[:, m] = rem
+    # a ghost reads a ghost stream, stays in band and counts for row k
+    gone = (rem == 0.0).nonzero()[0]  # stopped at time 0
+    times[gone] = 0
+    why[gone] = 2
+    rows[gone] = k
+    floor[gone] = -math.inf
+    ceil[gone] = rem[gone] = math.inf
+    live = k - gone.size
+    n = 0
+    while live and n < horizon:
+        if live <= _HANDOFF_ROWS and streams.raw is not None:
+            # the scalar loop runs the last trials on, each from its row
+            for r in (rows < k).nonzero()[0].tolist():
+                t, j = int(rows[r]), int(lvl[r])
+                left = budgets[r].tolist()
+                left[j] = float(rem[r])
+                stack = tuple(LevelState(i, float(floors[r, i]), left[i])
+                              for i in range(m, j - 1, -1))
+                core = _EngineCore(params, streams.scalar(m, t) if coins else None,
+                                   EngineState(float(D[r]), stack, False, None, n))
+                core.counts = counts[t].tolist()
+                core.counts[j] += n - int(start[r])
+                scalar = [None] + [streams.scalar(i, t) for i in range(m)]
+                if nu > 1:
+                    core.run(scalar, False, min(nu - 1, horizon))
+                core.run(scalar, True, horizon)
+                if core.stopped:
+                    times[t] = core.time
+                    why[t] = 1 if core.stop_reason == "threshold" else 2
+                counts[t] = core.counts
+                rows[r] = k
+            break
+        n += 1
+        if n == nu and n > 1:
+            streams.switch()
+        sid = (lvl - 1) * stride + rows  # the stream of each row's level
+        if de:
+            d = D + mu  # the idle level climbs deterministically
+            at = lvl.nonzero()[0]
+            d[at] = D[at] + streams.take(sid[at])
+        else:
+            d = D + streams.take(sid)
+        D = d
+        rem -= 1.0
+        spent = rem <= 0.0
+        high = d > ceil
+        low = d < floor
+        out = low | high | spent  # the steps that leave the band or spend the budget
+        if not out.any():
+            continue
+        stop = out & (lvl == m) & (high | spent)
+        gone = stop.nonzero()[0]
+        if gone.size:
+            slot = rows[gone]
+            times[slot] = n
+            why[slot] = 2
+            why[rows[(stop & high).nonzero()[0]]] = 1
+            counts[slot, m] += n - start[gone]
+            out[gone] = False
+        if not de:
+            # the bottom level reflects at its floor
+            reflect = low & out & (lvl == 1)
+            np.copyto(d, floor, where=reflect)
+            low &= ~reflect
+        down = low & out
+        up = out & ~down & (high | spent)
+        at = down.nonzero()[0]
+        child = lvl[at] - 1
+        if at.size and bounces:
+            size = budget[child]
+            if coins:
+                coin = coined[child].nonzero()[0]
+                size[coin] += streams.take(m * stride + rows[at[coin]]) >= below[child[coin]]
+            # a budget of 0 is never entered: the statistic snaps back to the
+            # floor, and on the budget's last observation the level closes
+            bounce = size == 0.0
+            D[at[bounce]] = floor[at[bounce]]
+            up[at[bounce]] = spent[at[bounce]]
+            at, child, size = at[~bounce], child[~bounce], size[~bounce]
+        else:
+            size = budget[child]
+        base = floor[at]
+        D[at] = entered = base + scale[lvl[at]] * (d[at] - base)
+        floors[at, child] = np.where(child > 0, entered, -math.inf) if de else entered
+        budgets[at, child] = size
+        ups = up.nonzero()[0]
+        higher = lvl[ups] + 1
+        if m > lowest + 1:
+            # closing a level may land on a parent whose budget is spent,
+            # which closes as well
+            for _ in range(m - 1):
+                more = (higher < m) & (budgets[ups, higher] <= 0.0)
+                if not more.any():
+                    break
+                higher += more
+        D[ups] = floors[ups, higher]
+        # the visits that end: their level's budget and steps are saved
+        ids = np.concatenate((at, ups))
+        if ids.size:
+            was, now = lvl[ids], np.concatenate((child, higher))
+            counts[rows[ids], was] += n - start[ids]
+            budgets[ids, was] = rem[ids]
+            start[ids] = n
+            lvl[ids] = now
+            rem[ids] = budgets[ids, now]
+            floor[ids] = floors[ids, now]
+            ceil[ids] = floors[ids, now + 1]
+        if gone.size:
+            rows[gone] = k
+            D[gone] = 0.0
+            floor[gone] = -math.inf
+            ceil[gone] = rem[gone] = math.inf
+            live -= gone.size
+            if _MIN_ROWS <= live <= rows.size // 2:
+                keep = (rows < k).nonzero()[0]
+                rows, D, lvl, start, rem, floor, ceil, floors, budgets = (
+                    a[keep] for a in (rows, D, lvl, start, rem, floor, ceil, floors, budgets))
+    counts[rows, lvl] += n - start
+    return times[:k], why[:k], counts[:k]
+
+
+def _lockstep_rss(params, nu, horizon, streams, k):
+    """_run_rss over k trials at once, returning what _lockstep_engine
+    returns: the coin rule, the LLR sum and the reflection are the scalar
+    loop's operations, in its order. Stopped trials become ghosts, and the
+    last trials go on in _run_rss, as in _lockstep_engine."""
+    A, p_hi = params.A, params.p_hi
+    stride = streams.stride
+    times = np.full(k + 1, -1, np.int64)
+    lows = np.zeros(k + 1, np.int64)
+    rows = np.arange(k)
+    d = np.zeros(k)
+    live = k
+    n = 0
+    while live and n < horizon:
+        if live <= _HANDOFF_ROWS and streams.raw is not None:
+            # the scalar loop runs the last trials on, each from its row
+            for r in (rows < k).nonzero()[0].tolist():
+                t = int(rows[r])
+                stop, c = _run_rss(params, [None, streams.scalar(0, t), streams.scalar(1, t)],
+                                   streams.scalar(2, t), nu, horizon, None, n, float(d[r]),
+                                   int(lows[t]))
+                if stop is not None:
+                    times[t] = stop
+                lows[t] = c[1]
+            # a trial still running is cut at the horizon
+            n = horizon
+            break
+        n += 1
+        if n == nu and n > 1:
+            streams.switch()
+        if n == 1:
+            sid = stride + rows  # step 1 takes experiment 2 without a coin
+        else:
+            low = streams.take(2 * stride + rows) >= p_hi
+            lows[rows] += low
+            sid = (1 - low) * stride + rows
+        d = d + streams.take(sid)
+        np.copyto(d, 0.0, where=d < 0.0)
+        gone = (d >= A).nonzero()[0]
+        if gone.size:
+            times[rows[gone]] = n
+            # a ghost reads zeros, so its statistic stays at 0 < A
+            rows[gone] = k
+            d[gone] = 0.0
+            live -= gone.size
+            if _MIN_ROWS <= live <= rows.size // 2:
+                keep = (rows < k).nonzero()[0]
+                rows, d = rows[keep], d[keep]
+    counts = np.zeros((k, 3), np.int64)
+    counts[:, 1] = lows[:k]
+    counts[:, 2] = np.where(times[:k] < 0, n, times[:k]) - lows[:k]
+    return times[:k], (times[:k] >= 0).astype(np.int8), counts

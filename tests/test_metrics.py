@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 import subprocess
 import sys
@@ -60,22 +61,27 @@ def test_estimate_arlfa_validation():
         estimate_arlfa(params, models, 10, 1, confidence=1.5)
 
 
+# a scalar trial loop, and one at the dispatch constant, which runs in lockstep
+_TRIAL_COUNTS = (10, metrics._LOCKSTEP_TRIALS)
+
+
 def test_bad_confidence_fails_before_any_trial(models2, monkeypatch):
     def no_simulation(*args, **kwargs):
         raise AssertionError("simulated before checking confidence")
 
     monkeypatch.setattr("mecusum.metrics.episode_summary", no_simulation)
+    monkeypatch.setattr("mecusum.metrics._lockstep", no_simulation)
     monkeypatch.setattr("mecusum.metrics._RenewalKernel", no_simulation)
     params = PolicyParams(m=2, A=3.0, scales={2: 1.0}, budgets={1: 2})
-    calls = (
-        lambda c: estimate_arlfa(params, models2, 10, 1, confidence=c),
-        lambda c: estimate_wadd(params, models2, 10, 1, confidence=c),
-        lambda c: estimate_por_direct(params, models2, 10_000, 2, 1, confidence=c),
-        lambda c: estimate_por_renewal(params, models2, 100, 1, confidence=c),
-        lambda c: tradeoff_curve(params, models2, [5.0, 20.0], 10, 1, confidence=c),
-    )
-    for call in calls:
-        for confidence in (0.0, 1.0, 2.0):
+    for n in _TRIAL_COUNTS:
+        calls = (
+            lambda c: estimate_arlfa(params, models2, n, 1, confidence=c),
+            lambda c: estimate_wadd(params, models2, n, 1, confidence=c),
+            lambda c: estimate_por_direct(params, models2, 10_000, n, 1, confidence=c),
+            lambda c: estimate_por_renewal(params, models2, 100, 1, confidence=c),
+            lambda c: tradeoff_curve(params, models2, [5.0, 20.0], n, 1, confidence=c),
+        )
+        for call, confidence in itertools.product(calls, (0.0, 1.0, 2.0)):
             with pytest.raises(ValueError, match="confidence"):
                 call(confidence)
 
@@ -85,25 +91,30 @@ def test_bad_seed_fails_before_any_trial(models2, monkeypatch):
         raise AssertionError("simulated before checking the seed")
 
     monkeypatch.setattr("mecusum.metrics.episode_summary", no_simulation)
+    monkeypatch.setattr("mecusum.metrics._lockstep", no_simulation)
     params = PolicyParams(m=2, A=3.0, scales={2: 1.0}, budgets={1: 2})
-    calls = (
-        lambda s: estimate_arlfa(params, models2, 10, s),
-        lambda s: estimate_wadd(params, models2, 10, s),
-        lambda s: estimate_por_direct(params, models2, 10_000, 2, s),
-        lambda s: estimate_por_renewal(params, models2, 100, s),
-        lambda s: tradeoff_curve(params, models2, [5.0, 20.0], 10, s),
-    )
-    for call in calls:
-        for seed in ((1.5, 2), (True, 2), 2.5, "12"):
+    for n in _TRIAL_COUNTS:
+        calls = (
+            lambda s: estimate_arlfa(params, models2, n, s),
+            lambda s: estimate_wadd(params, models2, n, s),
+            lambda s: estimate_por_direct(params, models2, 10_000, n, s),
+            lambda s: estimate_por_renewal(params, models2, 100, s),
+            lambda s: tradeoff_curve(params, models2, [5.0, 20.0], n, s),
+        )
+        for call, seed in itertools.product(calls, ((1.5, 2), (True, 2), 2.5, "12")):
             with pytest.raises(ValueError, match="seed"):
                 call(seed)
 
 
 @pytest.mark.parametrize("chunk", [4096, 7])
-def test_keyed_episodes_equal_fresh_ones(models2, models3, monkeypatch, chunk):
-    # the estimators' re-keyed generators against fresh ones per episode;
-    # a 7-trial chunk makes the table re-hash many times within a run
+def test_keyed_episodes_equal_fresh_ones(models2, models3, monkeypatch, chunk, trial_path):
+    # the estimators' re-keyed generators against fresh ones per episode, on
+    # the scalar and the lockstep path; a 7-trial chunk makes the table
+    # re-hash many times within a run, and the lockstep runner step 7-trial
+    # batches. Horizon 5000 lets pre-change runs cross refills, and change
+    # point 300 falls inside level visits
     monkeypatch.setattr(simulate, "_KEY_CHUNK", chunk)
+    horizons = (60, 5000) if chunk == 4096 else (60,)
     one = (gaussian_model(1, 1.0),)
     two = PolicyParams(m=2, A=3.0, scales={2: 1.0}, budgets={1: 2})
     policies = [
@@ -119,11 +130,11 @@ def test_keyed_episodes_equal_fresh_ones(models2, models3, monkeypatch, chunk):
     base = (2**40 + 3, 7)
     stops = set()
     for params, models in policies:
-        for change_point in (1, 7, math.inf):
-            scenario = Scenario(models, change_point, horizon=60)
-            keyed = list(_trial_summaries(params, models, change_point, 60, 200, base, 0.95))
+        for change_point, horizon in itertools.product((1, 7, 300, math.inf), horizons):
+            scenario = Scenario(models, change_point, horizon=horizon)
+            keyed = list(_trial_summaries(params, models, change_point, horizon, 200, base, 0.95))
             fresh = [episode_summary(params, scenario, base + (t,)) for t in range(200)]
-            assert keyed == fresh, (params, change_point)
+            assert keyed == fresh, (params, change_point, horizon)
             stops.update((s.stop_reason, s.stopping_time == 0) for s in keyed)
     assert stops == {("threshold", False), ("truncation", False), ("truncation", True),
                      (None, False)}
@@ -309,38 +320,48 @@ def test_an_estimate_checks_its_model_set_once(monkeypatch, models2, params):
 
 
 _BAD_COUNTS = {
-    "trials-bool": (lambda models: estimate_wadd(_POLICY2, models, True, 0), "trials"),
-    "trials-fraction": (lambda models: estimate_wadd(_POLICY2, models, 10.5, 0), "trials"),
+    "trials-bool": (lambda models: estimate_wadd(_POLICY2, models, True, 0), ("trials", 1)),
+    "trials-fraction": (lambda models: estimate_wadd(_POLICY2, models, 10.5, 0), ("trials", 1)),
     "direct-trials-bool": (lambda models: estimate_por_direct(_POLICY2, models, 10_000, True, 0),
-                           "trials"),
+                           ("trials", 1)),
     "safety-horizon-bool": (lambda models: estimate_arlfa(_POLICY2, models, 2, 0,
                                                           safety_horizon=True),
-                            "safety_horizon"),
+                            ("safety_horizon", 1)),
     "safety-horizon-fraction": (lambda models: estimate_wadd(_POLICY2, models, 2, 0,
                                                              safety_horizon=100.5),
-                                "safety_horizon"),
+                                ("safety_horizon", 1)),
     "cycles-fraction": (lambda models: estimate_por_renewal(_POLICY2, models, 150.5, 0),
-                        "cycles"),
-    "cycles-bool": (lambda models: estimate_por_renewal(_POLICY2, models, True, 0), "cycles"),
-    "scenario-horizon-bool": (lambda models: Scenario(models, 1, horizon=True), "horizon"),
+                        ("cycles", 100)),
+    "cycles-bool": (lambda models: estimate_por_renewal(_POLICY2, models, True, 0),
+                    ("cycles", 100)),
+    "scenario-horizon-bool": (lambda models: Scenario(models, 1, horizon=True), ("horizon", 1)),
     # a value that is not a real number fails with the same message, not
     # with the TypeError of a comparison or of float()
-    "trials-str": (lambda models: estimate_wadd(_POLICY2, models, "3", 0), "trials"),
-    "trials-none": (lambda models: estimate_wadd(_POLICY2, models, None, 0), "trials"),
-    "cycles-word": (lambda models: estimate_por_renewal(_POLICY2, models, "abc", 0), "cycles"),
+    "trials-str": (lambda models: estimate_wadd(_POLICY2, models, "3", 0), ("trials", 1)),
+    "trials-none": (lambda models: estimate_wadd(_POLICY2, models, None, 0), ("trials", 1)),
+    "cycles-word": (lambda models: estimate_por_renewal(_POLICY2, models, "abc", 0),
+                    ("cycles", 100)),
     "safety-horizon-complex": (lambda models: estimate_arlfa(_POLICY2, models, 2, 0,
                                                              safety_horizon=3 + 0j),
-                               "safety_horizon"),
-    "scenario-horizon-list": (lambda models: Scenario(models, 1, horizon=[5]), "horizon"),
+                               ("safety_horizon", 1)),
+    "scenario-horizon-list": (lambda models: Scenario(models, 1, horizon=[5]), ("horizon", 1)),
+    # the direct route names its own bound, 10000, for every bad horizon
+    "direct-horizon-none": (lambda models: estimate_por_direct(_POLICY2, models, None, 2, 0),
+                            ("horizon", 10_000)),
+    "direct-horizon-str": (lambda models: estimate_por_direct(_POLICY2, models, "20000", 2, 0),
+                           ("horizon", 10_000)),
+    "direct-horizon-fraction": (lambda models: estimate_por_direct(_POLICY2, models, 10000.5,
+                                                                   2, 0),
+                                ("horizon", 10_000)),
 }
 
 
 @pytest.mark.parametrize("case", _BAD_COUNTS)
 def test_counts_must_be_integers(models2, case):
     # a bool is not a count, nor is a fraction or a string: each names its
-    # argument
-    call, name = _BAD_COUNTS[case]
-    with pytest.raises(ValueError, match=f"^{name} must be an integer >= "):
+    # argument and its bound
+    call, (name, low) = _BAD_COUNTS[case]
+    with pytest.raises(ValueError, match=f"^{name} must be an integer >= {low}, got "):
         call(models2)
 
 
@@ -457,7 +478,7 @@ PINNED_CALIBRATE = (  # budgets, scales, achieved means, evaluations (search pas
 )
 
 
-def test_fixed_seed_estimates_are_pinned(models2, models3):
+def test_fixed_seed_estimates_are_pinned(models2, models3, trial_path):
     policies = {
         "2e": (PolicyParams(m=2, A=3.0, scales={2: 1.0}, budgets={1: 2.5}), models2),
         "3e": (PolicyParams(m=3, A=3.0, scales={2: 1.0, 3: 1.0}, budgets={1: 3, 2: 1.5}),

@@ -7,6 +7,7 @@ import time
 from collections.abc import Iterable
 from dataclasses import replace
 from functools import partial
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -299,6 +300,38 @@ def test_kernel_properties(params, change_point, seed):
             # floor <= statistic <= the parent floor, or A at the top
             assert floors[-2] <= state.statistic <= floors[-1]
     assert (state.time, state.stop_reason) == (summary.steps_run, summary.stop_reason)
+
+
+@st.composite
+def _lockstep_cases(draw):
+    """A policy, or at times an RSS one; its models, whose post-change std
+    differs from the pre-change one; a change point; a horizon."""
+    params = draw(_policies())
+    std = draw(st.floats(0.5, 2.0))
+    # one post-change std and ascending means keep KL non-decreasing in id
+    means = sorted(draw(st.lists(st.floats(0.25, 1.5), min_size=params.m, max_size=params.m)))
+    models = tuple(ExperimentModel(i, DensitySpec("gaussian", 0.0, 1.0),
+                                   DensitySpec("gaussian", mean, std))
+                   for i, mean in enumerate(means, 1))
+    if params.m == 2 and draw(st.booleans()):
+        params = RssParams(A=params.A, p_hi=draw(st.floats(0.0, 1.0)))
+    change_point = draw(st.one_of(st.integers(1, 150), st.just(math.inf)))
+    return params, models, change_point, draw(st.integers(1, 400))
+
+
+@settings(deadline=None, max_examples=60)
+@given(case=_lockstep_cases(), seed=st.integers(0, 2**32 - 1), min_rows=st.integers(1, 40),
+       handoff=st.integers(0, 40))
+def test_lockstep_summaries_equal_scalar_episodes(case, seed, min_rows, handoff):
+    # the lockstep runner steps 40 episodes together, compacting its rows
+    # down to min_rows and handing the last handoff trials to the scalar
+    # loops; each summary must be the one its own scalar episode gives
+    params, models, change_point, horizon = case
+    scenario = make_scenario(models, change_point, horizon)
+    with patch.object(simulate, "_MIN_ROWS", min_rows), \
+            patch.object(simulate, "_HANDOFF_ROWS", handoff):
+        lockstep = list(simulate._lockstep(params, scenario, EpisodeKeys((seed,), 40)))
+    assert lockstep == [episode_summary(params, scenario, (seed, t)) for t in range(40)]
 
 
 def test_rss_episode_trace(models2):
