@@ -24,8 +24,8 @@ from typing import Sequence
 
 from .densities import ExperimentModel, _count, check_models
 from .engine import PolicyParams, set_threshold
-from .metrics import PorVector, _RenewalKernel, estimate_por_renewal
-from .simulate import seed_entropy
+from .metrics import PorVector, estimate_por_renewal
+from .simulate import _RenewalKernel, seed_entropy
 
 _SUM_EPS = 1e-9
 # the caps of a level's first passes, before budget_cap

@@ -6,8 +6,8 @@ this module is the single home for that arithmetic. It also holds the one
 check of a model set, check_models, which every route calls, step() included:
 m models carry the ids 1..m in quality order, a higher id having a larger KL
 divergence. validate_ordering reports a disorder instead of raising.
-_count, the one check of an integer argument, lives here because every
-module imports this one.
+_count and _real, the checks of an integer and of a real argument, live
+here because every module imports this one.
 """
 
 from __future__ import annotations
@@ -31,6 +31,14 @@ def _count(name: str, value, low: int) -> int:
     return int(value)
 
 
+def _real(name: str, value) -> float:
+    """value as a float, or ValueError unless it is a real number (a bool is
+    not, though float(True) is 1.0, nor is "3")."""
+    if isinstance(value, bool) or not isinstance(value, Real):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    return float(value)
+
+
 @dataclass(frozen=True)
 class DensitySpec:
     """A single observation density. Gaussian is the only family."""
@@ -42,9 +50,9 @@ class DensitySpec:
     def __post_init__(self) -> None:
         if self.family not in _FAMILIES:
             raise ValueError(f"unsupported density family {self.family!r}")
-        if not math.isfinite(self.mean):
+        if not math.isfinite(_real("mean", self.mean)):
             raise ValueError(f"mean must be finite, got {self.mean}")
-        if not (math.isfinite(self.std) and self.std > 0.0):
+        if not (math.isfinite(_real("std", self.std)) and self.std > 0.0):
             raise ValueError(f"std must be positive and finite, got {self.std}")
 
     def logpdf(self, x: float) -> float:

@@ -7,13 +7,19 @@ level's floor opens the level below with a scaled, deeper floor and a
 floor, or exhausting the budget, closes the level again. Data-efficient
 policies add level 0, which takes no observations and climbs deterministically.
 
-_EngineCore.run is the one place a step happens: simulated episodes, their
-traces and the public step() all advance the policy state through it. It is
-one flat loop over locals, with the observation draw, the log-likelihood
-ratio and the level changes written inline; the tables it reads (each
-model's LLR terms, each level's integer budget) are built once, on the frozen
-ExperimentModel and PolicyParams. An episode runs its pre-change steps,
-then its post-change steps, as two runs. The RSS baseline has its own loop:
+_EngineCore.run is the step loop of the policy: traces, the public step(),
+every post-change step and the pre-change steps that the visit recursion
+does not take advance the policy state through it. It is one flat loop over
+locals, with the observation draw, the log-likelihood ratio and the level
+changes written inline; the tables it reads (each model's LLR terms, each
+level's integer budget) are built once, on the frozen ExperimentModel and
+PolicyParams. An episode runs its pre-change steps, then its post-change
+steps, as two runs. An unrecorded episode without top truncation takes its
+pre-change steps on the renewal kernel's visit recursion
+(simulate._RenewalKernel.pre_change) up to a few steps before the change or
+the horizon, and the core goes on from there; the recorded-against-
+unrecorded tests check the two loops against each other, and both against
+tests/straightline.py. The RSS baseline has its own loop:
 the public run_rss, fed by callbacks, is the reference for the private
 locals loop that simulated RSS episodes run (simulate._run_rss). All of them
 report each step to record(n, experiment, x, statistic, event). The core
@@ -25,8 +31,10 @@ renewal kernel's budget coins and scored observations (each one's LLR
 increment, computed per block in numpy), each drawn in blocks of 16, 32,
 ..., 4096. A pre-change run that records nothing scores its experiment
 streams' blocks in numpy as well (sbuf), so a long pre-change run pays one
-addition per step for its LLR. Scoring in numpy follows llr_from_terms's
-operations in order, so every path gives the same bits.
+addition per step for its LLR; it serves the episodes that the visit
+recursion hands over, top-truncated policies and the lockstep runner's last
+trials. Scoring in numpy follows llr_from_terms's operations in order, so
+every path gives the same bits.
 """
 
 from __future__ import annotations
@@ -39,7 +47,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .densities import ExperimentModel, _count, check_models, llr_from_terms
+from .densities import ExperimentModel, _count, _real, check_models, llr_from_terms
 
 
 @dataclass(frozen=True)
@@ -81,10 +89,10 @@ class PolicyParams:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "m", _count("m", self.m, 1))
-        if math.isnan(self.A) or self.A < 0.0:
+        if math.isnan(_real("threshold A", self.A)) or self.A < 0.0:
             raise ValueError(f"threshold A must be >= 0, got {self.A}")
-        scales = {int(k): float(v) for k, v in self.scales.items()}
-        budgets = {int(k): float(v) for k, v in self.budgets.items()}
+        scales = {int(k): _real(f"scale a_{k}", v) for k, v in self.scales.items()}
+        budgets = {int(k): _real(f"budget N_{k}", v) for k, v in self.budgets.items()}
         object.__setattr__(self, "scales", scales)
         object.__setattr__(self, "budgets", budgets)
         want_scales = set(range(2, self.m + 1)) | ({1} if self.data_efficient else set())
@@ -104,14 +112,14 @@ class PolicyParams:
             if not (math.isfinite(n) and n >= 0.0):
                 raise ValueError(f"budget N_{j} must be >= 0 and finite, got {n}")
         if self.data_efficient:
-            if self.mu is None or not (math.isfinite(self.mu) and self.mu > 0.0):
+            if self.mu is None or not (math.isfinite(_real("mu", self.mu)) and self.mu > 0.0):
                 raise ValueError(
                     f"data-efficient policies need a climb rate mu > 0, got {self.mu}"
                 )
         elif self.mu is not None:
             raise ValueError("mu is only meaningful for data-efficient policies")
         if self.top_truncation is not None:
-            t = float(self.top_truncation)
+            t = _real("top_truncation", self.top_truncation)
             if not (math.isfinite(t) and t >= 0.0):
                 raise ValueError(f"top_truncation must be >= 0 and finite, got {t}")
             object.__setattr__(self, "top_truncation", t)
@@ -126,7 +134,7 @@ def set_threshold(gamma: float) -> float:
     gamma = 1 gives the degenerate A = 0 (stop almost immediately) and is
     allowed with a warning; gamma < 1 is rejected.
     """
-    if math.isnan(gamma) or gamma < 1.0:
+    if math.isnan(_real("gamma", gamma)) or gamma < 1.0:
         raise ValueError(f"the false-alarm target gamma must be >= 1, got {gamma}")
     if gamma == 1.0:
         warnings.warn("gamma = 1 gives threshold 0: the policy stops almost immediately")
@@ -142,9 +150,9 @@ class RssParams:
     p_hi: float
 
     def __post_init__(self) -> None:
-        if math.isnan(self.A) or self.A <= 0.0:
+        if math.isnan(_real("threshold A", self.A)) or self.A <= 0.0:
             raise ValueError(f"threshold A must be > 0, got {self.A}")
-        if not (0.0 <= self.p_hi <= 1.0):
+        if not (0.0 <= _real("p_hi", self.p_hi) <= 1.0):
             raise ValueError(f"p_hi must be in [0, 1], got {self.p_hi}")
 
 
@@ -183,7 +191,8 @@ def resolve_truncation(budget: float, rng: np.random.Generator | None = None) ->
     resolves to floor(N) with probability ceil(N) - N and to ceil(N)
     otherwise, so the resolved budget has mean N.
     """
-    b = float(budget)
+    # a float skips _real's isinstance tests: each renewal-cycle coin comes here
+    b = budget if type(budget) is float else _real("budget", budget)
     if not (math.isfinite(b) and b >= 0.0):
         raise ValueError(f"budget must be >= 0 and finite, got {budget}")
     low = math.floor(b)
@@ -225,11 +234,14 @@ class _Stream:
     terms. A scored stream (the renewal kernel's, which reads pre-change
     observations only) holds instead each observation's LLR increment,
     llr_from_terms(terms, pre_mean + pre_std * z), computed per block in
-    numpy (llrs). An engine observation stream keeps its normals in buf;
-    sbuf, None until then, holds the increments (llrs) of the last block
-    that a pre-change run without record drew. Only pre-change runs read
-    it, and an episode's streams see one pre-change run, before any other,
-    so while read it belongs to the current block. A stream without a model
+    numpy (llrs), and keeps the block's normals in normals. An engine
+    observation stream keeps its normals in buf; sbuf, None until then,
+    holds the increments (llrs) of the last block that a pre-change run
+    without record drew. unscore() turns a scored stream into an engine
+    stream at the same position, with both, when the kernel hands an
+    episode's pre-change run to the engine. Only pre-change runs read sbuf,
+    and an episode's streams see one pre-change run, before any other, so
+    while read it belongs to the current block. A stream without a model
     draws uniforms, which random() hands out one at a time. On Philox,
     chunked draws give the same sequence as one large block or as many
     scalar calls, so the values do not depend on the block sizes. The
@@ -237,7 +249,7 @@ class _Stream:
     and end directly and call refill() at the end of a block.
     """
 
-    __slots__ = ("make_gen", "scored", "draw", "buf", "sbuf", "pos", "end",
+    __slots__ = ("make_gen", "scored", "draw", "buf", "sbuf", "normals", "pos", "end",
                  "pre_mean", "pre_std", "post_mean", "post_std", "terms")
 
     def __init__(self, make_gen: Callable[[], np.random.Generator] | None,
@@ -267,6 +279,7 @@ class _Stream:
             size = _FIRST_BLOCK
         block = self.draw(size)
         if self.scored:
+            self.normals = block
             block = self.llrs(block)
         # plain-float list: python float arithmetic beats numpy scalars here
         self.buf = block.tolist()
@@ -276,6 +289,14 @@ class _Stream:
     def llrs(self, z: np.ndarray) -> np.ndarray:
         """The LLR increments of the pre-change observations of the normals z."""
         return _llrs(z, self.pre_mean, self.pre_std, self.terms)
+
+    def unscore(self) -> None:
+        """Make a scored stream an engine stream at the same position: the
+        current block's normals in buf and its increments in sbuf, as a
+        pre-change run without record leaves them."""
+        self.scored = False
+        if self.end:
+            self.buf, self.sbuf = self.normals.tolist(), self.buf
 
     def random(self) -> float:
         """The next uniform, as Generator.random() would give it."""
@@ -288,10 +309,11 @@ class _Stream:
 
 
 class _EngineCore:
-    """Mutable policy state and the one loop that moves it.
+    """Mutable policy state and the step loop that moves it.
 
-    run() is the one place a step happens: the estimators' episodes, the
-    traces and the public step() all go through it. It is one flat loop over
+    run() takes every step of the traces, of the public step() and of an
+    episode's post-change run, and the pre-change steps that the renewal
+    kernel's visit recursion leaves to it. It is one flat loop over
     locals, reading tables built once on the frozen inputs
     (the streams' LLR terms, PolicyParams.fixed_budgets); it takes no models,
     which its callers have checked. A core either starts an episode,

@@ -1,18 +1,17 @@
 """Monte Carlo estimators: false-alarm rate, detection delay, observation cost.
 
-Two independent routes exist for the post-change-free observation rate (POR):
-estimate_por_direct drives the engine over long pre-change episodes, while
-estimate_por_renewal transcribes the regenerative cycle structure directly
-(top-level excursion, then the recursive truncated sub-policy below) without
-touching the engine. The two cross-check each other.
-
-The renewal kernel keeps that recursive shape: one call per level visit,
-each a loop over locals that adds up its observations' LLR increments. Like
-the engine, it reads tables built once on the frozen inputs (each model's
-LLR terms, each level's integer budget), and resolves only fractional
-budgets per visit. Its observations and its budget coins come through
-engine._Stream, as an episode's do; its level streams are scored, each block
-holding the increments, computed in numpy with the scalar arithmetic's bits.
+Two routes exist for the post-change-free observation rate (POR):
+estimate_por_direct averages the time shares of long pre-change episodes,
+while estimate_por_renewal takes ratios of expected per-cycle times over the
+regenerative cycles (top-level excursion, then the recursive truncated
+sub-policy below). Both run on the visit recursion of the renewal kernel
+(simulate._RenewalKernel): below _LOCKSTEP_TRIALS trials, the direct
+route's episodes take their pre-change steps on it until a few steps
+before the horizon, and the renewal route runs its cycles from a seed of
+its own. The two routes check the time average against the cycle ratio;
+the recursion itself is checked against _EngineCore.run by the tests that
+compare recorded with unrecorded episodes, and against
+tests/straightline.py.
 
 The stopping-time and direct estimators share one trial loop,
 _trial_summaries. Below _LOCKSTEP_TRIALS trials it runs one episode at a
@@ -24,26 +23,23 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import partial
 from statistics import NormalDist
-from struct import pack
 from typing import Sequence
 
 import numpy as np
 
-from .densities import ExperimentModel, _count, check_models
-from .engine import PolicyParams, RssParams, _Stream, resolve_truncation, set_threshold
+from .densities import ExperimentModel, _count
+# resolve_truncation stays a name here: perfbench's tracer patches it
+from .engine import PolicyParams, RssParams, resolve_truncation, set_threshold  # noqa: F401
 from .simulate import (
     EpisodeKeys,
     Scenario,
     _default_safety_horizon,
     _lockstep,
-    _philox,
+    _RenewalKernel,
     episode_summary,
     seed_entropy,
 )
-
-RENEWAL_TAG = 3
 
 # _trial_summaries steps its episodes in lockstep from this many trials on,
 # the CLI's default. Lockstep against scalar on a 2-CPU VM:
@@ -257,126 +253,6 @@ def estimate_por_direct(
                       for k in range(first, len(models) + 1)})
 
 
-class _RenewalKernel:
-    """Regenerative cycles written straight from the cycle structure: a
-    zero-floor excursion at the top level, then the recursive truncated
-    sub-policy opened by the undershoot. Engine-free on purpose.
-
-    run() holds the top excursion and _sub() one visit of a lower level,
-    recursing into the level below on an undershoot. Each keeps the
-    visited level's stream (buf, pos, end) in locals and moves the statistic
-    by d += buf[pos]. The level streams are scored: each block already holds
-    its observations' LLR increments, llr_from_terms(terms, pre_mean +
-    pre_std * z), computed in numpy in that function's operation order, so
-    the sums are the bits a scalar loop would give. The
-    tables are built once on the frozen inputs: ExperimentModel.terms and
-    PolicyParams.fixed_budgets, so only a fractional budget calls
-    resolve_truncation, with budget_rng, a _Stream of uniforms read one at
-    a time. With record = j, run() also appends the steps of each level-j
-    visit to self.visits, as native int64 in visit order: the calibration
-    search reads them.
-    """
-
-    def __init__(self, params: PolicyParams, models: Sequence[ExperimentModel], base_seed,
-                 record: int = -1) -> None:
-        self.m = m = params.m
-        by_id = check_models(models, m)
-        self.de = params.data_efficient
-        self.mu = params.mu if params.mu is not None else 0.0
-        # keyed by level: a descent from level j reads a[j] and the budget of j - 1
-        self.a = [0.0] * (m + 1)
-        for i, v in params.scales.items():
-            self.a[i] = v
-        self.N = params.budgets
-        self.fixed = params.fixed_budgets
-        entropy = seed_entropy(base_seed) + (RENEWAL_TAG,)
-        children = np.random.SeedSequence(entropy).spawn(m + 1)
-        # by level, as the engine reads them; pre-change draws only
-        self.streams = [None] + [_Stream(partial(_philox, children[mdl.id - 1]), mdl,
-                                         scored=True) for mdl in by_id[1:]]
-        self.budget_rng = _Stream(partial(_philox, children[m]))
-        self.recorded = record
-        self.visits = bytearray()
-
-    def run(self, cycles: int) -> memoryview:
-        """Steps spent at each source in the next `cycles` cycles, as a flat
-        memoryview of doubles: cycle k's count for source j (0 = idle) is at
-        index k * (m + 1) + j."""
-        m = self.m
-        width = m + 1
-        # zeroed doubles over a bytearray, which numpy views without a copy
-        out = memoryview(bytearray(8 * width * cycles)).cast("d")
-        sub = self._sub if m > 1 or self.de else None
-        a = self.a[m]
-        s = self.streams[m]
-        buf, pos, end = s.buf, s.pos, s.end
-        for at in range(0, width * cycles, width):
-            d = 0.0
-            steps = 0
-            while True:
-                if pos == end:
-                    s.refill()
-                    buf, end, pos = s.buf, s.end, 0
-                d += buf[pos]
-                pos += 1
-                steps += 1
-                if d < 0.0:
-                    break
-            out[at + m] = steps
-            if sub is not None:
-                sub(m - 1, a * d, 0.0, out, at)
-        s.pos = pos
-        return out
-
-    def _sub(self, j: int, floor: float, ceiling: float, out: memoryview, at: int) -> None:
-        """One visit of level j: its steps go to out[at + j]."""
-        budget = self.fixed[j]
-        if budget is None:
-            budget = resolve_truncation(self.N[j], self.budget_rng)
-        if budget == 0:
-            return
-        used = 0
-        d = floor
-        if j == 0:
-            mu = self.mu
-            while True:
-                d += mu
-                used += 1
-                if d > ceiling or used == budget:
-                    break
-        else:
-            a = self.a[j]
-            # nothing opens below level 1 of a plain policy, nor below a fixed
-            # budget of 0 (which draws nothing), so there the level reflects
-            reflects = self.fixed[j - 1] == 0 or j == 1 and not self.de
-            s = self.streams[j]
-            buf, pos, end = s.buf, s.pos, s.end
-            while True:
-                if pos == end:
-                    s.refill()
-                    buf, end, pos = s.buf, s.end, 0
-                d += buf[pos]
-                pos += 1
-                used += 1
-                if reflects and d < floor:
-                    d = floor
-                if d > ceiling:
-                    break
-                if d < floor:
-                    # the budget-consuming observation may still open the level
-                    # below; the exhaustion return happens once it closes. The
-                    # visit below reads only its own stream, so these locals
-                    # stay valid across it.
-                    self._sub(j - 1, floor + a * (d - floor), floor, out, at)
-                    d = floor
-                if used == budget:
-                    break
-            s.pos = pos
-        out[at + j] += used
-        if j == self.recorded:
-            self.visits += pack("q", used)
-
-
 def _ratio_estimate(x: np.ndarray, y: np.ndarray, confidence: float) -> MetricEstimate:
     # Ratio of means with a delta-method standard error.
     n = len(x)
@@ -448,9 +324,10 @@ def tradeoff_curve(
     """
     if len(gammas) == 0:
         raise ValueError("the gamma grid must not be empty")
+    # set_threshold checks that each gamma is a real number before they are compared
+    thresholds = [set_threshold(gamma) for gamma in gammas]
     if any(g2 <= g1 for g1, g2 in zip(gammas, gammas[1:])):
         raise ValueError(f"the gamma grid must be strictly increasing, got {list(gammas)}")
-    thresholds = [set_threshold(gamma) for gamma in gammas]
     points = []
     base = seed_entropy(base_seed)
     for k, (gamma, threshold) in enumerate(zip(gammas, thresholds)):

@@ -22,6 +22,18 @@ the same either way. An episode with a finite change point and no horizon
 stops at the estimators' safety horizon, 1e4 * e^A steps, so no episode
 runs unbounded.
 
+An episode's steps run on two loops. An unrecorded episode of a policy
+without top truncation takes its pre-change steps on the renewal kernel's
+visit recursion (_RenewalKernel.pre_change), the loop that
+estimate_por_renewal and calibrate run, on the episode's streams and control
+coins: so the direct and renewal POR routes share it. It hands the episode
+to _EngineCore.run at the top level once a top step and the longest visit
+below it might pass the change or the horizon. The engine takes the rest:
+those last pre-change steps, the post-change steps, and every step of a
+recorded episode or a top-truncated policy. The tests that compare
+recorded with unrecorded episodes check the recursion against
+_EngineCore.run, and both against tests/straightline.py.
+
 From metrics._LOCKSTEP_TRIALS trials on, the estimators run their episodes
 in lockstep (_lockstep): a batch of up to _KEY_CHUNK trials advances one
 time step per numpy pass, every trial's state held in arrays, with the
@@ -39,6 +51,7 @@ import mmap
 from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import partial
+from struct import pack
 from typing import Callable, Sequence
 
 import numpy as np
@@ -54,10 +67,13 @@ from .engine import (
     _EngineCore,
     _llrs,
     _Stream,
+    resolve_truncation,
 )
 
 OBS_STREAM_TAG = 1
 CONTROL_STREAM_TAG = 2
+# the renewal kernel's own streams: (seed..., RENEWAL_TAG) spawns one per level
+RENEWAL_TAG = 3
 
 # Horizon used by config-driven flows when change_point is infinite and no
 # horizon was given explicitly.
@@ -371,7 +387,10 @@ def _drive(params, scenario, entropy, record=None, make_gen=None):
     gives the generator of the stream tagged tag, on the stream's first
     draw; by default a fresh one, built through the module-level
     observation_generator and control_generator. Without a horizon, an
-    episode is cut at the safety horizon, 1e4 * e^A steps.
+    episode is cut at the safety horizon, 1e4 * e^A steps. Without record
+    or a top truncation, the pre-change steps run on the renewal kernel's
+    visit recursion as far as it can take them, and the core goes on from
+    there.
     """
     if make_gen is None:
         make_gen = partial(_fresh_generator, entropy)
@@ -399,7 +418,12 @@ def _drive(params, scenario, entropy, record=None, make_gen=None):
     core = _EngineCore(params, ctrl)
     # the change point ends one run and starts the next on the same core
     if nu > 1:
-        core.run(streams, False, min(nu - 1, horizon), on_step)
+        stop = min(nu - 1, horizon)
+        if record is None and params.top_truncation is None:
+            # the visit recursion takes the pre-change steps it can finish
+            # by stop; the engine takes the rest
+            _RenewalKernel.of_episode(params, streams, ctrl).pre_change(core, stop)
+        core.run(streams, False, stop, on_step)
     core.run(streams, True, horizon, on_step)
     stopping_time = core.time if core.stopped else None
     return stopping_time, core.stop_reason, dict(enumerate(core.counts))
@@ -469,6 +493,212 @@ def _run_rss(params, streams, ctrl, nu, horizon, record=None, n=0, d=0.0, lows=0
             if record is not None:
                 record(n, 2 if up else 1, x, d, "")
     return None, {0: 0, 1: lows, 2: n - lows}
+
+
+class _RenewalKernel:
+    """The pre-change policy as a visit recursion: a zero-floor excursion at
+    the top level, then the recursive truncated sub-policy opened by the
+    undershoot. Both POR routes run on it: estimate_por_renewal and
+    calibrate through run(), and an episode's pre-change steps, from
+    estimate_por_direct and estimate_arlfa among others, through
+    pre_change().
+
+    run() holds the renewal top excursion and _sub() one visit of a lower
+    level, recursing into the level below on an undershoot. Each keeps the
+    visited level's stream (buf, pos, end) in locals and moves the statistic
+    by d += buf[pos]. The level streams are scored: each block already holds
+    its observations' LLR increments, llr_from_terms(terms, pre_mean +
+    pre_std * z), computed in numpy in that function's operation order, so
+    the sums are the bits a scalar loop would give. The
+    tables are built once on the frozen inputs: ExperimentModel.terms and
+    PolicyParams.fixed_budgets, so only a fractional budget calls
+    resolve_truncation, with budget_rng, a _Stream of uniforms read one at
+    a time. With record = j, run() also appends the steps of each level-j
+    visit to self.visits, as native int64 in visit order: the calibration
+    search reads them.
+
+    The renewal constructor draws from streams of its own, keyed by the
+    seed and RENEWAL_TAG; of_episode() builds a kernel on an episode's
+    level streams and control stream instead.
+    """
+
+    def __init__(self, params: PolicyParams, models: Sequence[ExperimentModel], base_seed,
+                 record: int = -1) -> None:
+        m = params.m
+        by_id = check_models(models, m)
+        self._tables(params)
+        entropy = seed_entropy(base_seed) + (RENEWAL_TAG,)
+        children = np.random.SeedSequence(entropy).spawn(m + 1)
+        # by level, as the engine reads them; pre-change draws only
+        self.streams = [None] + [_Stream(partial(_philox, children[mdl.id - 1]), mdl,
+                                         scored=True) for mdl in by_id[1:]]
+        self.budget_rng = _Stream(partial(_philox, children[m]))
+        self.recorded = record
+        self.visits = bytearray()
+
+    @classmethod
+    def of_episode(cls, params: PolicyParams, streams: list, ctrl: _Stream) -> _RenewalKernel:
+        """A kernel on an episode's streams: level j reads streams[j] and
+        the budget coins come from ctrl, so it draws what _EngineCore.run
+        draws. reach is the most steps one visit below the top can take:
+        B_j = ceil(N_j) * (1 + B_(j-1)) at level j, B_(m-1) in all."""
+        self = cls.__new__(cls)
+        self._tables(params)
+        self.streams = streams
+        self.budget_rng = ctrl
+        self.recorded = -1
+        reach = 0
+        for j in range(0 if self.de else 1, self.m):
+            reach = math.ceil(params.budgets[j]) * (1 + reach)
+        self.reach = reach
+        return self
+
+    def _tables(self, params: PolicyParams) -> None:
+        self.m = m = params.m
+        self.de = params.data_efficient
+        self.mu = params.mu if params.mu is not None else 0.0
+        # keyed by level: a descent from level j reads a[j] and the budget of j - 1
+        self.a = [0.0] * (m + 1)
+        for i, v in params.scales.items():
+            self.a[i] = v
+        self.N = params.budgets
+        self.fixed = params.fixed_budgets
+
+    def run(self, cycles: int) -> memoryview:
+        """Steps spent at each source in the next `cycles` cycles, as a flat
+        memoryview of doubles: cycle k's count for source j (0 = idle) is at
+        index k * (m + 1) + j."""
+        m = self.m
+        width = m + 1
+        # zeroed doubles over a bytearray, which numpy views without a copy
+        out = memoryview(bytearray(8 * width * cycles)).cast("d")
+        sub = self._sub if m > 1 or self.de else None
+        a = self.a[m]
+        s = self.streams[m]
+        buf, pos, end = s.buf, s.pos, s.end
+        for at in range(0, width * cycles, width):
+            d = 0.0
+            steps = 0
+            while True:
+                if pos == end:
+                    s.refill()
+                    buf, end, pos = s.buf, s.end, 0
+                d += buf[pos]
+                pos += 1
+                steps += 1
+                if d < 0.0:
+                    break
+            out[at + m] = steps
+            if sub is not None:
+                sub(m - 1, a * d, 0.0, out, at)
+        s.pos = pos
+        return out
+
+    def pre_change(self, core: _EngineCore, stop: int) -> None:
+        """Take the pre-change steps of core's episode, a fresh core without
+        top truncation, up to time stop, and leave the rest to core.
+
+        The top loop adds the top stream's increments and stops above A; an
+        undershoot opens _sub below, and the statistic then starts again at
+        0.0, as the engine's ascent to the top floor sets it (a plain m = 1
+        policy reflects instead). These are _EngineCore.run's steps: the
+        same increments in the same order, and the same budget coins at the
+        same descents. The loop runs while a top step and the visit below it
+        end by stop; the core goes on from the top level, with the
+        statistic, time and counts, and the streams become engine streams
+        again at the same position. A run with stop within reach of 0 goes
+        to the engine whole. The time is summed from the counts once per
+        stride of top steps that all begin in time.
+        """
+        width = 1 + self.reach  # the most steps of a top step and its visit below
+        last = stop - width  # the latest time a top step may begin at
+        if last < 0:
+            return
+        m, A, counts = self.m, core.A, core.counts
+        streams = self.streams
+        for s in streams[1:]:
+            s.scored = True
+        sub = self._sub if m > 1 or self.de else None
+        a = self.a[m]
+        s = streams[m]
+        buf, pos, end = s.buf, s.pos, s.end
+        d = 0.0
+        top = n = 0  # top steps, and the time: top steps plus counts[:m]
+        stopped = False
+        while n <= last and not stopped:
+            # each top step up to this one begins by last
+            upto = top + (last - n) // width + 1
+            while top < upto:
+                if pos == end:
+                    s.refill()
+                    buf, end, pos = s.buf, s.end, 0
+                d += buf[pos]
+                pos += 1
+                top += 1
+                if d < 0.0:
+                    if sub is not None:
+                        sub(m - 1, a * d, 0.0, counts, 0)
+                    d = 0.0
+                elif d > A:
+                    stopped = True
+                    break
+            n = top + sum(counts)
+        s.pos = pos
+        for s in streams[1:]:
+            s.unscore()
+        counts[m] = top
+        core.D, core.time = d, n
+        if stopped:
+            core.stopped, core.stop_reason = True, "threshold"
+
+    def _sub(self, j: int, floor: float, ceiling: float, out: memoryview | list[int],
+             at: int) -> None:
+        """One visit of level j: its steps go to out[at + j]."""
+        budget = self.fixed[j]
+        if budget is None:
+            budget = resolve_truncation(self.N[j], self.budget_rng)
+        if budget == 0:
+            return
+        used = 0
+        d = floor
+        if j == 0:
+            mu = self.mu
+            while True:
+                d += mu
+                used += 1
+                if d > ceiling or used == budget:
+                    break
+        else:
+            a = self.a[j]
+            # nothing opens below level 1 of a plain policy, nor below a fixed
+            # budget of 0 (which draws nothing), so there the level reflects
+            reflects = self.fixed[j - 1] == 0 or j == 1 and not self.de
+            s = self.streams[j]
+            buf, pos, end = s.buf, s.pos, s.end
+            while True:
+                if pos == end:
+                    s.refill()
+                    buf, end, pos = s.buf, s.end, 0
+                d += buf[pos]
+                pos += 1
+                used += 1
+                if reflects and d < floor:
+                    d = floor
+                if d > ceiling:
+                    break
+                if d < floor:
+                    # the budget-consuming observation may still open the level
+                    # below; the exhaustion return happens once it closes. The
+                    # visit below reads only its own stream, so these locals
+                    # stay valid across it.
+                    self._sub(j - 1, floor + a * (d - floor), floor, out, at)
+                    d = floor
+                if used == budget:
+                    break
+            s.pos = pos
+        out[at + j] += used
+        if j == self.recorded:
+            self.visits += pack("q", used)
 
 
 # A lockstep stream is read in blocks of _ROW values; a refill draws and

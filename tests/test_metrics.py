@@ -14,6 +14,7 @@ import pytest
 from mecusum import (
     CalibrationConfig,
     CalibrationTarget,
+    DensitySpec,
     PolicyParams,
     RssParams,
     Scenario,
@@ -25,7 +26,9 @@ from mecusum import (
     estimate_wadd,
     init,
     run_episode,
+    resolve_truncation,
     run_rss,
+    set_threshold,
     step,
     tradeoff_curve,
     wadd_penalty,
@@ -362,6 +365,47 @@ def test_counts_must_be_integers(models2, case):
     # argument and its bound
     call, (name, low) = _BAD_COUNTS[case]
     with pytest.raises(ValueError, match=f"^{name} must be an integer >= {low}, got "):
+        call(models2)
+
+
+_DE2 = dict(m=2, A=3.0, scales={1: 1.0, 2: 1.0}, budgets={0: 1, 1: 1}, data_efficient=True)
+_BAD_REALS = {
+    "threshold-bool": (lambda models: PolicyParams(m=1, A=True), "threshold A"),
+    "threshold-str": (lambda models: PolicyParams(m=1, A="3"), "threshold A"),
+    "budget-bool": (lambda models: PolicyParams(m=2, A=3.0, scales={2: 1.0}, budgets={1: True}),
+                    "budget N_1"),
+    "budget-str": (lambda models: PolicyParams(m=2, A=3.0, scales={2: 1.0}, budgets={1: "2"}),
+                   "budget N_1"),
+    "scale-bool": (lambda models: PolicyParams(m=2, A=3.0, scales={2: True}, budgets={1: 2}),
+                   "scale a_2"),
+    "top-truncation-bool": (lambda models: PolicyParams(m=1, A=3.0, top_truncation=True),
+                            "top_truncation"),
+    "top-truncation-str": (lambda models: PolicyParams(m=1, A=3.0, top_truncation="40"),
+                           "top_truncation"),
+    "mu-bool": (lambda models: PolicyParams(**_DE2, mu=True), "mu"),
+    "rss-threshold-bool": (lambda models: RssParams(A=True, p_hi=0.5), "threshold A"),
+    "p-hi-bool": (lambda models: RssParams(A=3.0, p_hi=True), "p_hi"),
+    "p-hi-str": (lambda models: RssParams(A=3.0, p_hi="0.5"), "p_hi"),
+    "density-mean-bool": (lambda models: DensitySpec("gaussian", True, 1.0), "mean"),
+    "density-std-bool": (lambda models: DensitySpec("gaussian", 0.0, True), "std"),
+    "density-std-str": (lambda models: DensitySpec("gaussian", 0.0, "1"), "std"),
+    "gamma-bool": (lambda models: set_threshold(True), "gamma"),
+    "gamma-str": (lambda models: set_threshold("1000"), "gamma"),
+    "budget-to-resolve-bool": (lambda models: resolve_truncation(True), "budget"),
+    "budget-to-resolve-str": (lambda models: resolve_truncation("2"), "budget"),
+    "gamma-grid-str": (lambda models: tradeoff_curve(_POLICY2, models, "ab", 2, 0), "gamma"),
+    "gamma-grid-mixed": (lambda models: tradeoff_curve(_POLICY2, models, [10.0, "ab"], 2, 0),
+                         "gamma"),
+}
+
+
+@pytest.mark.parametrize("case", _BAD_REALS)
+def test_reals_must_be_numbers(models2, case):
+    # a bool is not a real number, though float(True) is 1.0, nor is a
+    # string: each fails with the name of its field or argument, as the CLI's
+    # config check does, and not with the TypeError of a comparison
+    call, name = _BAD_REALS[case]
+    with pytest.raises(ValueError, match=f"^{name} must be a real number, got "):
         call(models2)
 
 

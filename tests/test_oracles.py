@@ -20,8 +20,8 @@ from hypothesis import strategies as st
 
 from mecusum import PolicyParams, Scenario, episode_summary, resolve_truncation, run_episode
 from mecusum.densities import llr_from_terms, llr_terms
-from mecusum.metrics import RENEWAL_TAG, _RenewalKernel
-from mecusum.simulate import control_generator, observation_generator, seed_entropy
+from mecusum.simulate import (RENEWAL_TAG, _RenewalKernel, control_generator,
+                              observation_generator, seed_entropy)
 from conftest import gaussian_model, obs_for
 from drivers import engine_records, normal_stream
 import straightline

@@ -31,9 +31,11 @@ from mecusum import (
 )
 from mecusum import simulate
 from mecusum.densities import llr_from_terms, llr_terms
-from mecusum.metrics import RENEWAL_TAG, _RenewalKernel, _trial_summaries
+from mecusum.metrics import _trial_summaries
 from mecusum.simulate import (
+    RENEWAL_TAG,
     EpisodeKeys,
+    _RenewalKernel,
     control_generator,
     observation_generator,
     seed_entropy,
@@ -266,12 +268,19 @@ def _policies(draw):
 
 
 @settings(deadline=None, max_examples=150)
-@given(params=_policies(), change_point=st.sampled_from([1, 7, math.inf]),
-       seed=st.integers(0, 2**32 - 1))
-def test_kernel_properties(params, change_point, seed):
+@given(params=_policies(), unbounded=st.integers(0, 4),
+       change_point=st.one_of(st.sampled_from([1, 7, math.inf]), st.integers(2, 5000)),
+       horizon=st.integers(1, 5000), seed=st.integers(0, 2**32 - 1))
+def test_kernel_properties(params, unbounded, change_point, horizon, seed):
+    # an unrecorded episode runs its pre-change steps on the renewal kernel's
+    # visit recursion and hands the rest to the engine near min(nu - 1,
+    # horizon); a recorded one runs every step on the engine. Horizons and
+    # change points from 1 to 5000 put that handover at every distance from
+    # the limit; at times A is infinite, as estimate_por_direct sets it
+    if unbounded == 0:
+        params = replace(params, A=math.inf)
     models = _MODELS3[:params.m]
-    scenario = make_scenario(models, change_point, horizon=_HORIZON)
-    # the kernel takes the same steps with and without a record callback
+    scenario = make_scenario(models, change_point, horizon)
     summary = episode_summary(params, scenario, seed)
     trace = run_episode(params, scenario, seed)
     assert ((summary.stopping_time, summary.stop_reason, summary.counts)
@@ -282,13 +291,14 @@ def test_kernel_properties(params, change_point, seed):
     if summary.stopping_time is not None:
         assert summary.steps_run == summary.stopping_time
     else:
-        assert summary.steps_run == _HORIZON and summary.stop_reason is None
+        assert summary.steps_run == horizon and summary.stop_reason is None
     if params.top_truncation is not None:
         assert summary.counts[params.m] <= math.ceil(params.top_truncation)
-    # every state on the way keeps the level-stack invariants
+    # every state on the way keeps the level-stack invariants; step() replays
+    # the first _HORIZON steps
     rng = control_generator(seed)
     state = init(params, rng)
-    for row in trace.steps:
+    for row in trace.steps[:_HORIZON]:
         state = step(state, params, models, row.observation, rng).state
         assert state.statistic == row.statistic
         levels = [s.level for s in state.stack]
@@ -299,7 +309,49 @@ def test_kernel_properties(params, change_point, seed):
         if state.stop_reason is None:
             # floor <= statistic <= the parent floor, or A at the top
             assert floors[-2] <= state.statistic <= floors[-1]
-    assert (state.time, state.stop_reason) == (summary.steps_run, summary.stop_reason)
+    if summary.steps_run <= _HORIZON:
+        assert (state.time, state.stop_reason) == (summary.steps_run, summary.stop_reason)
+
+
+# the benchmark's false-alarm policies at gamma = 1000, each with a seed
+# whose episode runs past the 16 -> 4096 block schedule (8176 values) and a
+# 4096 refill at the top level
+_MODELS2 = (gaussian_model(1, 0.75), gaussian_model(2, 1.0))
+_FALSE_ALARM_CASES = {
+    "cusum": (PolicyParams(m=1, A=math.log(1000.0)), (gaussian_model(1, 1.0),), 8),
+    "2e": (PolicyParams(m=2, A=math.log(1000.0), scales={2: 1.0}, budgets={1: 2.0}),
+           _MODELS2, 0),
+    "3e": (PolicyParams(m=3, A=math.log(1000.0), scales={2: 1.0, 3: 1.0},
+                        budgets={1: 3.0, 2: 2.0}), _MODELS3, 12),
+    "de2e": (PolicyParams(m=2, A=math.log(1000.0), scales={1: 1.0, 2: 1.0},
+                          budgets={0: 3.0, 1: 2.0}, mu=0.1, data_efficient=True),
+             _MODELS2, 0),
+    # a top truncation keeps the pre-change steps on the engine
+    "2e-top-truncated": (PolicyParams(m=2, A=math.log(1000.0), scales={2: 1.0},
+                                      budgets={1: 2.5}, top_truncation=20000.5),
+                         _MODELS2, 0),
+}
+
+
+@pytest.mark.parametrize("name", _FALSE_ALARM_CASES)
+def test_false_alarm_episodes_on_the_kernel_equal_the_engine(monkeypatch, name):
+    params, models, seed = _FALSE_ALARM_CASES[name]
+    scenario = make_scenario(models, math.inf, 10**7)
+    runs = []
+    pre_change = _RenewalKernel.pre_change
+
+    def counted(kernel, core, stop):
+        runs.append(stop)
+        return pre_change(kernel, core, stop)
+
+    monkeypatch.setattr(_RenewalKernel, "pre_change", counted)
+    summary = episode_summary(params, scenario, seed)
+    trace = run_episode(params, scenario, seed)
+    assert runs == ([] if params.top_truncation is not None else [10**7])
+    assert ((summary.stopping_time, summary.stop_reason, summary.counts)
+            == (trace.stopping_time, trace.stop_reason, trace.counts))
+    assert summary.stop_reason == "threshold"
+    assert summary.counts[params.m] > 8176 + 4096
 
 
 @st.composite
