@@ -14,27 +14,23 @@ locals, with the observation draw, the log-likelihood ratio and the level
 changes written inline; the tables it reads (each model's LLR terms, each
 level's integer budget) are built once, on the frozen ExperimentModel and
 PolicyParams. An episode runs its pre-change steps, then its post-change
-steps, as two runs. An unrecorded episode without top truncation takes its
-pre-change steps on the renewal kernel's visit recursion
-(simulate._RenewalKernel.pre_change) up to a few steps before the change or
-the horizon, and the core goes on from there; the recorded-against-
-unrecorded tests check the two loops against each other, and both against
-tests/straightline.py. The RSS baseline has its own loop:
-the public run_rss, fed by callbacks, is the reference for the private
-locals loop that simulated RSS episodes run (simulate._run_rss). All of them
-report each step to record(n, experiment, x, statistic, event). The core
-takes no models (its streams carry their LLR terms); callers check them.
+steps, as two runs. An unrecorded episode takes its pre-change steps on the
+renewal kernel's visit recursion (simulate._RenewalKernel.pre_change) up to
+a few steps before the change or the horizon, and the core goes on from
+there; the recorded-against-unrecorded tests check the two loops against
+each other, and both against tests/straightline.py. The RSS baseline has
+its own loop: the public run_rss, fed by callbacks, is the reference for
+the private locals loop that simulated RSS episodes run (simulate._run_rss).
+All of them report each step to record(n, experiment, x, statistic, event).
+The core takes no models (its streams carry their LLR terms); callers check
+them.
 
 Every random value a loop reads comes through one buffered class, _Stream:
 an experiment's standard normals, an episode's control coins, and the
 renewal kernel's budget coins and scored observations (each one's LLR
 increment, computed per block in numpy), each drawn in blocks of 16, 32,
-..., 4096. A pre-change run that records nothing scores its experiment
-streams' blocks in numpy as well (sbuf), so a long pre-change run pays one
-addition per step for its LLR; it serves the episodes that the visit
-recursion hands over, top-truncated policies and the lockstep runner's last
-trials. Scoring in numpy follows llr_from_terms's operations in order, so
-every path gives the same bits.
+..., 4096. Scoring in numpy follows llr_from_terms's operations in order,
+so every path gives the same bits.
 """
 
 from __future__ import annotations
@@ -91,8 +87,11 @@ class PolicyParams:
         object.__setattr__(self, "m", _count("m", self.m, 1))
         if math.isnan(_real("threshold A", self.A)) or self.A < 0.0:
             raise ValueError(f"threshold A must be >= 0, got {self.A}")
-        scales = {int(k): _real(f"scale a_{k}", v) for k, v in self.scales.items()}
-        budgets = {int(k): _real(f"budget N_{k}", v) for k, v in self.budgets.items()}
+        # a key is a level: 3.0 reads as 3, but a bool or 1.5 is not one
+        scales = {_count("scales key", k, 0): _real(f"scale a_{k}", v)
+                  for k, v in self.scales.items()}
+        budgets = {_count("budgets key", k, 0): _real(f"budget N_{k}", v)
+                   for k, v in self.budgets.items()}
         object.__setattr__(self, "scales", scales)
         object.__setattr__(self, "budgets", budgets)
         want_scales = set(range(2, self.m + 1)) | ({1} if self.data_efficient else set())
@@ -234,22 +233,17 @@ class _Stream:
     terms. A scored stream (the renewal kernel's, which reads pre-change
     observations only) holds instead each observation's LLR increment,
     llr_from_terms(terms, pre_mean + pre_std * z), computed per block in
-    numpy (llrs), and keeps the block's normals in normals. An engine
-    observation stream keeps its normals in buf; sbuf, None until then,
-    holds the increments (llrs) of the last block that a pre-change run
-    without record drew. unscore() turns a scored stream into an engine
-    stream at the same position, with both, when the kernel hands an
-    episode's pre-change run to the engine. Only pre-change runs read sbuf,
-    and an episode's streams see one pre-change run, before any other, so
-    while read it belongs to the current block. A stream without a model
-    draws uniforms, which random() hands out one at a time. On Philox,
-    chunked draws give the same sequence as one large block or as many
-    scalar calls, so the values do not depend on the block sizes. The
-    engine (sbuf too), the RSS loop and the renewal kernel read buf, pos
-    and end directly and call refill() at the end of a block.
+    numpy (llrs), and keeps the block's normals in normals. score() and
+    unscore() turn an engine stream into a scored one and back at the same
+    position, when an episode's pre-change steps go to the kernel and come
+    back. A stream without a model draws uniforms, which random() hands out
+    one at a time. On Philox, chunked draws give the same sequence as one
+    large block or as many scalar calls, so the values do not depend on the
+    block sizes. The engine, the RSS loop and the renewal kernel read buf,
+    pos and end directly and call refill() at the end of a block.
     """
 
-    __slots__ = ("make_gen", "scored", "draw", "buf", "sbuf", "normals", "pos", "end",
+    __slots__ = ("make_gen", "scored", "draw", "buf", "normals", "pos", "end",
                  "pre_mean", "pre_std", "post_mean", "post_std", "terms")
 
     def __init__(self, make_gen: Callable[[], np.random.Generator] | None,
@@ -257,7 +251,6 @@ class _Stream:
         self.make_gen = make_gen
         self.scored = scored
         self.buf = ()
-        self.sbuf = None
         self.pos = self.end = 0  # end is len(buf): len() costs ~50 ns
         if model is None:
             self.terms = None
@@ -268,8 +261,8 @@ class _Stream:
             self.post_std = model.post.std
             self.terms = model.terms
 
-    def refill(self) -> np.ndarray:
-        """Draw the next block into buf and return it as an array."""
+    def refill(self) -> None:
+        """Draw the next block into buf."""
         if self.end:
             size = min(2 * self.end, _MAX_BLOCK)
         else:
@@ -284,19 +277,23 @@ class _Stream:
         # plain-float list: python float arithmetic beats numpy scalars here
         self.buf = block.tolist()
         self.end = size
-        return block
 
     def llrs(self, z: np.ndarray) -> np.ndarray:
         """The LLR increments of the pre-change observations of the normals z."""
         return _llrs(z, self.pre_mean, self.pre_std, self.terms)
 
+    def score(self) -> None:
+        """Make an engine stream a scored one at the same position."""
+        self.scored = True
+        if self.end:
+            self.normals = np.array(self.buf)
+            self.buf = self.llrs(self.normals).tolist()
+
     def unscore(self) -> None:
-        """Make a scored stream an engine stream at the same position: the
-        current block's normals in buf and its increments in sbuf, as a
-        pre-change run without record leaves them."""
+        """Make a scored stream an engine stream at the same position."""
         self.scored = False
         if self.end:
-            self.buf, self.sbuf = self.normals.tolist(), self.buf
+            self.buf = self.normals.tolist()
 
     def random(self) -> float:
         """The next uniform, as Generator.random() would give it."""
@@ -398,18 +395,12 @@ class _EngineCore:
         loaded into locals when a visit of the level begins; its budget,
         step count and stream position are saved back when the visit or the
         run ends, and the next run resumes the visit.
-
-        A pre-change run without record scores each block it draws into
-        sbuf (llrs) and adds the precomputed increments, the same bits as
-        scoring x inline; it reads the sbuf its streams hold, so it comes
-        before any other run on them. Other runs score x inline.
         """
         if self.stopped:
             return ""
         m, A, de, mu = self.m, self.A, self.de, self.mu
         a, N, fixed, rng = self.a, self.N, self.fixed, self.rng
         floors, remaining, counts = self.floors, self.remaining, self.counts
-        score = not post and record is None
         D = self.D
         lvl = self.level
         n = self.time
@@ -431,9 +422,9 @@ class _EngineCore:
                 # a 3-name unpack swaps on the stack; a 4-name one builds a tuple
                 buf, pos, end = s.buf, s.pos, s.end
                 if post:
-                    sbuf, mean, std = None, s.post_mean, s.post_std
+                    mean, std = s.post_mean, s.post_std
                 else:
-                    sbuf, mean, std = s.sbuf, s.pre_mean, s.pre_std
+                    mean, std = s.pre_mean, s.pre_std
                 c, q0, m0, q1, m1 = s.terms
             new = lvl
             while n < horizon:
@@ -445,17 +436,12 @@ class _EngineCore:
                     d = D + mu
                 else:
                     if pos == end:
-                        block = s.refill()
+                        s.refill()
                         buf, end, pos = s.buf, s.end, 0
-                        if score:
-                            sbuf = s.sbuf = s.llrs(block).tolist()
-                    if sbuf is not None:
-                        d = D + sbuf[pos]
-                    else:
-                        x = mean + std * buf[pos]
-                        d0 = x - m0
-                        d1 = x - m1
-                        d = D + (c + q0 * d0 * d0 - q1 * d1 * d1)
+                    x = mean + std * buf[pos]
+                    d0 = x - m0
+                    d1 = x - m1
+                    d = D + (c + q0 * d0 * d0 - q1 * d1 * d1)
                     pos += 1
                 if floor <= d <= ceil and rem > 0.0:
                     D = d

@@ -22,16 +22,16 @@ the same either way. An episode with a finite change point and no horizon
 stops at the estimators' safety horizon, 1e4 * e^A steps, so no episode
 runs unbounded.
 
-An episode's steps run on two loops. An unrecorded episode of a policy
-without top truncation takes its pre-change steps on the renewal kernel's
-visit recursion (_RenewalKernel.pre_change), the loop that
-estimate_por_renewal and calibrate run, on the episode's streams and control
-coins: so the direct and renewal POR routes share it. It hands the episode
-to _EngineCore.run at the top level once a top step and the longest visit
-below it might pass the change or the horizon. The engine takes the rest:
-those last pre-change steps, the post-change steps, and every step of a
-recorded episode or a top-truncated policy. The tests that compare
-recorded with unrecorded episodes check the recursion against
+An episode's steps run on two loops. An unrecorded episode takes its
+pre-change steps on the renewal kernel's visit recursion
+(_RenewalKernel.pre_change), the loop that estimate_por_renewal and
+calibrate run, on the episode's streams and control coins: so the direct
+and renewal POR routes share it. It hands the episode to _EngineCore.run at
+the top level once a top step and the longest visit below it might pass
+the change or the horizon, or the next top step might spend a top
+truncation. The engine takes the rest: those last pre-change steps, the
+post-change steps, and every step of a recorded episode. The tests that
+compare recorded with unrecorded episodes check the recursion against
 _EngineCore.run, and both against tests/straightline.py.
 
 From metrics._LOCKSTEP_TRIALS trials on, the estimators run their episodes
@@ -378,6 +378,21 @@ def _default_safety_horizon(A: float) -> int:
     return int(10_000.0 * math.exp(min(A, 700.0)))
 
 
+def _setup(params, scenario):
+    """An episode's (by_id, change point, horizon): without a horizon, an
+    episode is cut at the safety horizon, 1e4 * e^A steps."""
+    nu = scenario.change_point
+    horizon = scenario.horizon
+    if horizon is None:
+        if math.isinf(nu):
+            raise ValueError("a horizon is required when change_point is infinite")
+        horizon = _default_safety_horizon(params.A)
+    m = 2 if isinstance(params, RssParams) else params.m
+    # the scenario has checked its models for m = their number
+    by_id = scenario.by_id if m == len(scenario.models) else check_models(scenario.models, m)
+    return by_id, nu, horizon
+
+
 def _drive(params, scenario, entropy, record=None, make_gen=None):
     """Run one episode; returns (stopping time, stop reason, counts).
 
@@ -386,24 +401,11 @@ def _drive(params, scenario, entropy, record=None, make_gen=None):
     before the first step even when the episode never draws. make_gen(tag)
     gives the generator of the stream tagged tag, on the stream's first
     draw; by default a fresh one, built through the module-level
-    observation_generator and control_generator. Without a horizon, an
-    episode is cut at the safety horizon, 1e4 * e^A steps. Without record
-    or a top truncation, the pre-change steps run on the renewal kernel's
-    visit recursion as far as it can take them, and the core goes on from
-    there.
+    observation_generator and control_generator.
     """
     if make_gen is None:
         make_gen = partial(_fresh_generator, entropy)
-    nu = scenario.change_point
-    horizon = scenario.horizon
-    if horizon is None:
-        if math.isinf(nu):
-            raise ValueError("a horizon is required when change_point is infinite")
-        horizon = _default_safety_horizon(params.A)
-    rss = isinstance(params, RssParams)
-    m = 2 if rss else params.m
-    # the scenario has checked its models for m = their number
-    by_id = scenario.by_id if m == len(scenario.models) else check_models(scenario.models, m)
+    by_id, nu, horizon = _setup(params, scenario)
     # streams[i] is experiment i's observation stream
     streams = [None] + [_Stream(partial(make_gen, (OBS_STREAM_TAG, mdl.id)), mdl)
                         for mdl in by_id[1:]]
@@ -412,21 +414,26 @@ def _drive(params, scenario, entropy, record=None, make_gen=None):
     if record is not None:
         def on_step(n, lvl, x, d, event):
             record(TraceStep(n, _action(lvl), x, d, lvl, event))
-    if rss:
+    if isinstance(params, RssParams):
         stopping_time, counts = _run_rss(params, streams, ctrl, nu, horizon, on_step)
         return stopping_time, None if stopping_time is None else "threshold", counts
     core = _EngineCore(params, ctrl)
-    # the change point ends one run and starts the next on the same core
-    if nu > 1:
-        stop = min(nu - 1, horizon)
-        if record is None and params.top_truncation is None:
-            # the visit recursion takes the pre-change steps it can finish
-            # by stop; the engine takes the rest
-            _RenewalKernel.of_episode(params, streams, ctrl).pre_change(core, stop)
-        core.run(streams, False, stop, on_step)
-    core.run(streams, True, horizon, on_step)
+    _episode_runs(params, core, streams, ctrl, nu, horizon, on_step)
     stopping_time = core.time if core.stopped else None
     return stopping_time, core.stop_reason, dict(enumerate(core.counts))
+
+
+def _episode_runs(params, core, streams, ctrl, nu, horizon, record=None):
+    """Run core's episode on from its state at the top level. The change
+    point ends one run and starts the next on the same core. Without
+    record, the visit recursion takes the pre-change steps it can, and the
+    engine takes the rest."""
+    if nu > 1:
+        stop = min(nu - 1, horizon)
+        if record is None:
+            _RenewalKernel.of_episode(params, streams, ctrl).pre_change(core, stop)
+        core.run(streams, False, stop, record)
+    core.run(streams, True, horizon, record)
 
 
 def _run_rss(params, streams, ctrl, nu, horizon, record=None, n=0, d=0.0, lows=0):
@@ -595,8 +602,8 @@ class _RenewalKernel:
         return out
 
     def pre_change(self, core: _EngineCore, stop: int) -> None:
-        """Take the pre-change steps of core's episode, a fresh core without
-        top truncation, up to time stop, and leave the rest to core.
+        """Take the pre-change steps of core's episode, from its state at the
+        top level, up to time stop, and leave the rest to core.
 
         The top loop adds the top stream's increments and stops above A; an
         undershoot opens _sub below, and the statistic then starts again at
@@ -604,30 +611,35 @@ class _RenewalKernel:
         policy reflects instead). These are _EngineCore.run's steps: the
         same increments in the same order, and the same budget coins at the
         same descents. The loop runs while a top step and the visit below it
-        end by stop; the core goes on from the top level, with the
-        statistic, time and counts, and the streams become engine streams
-        again at the same position. A run with stop within reach of 0 goes
-        to the engine whole. The time is summed from the counts once per
-        stride of top steps that all begin in time.
+        end by stop, and takes at most all but one of the top budget's
+        steps, so the engine takes the step that spends it. The core goes on
+        from the top level, with the statistic, time, counts and top budget,
+        and the streams become engine streams again at the same position. A
+        run with stop within reach of the core's time goes to the engine
+        whole. The time, the sum of the counts, is summed once per stride of
+        top steps that all begin in time and within the budget.
         """
+        m, A, counts = self.m, core.A, core.counts
         width = 1 + self.reach  # the most steps of a top step and its visit below
         last = stop - width  # the latest time a top step may begin at
-        if last < 0:
+        n = core.time
+        top = counts[m]
+        most = top + core.remaining[m] - 1.0  # inf without a top truncation
+        if n > last or top >= most:
             return
-        m, A, counts = self.m, core.A, core.counts
         streams = self.streams
         for s in streams[1:]:
-            s.scored = True
+            s.score()
         sub = self._sub if m > 1 or self.de else None
         a = self.a[m]
         s = streams[m]
         buf, pos, end = s.buf, s.pos, s.end
-        d = 0.0
-        top = n = 0  # top steps, and the time: top steps plus counts[:m]
+        d = core.D
+        counts[m] = 0  # top counts the top steps until the end
         stopped = False
-        while n <= last and not stopped:
+        while n <= last and top < most and not stopped:
             # each top step up to this one begins by last
-            upto = top + (last - n) // width + 1
+            upto = min(top + (last - n) // width + 1, most)
             while top < upto:
                 if pos == end:
                     s.refill()
@@ -646,6 +658,7 @@ class _RenewalKernel:
         s.pos = pos
         for s in streams[1:]:
             s.unscore()
+        core.remaining[m] = most + 1.0 - top
         counts[m] = top
         core.D, core.time = d, n
         if stopped:
@@ -844,16 +857,8 @@ def _lockstep(params, scenario, keys):
     """The summaries of every episode of keys, in trial order, as
     episode_summary gives them: each _KEY_CHUNK of trials runs as one
     batch, all of its episodes stepped together, one pass per time step."""
-    rss = isinstance(params, RssParams)
-    m = 2 if rss else params.m
-    by_id = scenario.by_id if m == len(scenario.models) else check_models(scenario.models, m)
-    nu = scenario.change_point
-    horizon = scenario.horizon
-    if horizon is None:
-        if math.isinf(nu):
-            raise ValueError("a horizon is required when change_point is infinite")
-        horizon = _default_safety_horizon(params.A)
-    if rss:
+    by_id, nu, horizon = _setup(params, scenario)
+    if isinstance(params, RssParams):
         run, coins = _lockstep_rss, True
     else:
         run = _lockstep_engine
@@ -883,9 +888,10 @@ def _lockstep_engine(params, nu, horizon, streams, k):
     trial k, which reads a ghost stream and never leaves its band. The
     rows are compacted when half of them are ghosts, down to _MIN_ROWS
     rows, so every mask of a pass spans the rows. A run that starts before
-    the change hands its last _HANDOFF_ROWS trials to _EngineCore.run, each
-    core loaded with its row's state. Every float operation is the scalar
-    loop's, in its order, so the values are the same bits.
+    the change hands its last _HANDOFF_ROWS trials to the scalar loops, each
+    as it reaches the top level, its core loaded with its row's state.
+    Every float operation is the scalar loop's, in its order, so the values
+    are the same bits.
     """
     m, A, de = params.m, params.A, params.data_efficient
     mu = params.mu if params.mu is not None else 0.0
@@ -937,27 +943,24 @@ def _lockstep_engine(params, nu, horizon, streams, k):
     n = 0
     while live and n < horizon:
         if live <= _HANDOFF_ROWS and streams.raw is not None:
-            # the scalar loop runs the last trials on, each from its row
-            for r in (rows < k).nonzero()[0].tolist():
-                t, j = int(rows[r]), int(lvl[r])
-                left = budgets[r].tolist()
-                left[j] = float(rem[r])
-                stack = tuple(LevelState(i, float(floors[r, i]), left[i])
-                              for i in range(m, j - 1, -1))
-                core = _EngineCore(params, streams.scalar(m, t) if coins else None,
-                                   EngineState(float(D[r]), stack, False, None, n))
+            # the scalar loops run the last trials on, each from its row at
+            # the top level; a row below it is back there within B_(m-1) passes
+            for r in ((lvl == m) & (rows < k)).nonzero()[0].tolist():
+                t = int(rows[r])
+                ctrl = streams.scalar(m, t) if coins else None
+                core = _EngineCore(params, ctrl, EngineState(
+                    float(D[r]), (LevelState(m, 0.0, float(rem[r])),), False, None, n))
                 core.counts = counts[t].tolist()
-                core.counts[j] += n - int(start[r])
-                scalar = [None] + [streams.scalar(i, t) for i in range(m)]
-                if nu > 1:
-                    core.run(scalar, False, min(nu - 1, horizon))
-                core.run(scalar, True, horizon)
+                core.counts[m] += n - int(start[r])
+                _episode_runs(params, core, [None] + [streams.scalar(i, t) for i in range(m)],
+                              ctrl, nu, horizon)
                 if core.stopped:
                     times[t] = core.time
                     why[t] = 1 if core.stop_reason == "threshold" else 2
                 counts[t] = core.counts
                 rows[r] = k
-            break
+                rem[r] = math.inf
+                live -= 1
         n += 1
         if n == nu and n > 1:
             streams.switch()

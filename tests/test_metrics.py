@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
 import subprocess
 import sys
 from dataclasses import replace
@@ -33,6 +34,7 @@ from mecusum import (
     tradeoff_curve,
     wadd_penalty,
 )
+import mecusum
 from mecusum import engine, metrics, simulate
 from mecusum.metrics import _trial_summaries, _z_value
 from conftest import gaussian_model
@@ -171,7 +173,13 @@ def test_import_loads_no_third_party_module_but_numpy():
             "import mecusum\n"
             "added = {name.partition('.')[0] for name in set(sys.modules) - before}\n"
             "print(sorted(added - sys.stdlib_module_names - {'mecusum', 'numpy'}))")
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    # the child finds the package where this interpreter found it, with or
+    # without PYTHONPATH set
+    path = os.path.dirname(os.path.dirname(mecusum.__file__))
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(filter(None, (path, os.environ.get("PYTHONPATH")))))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env=env)
     assert out.stdout.strip() == "[]"
 
 
@@ -338,6 +346,13 @@ _BAD_COUNTS = {
     "cycles-bool": (lambda models: estimate_por_renewal(_POLICY2, models, True, 0),
                     ("cycles", 100)),
     "scenario-horizon-bool": (lambda models: Scenario(models, 1, horizon=True), ("horizon", 1)),
+    # a level key is a count too: 1.5 and True are no level, 3.0 is level 3
+    "budgets-key-fraction": (lambda models: PolicyParams(m=2, A=3.0, scales={2: 1.0},
+                                                         budgets={1.5: 2.0}), ("budgets key", 0)),
+    "budgets-key-bool": (lambda models: PolicyParams(m=2, A=3.0, scales={2: 1.0},
+                                                     budgets={True: 2.0}), ("budgets key", 0)),
+    "scales-key-fraction": (lambda models: PolicyParams(m=2, A=3.0, scales={2.9: 1.0},
+                                                        budgets={1: 2.0}), ("scales key", 0)),
     # a value that is not a real number fails with the same message, not
     # with the TypeError of a comparison or of float()
     "trials-str": (lambda models: estimate_wadd(_POLICY2, models, "3", 0), ("trials", 1)),

@@ -244,9 +244,10 @@ def test_renewal_kernel_refills_mid_visit():
         assert any(a < refill < b for a, b in zip(starts, ends)), refill
 
 
-# Unrecorded episodes (episode_summary) add the pre-change LLR increments
-# that the engine scores per block in numpy; recorded ones (run_episode)
-# score every observation inline. Change points 48, 49 and 50 put the change
+# Unrecorded episodes (episode_summary) take their pre-change steps on the
+# renewal kernel, which adds LLR increments scored per block in numpy, and
+# score the last few inline; recorded ones (run_episode) score every
+# observation inline. Change points 48, 49 and 50 put the change
 # at a single-level stream's 32 -> 64 block edge, 112 at its 64 -> 128 edge,
 # and 9000 inside the 4096-value blocks.
 _MODELS3 = (gaussian_model(1, 0.5), gaussian_model(2, 0.75), gaussian_model(3, 1.0))
@@ -267,7 +268,7 @@ _SCORED_CHANGES = (1, 48, 49, 50, 112, 9000, math.inf)
 def _crosses_into_scored_block(steps, nu):
     """Whether one visit takes a level's 48th and 49th observations, the
     last of its stream's 32-value block and the first of its 64-value one,
-    before the change: a scored block drawn in mid-visit."""
+    before the change: a block that the kernel scores, drawn in mid-visit."""
     drawn = [0] * 4
     for prev, cur in zip((None,) + steps, steps):
         drawn[cur.level] += 1
@@ -332,7 +333,7 @@ def _long_episodes(seed, A, horizon):
 
 
 def test_unrecorded_long_episodes_match_the_flat_loops():
-    # long pre-change episodes, in which the engine adds scored increments,
+    # long pre-change episodes, which the renewal kernel takes nearly whole,
     # against the flat loops. At A = 6 every one stops at the threshold,
     # after 268 to 17290 steps; at A = inf every one is cut at its horizon,
     # some inside a visit below the top

@@ -40,7 +40,7 @@ from mecusum.simulate import (
     observation_generator,
     seed_entropy,
 )
-from mecusum.engine import _EngineCore, _Stream
+from mecusum.engine import _Stream
 from conftest import gaussian_model
 
 
@@ -315,27 +315,31 @@ def test_kernel_properties(params, unbounded, change_point, horizon, seed):
 
 # the benchmark's false-alarm policies at gamma = 1000, each with a seed
 # whose episode runs past the 16 -> 4096 block schedule (8176 values) and a
-# 4096 refill at the top level
+# 4096 refill at the top level, and the reason it stops for; the top
+# truncations run on the kernel too, which leaves the step that spends the
+# top budget to the engine
 _MODELS2 = (gaussian_model(1, 0.75), gaussian_model(2, 1.0))
+_TRUNCATED = PolicyParams(m=2, A=math.log(1000.0), scales={2: 1.0}, budgets={1: 2.5},
+                          top_truncation=20000.5)
 _FALSE_ALARM_CASES = {
-    "cusum": (PolicyParams(m=1, A=math.log(1000.0)), (gaussian_model(1, 1.0),), 8),
+    "cusum": (PolicyParams(m=1, A=math.log(1000.0)), (gaussian_model(1, 1.0),), 8, "threshold"),
     "2e": (PolicyParams(m=2, A=math.log(1000.0), scales={2: 1.0}, budgets={1: 2.0}),
-           _MODELS2, 0),
+           _MODELS2, 0, "threshold"),
     "3e": (PolicyParams(m=3, A=math.log(1000.0), scales={2: 1.0, 3: 1.0},
-                        budgets={1: 3.0, 2: 2.0}), _MODELS3, 12),
+                        budgets={1: 3.0, 2: 2.0}), _MODELS3, 12, "threshold"),
     "de2e": (PolicyParams(m=2, A=math.log(1000.0), scales={1: 1.0, 2: 1.0},
                           budgets={0: 3.0, 1: 2.0}, mu=0.1, data_efficient=True),
-             _MODELS2, 0),
-    # a top truncation keeps the pre-change steps on the engine
-    "2e-top-truncated": (PolicyParams(m=2, A=math.log(1000.0), scales={2: 1.0},
-                                      budgets={1: 2.5}, top_truncation=20000.5),
-                         _MODELS2, 0),
+             _MODELS2, 0, "threshold"),
+    "2e-top-truncated": (_TRUNCATED, _MODELS2, 0, "threshold"),
+    # the same episode, whose top budget now runs out first
+    "2e-top-budget-spent": (replace(_TRUNCATED, top_truncation=3000.5), _MODELS2, 0,
+                            "truncation"),
 }
 
 
 @pytest.mark.parametrize("name", _FALSE_ALARM_CASES)
 def test_false_alarm_episodes_on_the_kernel_equal_the_engine(monkeypatch, name):
-    params, models, seed = _FALSE_ALARM_CASES[name]
+    params, models, seed, reason = _FALSE_ALARM_CASES[name]
     scenario = make_scenario(models, math.inf, 10**7)
     runs = []
     pre_change = _RenewalKernel.pre_change
@@ -347,11 +351,14 @@ def test_false_alarm_episodes_on_the_kernel_equal_the_engine(monkeypatch, name):
     monkeypatch.setattr(_RenewalKernel, "pre_change", counted)
     summary = episode_summary(params, scenario, seed)
     trace = run_episode(params, scenario, seed)
-    assert runs == ([] if params.top_truncation is not None else [10**7])
+    assert runs == [10**7]
     assert ((summary.stopping_time, summary.stop_reason, summary.counts)
             == (trace.stopping_time, trace.stop_reason, trace.counts))
-    assert summary.stop_reason == "threshold"
-    assert summary.counts[params.m] > 8176 + 4096
+    assert summary.stop_reason == reason
+    if reason == "truncation":
+        assert summary.counts[params.m] in (3000, 3001)
+    else:
+        assert summary.counts[params.m] > 8176 + 4096
 
 
 @st.composite
@@ -384,6 +391,41 @@ def test_lockstep_summaries_equal_scalar_episodes(case, seed, min_rows, handoff)
             patch.object(simulate, "_HANDOFF_ROWS", handoff):
         lockstep = list(simulate._lockstep(params, scenario, EpisodeKeys((seed,), 40)))
     assert lockstep == [episode_summary(params, scenario, (seed, t)) for t in range(40)]
+
+
+_HANDED_OFF = {
+    "2e-fractional": PolicyParams(m=2, A=5.0, scales={2: 1.5}, budgets={1: 2.5},
+                                  top_truncation=1500.5),
+    "3e": PolicyParams(m=3, A=5.0, scales={2: 1.0, 3: 1.0}, budgets={1: 3.0, 2: 2.0}),
+}
+
+
+@pytest.mark.parametrize("handoff", [40, 20])
+@pytest.mark.parametrize("nu", [math.inf, 2000])
+@pytest.mark.parametrize("name", _HANDED_OFF)
+def test_handed_off_trials_run_on_the_kernel(monkeypatch, models3, name, nu, handoff):
+    # the lockstep runner hands each of its last trials to the scalar loops
+    # at the top level, where the visit recursion takes its pre-change
+    # steps. With every trial handed off, that is at time 0; with half of
+    # them, each one once half have stopped and it is back at the top, its
+    # streams part-way through a block
+    params = _HANDED_OFF[name]
+    scenario = make_scenario(models3[:params.m], nu, 5000)
+    runs = []
+    pre_change = _RenewalKernel.pre_change
+
+    def counted(kernel, core, stop):
+        time = core.time
+        pre_change(kernel, core, stop)
+        runs.append(core.time - time)
+
+    monkeypatch.setattr(simulate, "_HANDOFF_ROWS", handoff)
+    monkeypatch.setattr(_RenewalKernel, "pre_change", counted)
+    lockstep = list(simulate._lockstep(params, scenario, EpisodeKeys((5,), 40)))
+    assert len(runs) == handoff
+    if handoff == 40:
+        assert min(runs) > 0
+    assert lockstep == [episode_summary(params, scenario, (5, t)) for t in range(40)]
 
 
 def test_rss_episode_trace(models2):
@@ -527,10 +569,8 @@ def test_scored_blocks_are_the_scalar_llrs(pre_mean, pre_std, shift, post_std, s
     s = _RenewalKernel(PolicyParams(m=1, A=3.0), (mdl,), seed).streams[1]
     child = np.random.SeedSequence(seed_entropy(seed) + (RENEWAL_TAG,)).spawn(2)[0]
     z = np.random.Generator(np.random.Philox(child)).standard_normal(8176 + 4096).tolist()
-    # an engine stream keeps the substream's normals in buf and scores a
-    # block it returns (llrs) to the same bits; the engine's scoring (sbuf)
-    # is checked across block edges in tests/test_oracles.py. No stream
-    # sets sbuf itself: not the kernel's, an engine's or a control stream
+    # an engine stream keeps the substream's normals in buf, and llrs
+    # scores them to the same bits
     eng = _Stream(partial(observation_generator, seed, 1), mdl)
     normals = observation_generator(seed, 1).standard_normal(8176 + 4096).tolist()
     ctrl = _Stream(partial(control_generator, seed))
@@ -540,29 +580,35 @@ def test_scored_blocks_are_the_scalar_llrs(pre_mean, pre_std, shift, post_std, s
         assert (s.pos, s.end) == (0, size)
         assert s.buf == [llr_from_terms(mdl.terms, pre_mean + pre_std * v)
                          for v in z[start:start + size]]
-        block = eng.refill()
+        eng.refill()
         assert (eng.pos, eng.end) == (0, size)
-        assert eng.buf == block.tolist() == normals[start:start + size]
-        assert eng.llrs(block).tolist() == [llr_from_terms(mdl.terms, pre_mean + pre_std * v)
-                                            for v in eng.buf]
+        assert eng.buf == normals[start:start + size]
+        assert eng.llrs(np.array(eng.buf)).tolist() == [
+            llr_from_terms(mdl.terms, pre_mean + pre_std * v) for v in eng.buf]
         ctrl.pos = ctrl.end
         ctrl.random()
         assert ctrl.end == size
-        assert s.sbuf is eng.sbuf is ctrl.sbuf is None
         start += size
-    # a pre-change run without record scores every block it draws into
-    # sbuf; a recorded run never scores. A cusum with A = inf never stops,
-    # so each horizon below ends one step into a block
-    unrec, rec = (_Stream(partial(observation_generator, seed, 1), mdl) for _ in range(2))
-    core, traced = _EngineCore(PolicyParams(m=1, A=math.inf)), _EngineCore(PolicyParams(m=1, A=math.inf))
-    for horizon, size in ((1, 16), (17, 32), (49, 64), (113, 128), (241, 256)):
-        core.run([None, unrec], False, horizon)
-        traced.run([None, rec], False, horizon, lambda *step: None)
-        assert unrec.end == rec.end == size
-        assert unrec.buf == rec.buf
-        assert unrec.sbuf == [llr_from_terms(mdl.terms, pre_mean + pre_std * v)
-                              for v in unrec.buf]
-        assert rec.sbuf is None
+    # score() and unscore() in mid-block, as an episode's pre-change steps
+    # go to the kernel and come back: the scored block is the scalar LLRs,
+    # and unscoring gives back the normals at the same position; a refill
+    # while scored scores the next block
+    eng = _Stream(partial(observation_generator, seed, 1), mdl)
+    eng.refill()
+    eng.refill()
+    eng.pos = 5
+    eng.score()
+    assert (eng.pos, eng.end) == (5, 32)
+    assert eng.buf == [llr_from_terms(mdl.terms, pre_mean + pre_std * v)
+                       for v in normals[16:48]]
+    eng.unscore()
+    assert (eng.pos, eng.end, eng.buf) == (5, 32, normals[16:48])
+    eng.score()
+    eng.refill()
+    assert eng.buf == [llr_from_terms(mdl.terms, pre_mean + pre_std * v)
+                       for v in normals[48:112]]
+    eng.unscore()
+    assert eng.buf == normals[48:112]
 
 
 def _general_entropy(seed):
