@@ -13,10 +13,10 @@ the recursion itself is checked against _EngineCore.run by the tests that
 compare recorded with unrecorded episodes, and against
 tests/straightline.py.
 
-The stopping-time and direct estimators share one trial loop,
-_trial_summaries. Below _LOCKSTEP_TRIALS trials it runs one episode at a
-time; from there on it steps a key chunk's episodes together
-(simulate._lockstep), which yields the same summaries.
+The stopping-time and direct estimators share one trial loop, _trial_table,
+which returns each trial's stopping time and steps per experiment as arrays.
+Below _LOCKSTEP_TRIALS trials it runs one episode at a time; from there on it
+steps a key chunk's episodes together (simulate._lockstep): the same arrays.
 """
 
 from __future__ import annotations
@@ -28,20 +28,22 @@ from typing import Sequence
 
 import numpy as np
 
-from .densities import ExperimentModel, _count
+from .densities import ExperimentModel, _count, _real
 # resolve_truncation stays a name here: perfbench's tracer patches it
 from .engine import PolicyParams, RssParams, resolve_truncation, set_threshold  # noqa: F401
-from .simulate import (
+# episode_summary stays a name here: perfbench's tracer patches it
+from .simulate import (  # noqa: F401
     EpisodeKeys,
     Scenario,
     _default_safety_horizon,
     _lockstep,
     _RenewalKernel,
+    _scalar_table,
     episode_summary,
     seed_entropy,
 )
 
-# _trial_summaries steps its episodes in lockstep from this many trials on,
+# _trial_table steps its episodes in lockstep from this many trials on,
 # the CLI's default. Lockstep against scalar on a 2-CPU VM:
 # - estimate_wadd on the benchmark's gamma = 1000 policies (medians of 7
 #   alternating runs, lockstep faster in 7 of 7 each): at 1000 trials cusum
@@ -95,7 +97,7 @@ class PorVector:
 
 
 def _z_value(confidence: float) -> float:
-    if not (0.0 < confidence < 1.0):
+    if not (0.0 < _real("confidence", confidence) < 1.0):
         raise ValueError(f"confidence must be in (0, 1), got {confidence}")
     return NormalDist().inv_cdf(0.5 + confidence / 2.0)
 
@@ -108,7 +110,7 @@ def _estimate(values: np.ndarray, confidence: float, horizon_hits: int = 0) -> M
     return MetricEstimate(mean, se, n, (mean - z * se, mean + z * se), confidence, horizon_hits)
 
 
-def _trial_summaries(
+def _trial_table(
     params: PolicyParams | RssParams,
     models: Sequence[ExperimentModel],
     change_point: float,
@@ -116,28 +118,26 @@ def _trial_summaries(
     trials: int,
     base_seed: int | Sequence[int],
     confidence: float,
-):
-    """Summaries of the seeded episodes, trial t seeded base_seed + (t,),
-    in trial order.
+) -> tuple[np.ndarray, np.ndarray]:
+    """(times, counts) of the seeded episodes, trial t seeded base_seed +
+    (t,), in trial order: times[t] is trial t's stopping time (-1 for none)
+    and counts[t, i] its steps of experiment id i (0 for idle), as int64.
 
-    The arguments are checked when this is called, before the first episode
-    runs; the episodes run as the result is iterated, on the generators of
-    one EpisodeKeys table. Below _LOCKSTEP_TRIALS trials they run one after
-    another, each as episode_summary runs it. From there on,
-    simulate._lockstep steps each _KEY_CHUNK of them together, one numpy
-    pass per time step, and yields the same summaries: each trial's streams
-    are keyed as its episode's are, Philox gives the same values whatever
-    the block sizes, and every float operation is the scalar loop's, in its
-    order.
+    The arguments are checked before the first episode runs; the episodes
+    run on the generators of one EpisodeKeys table. Below _LOCKSTEP_TRIALS
+    trials they run one after another, each as episode_summary runs it.
+    From there on, simulate._lockstep steps each _KEY_CHUNK of them
+    together, one numpy pass per time step, and gives the same table: each
+    trial's streams are keyed as its episode's are, Philox gives the same
+    values whatever the block sizes, and every float operation is the
+    scalar loop's, in its order.
     """
     trials = _count("trials", trials, 1)
     _z_value(confidence)
     base = seed_entropy(base_seed)
     scenario = Scenario(tuple(models), change_point, horizon=horizon)
-    keys = EpisodeKeys(base, trials)
-    if trials >= _LOCKSTEP_TRIALS:
-        return _lockstep(params, scenario, keys)
-    return (episode_summary(params, scenario, base + (t,), keys=keys) for t in range(trials))
+    run = _lockstep if trials >= _LOCKSTEP_TRIALS else _scalar_table
+    return run(params, scenario, EpisodeKeys(base, trials))
 
 
 def _stopping_time_estimate(
@@ -157,10 +157,10 @@ def _stopping_time_estimate(
         safety_horizon = _default_safety_horizon(params.A)
     else:
         safety_horizon = _count("safety_horizon", safety_horizon, 1)
-    times = [s.stopping_time for s in _trial_summaries(
-        params, models, change_point, safety_horizon, trials, base_seed, confidence)]
-    taus = np.array([safety_horizon if t is None else t for t in times], dtype=float)
-    return _estimate(taus, confidence, times.count(None))
+    times, _ = _trial_table(params, models, change_point, safety_horizon, trials, base_seed,
+                            confidence)
+    hits = times < 0
+    return _estimate(np.where(hits, float(safety_horizon), times), confidence, int(hits.sum()))
 
 
 def estimate_arlfa(
@@ -245,11 +245,11 @@ def estimate_por_direct(
     level; only the stopping rule is switched off.
     """
     horizon = _count("horizon", horizon, 10_000)
-    counts = [s.counts for s in _trial_summaries(
-        _disable_threshold(params), models, math.inf, horizon, trials, base_seed, confidence)]
-    # the scenario has checked that the ids run 1..m; key 0 is the idle fraction
+    _, counts = _trial_table(_disable_threshold(params), models, math.inf, horizon, trials,
+                             base_seed, confidence)
+    # the scenario has checked that the ids run 1..m; column 0 is the idle fraction
     first = 0 if isinstance(params, PolicyParams) and params.data_efficient else 1
-    return PorVector({k: _estimate(np.array([c[k] for c in counts]) / horizon, confidence)
+    return PorVector({k: _estimate(counts[:, k] / horizon, confidence)
                       for k in range(first, len(models) + 1)})
 
 

@@ -14,11 +14,11 @@ stream's uniforms one at a time through random(), for fractional budgets;
 an RSS episode reads them a block at a time as its coins, in _run_rss, a
 private loop over locals that takes the same steps as the public,
 callback-fed engine.run_rss. The public single-episode calls build a fresh
-generator per stream. The estimators instead pass an EpisodeKeys table: it
-hashes the Philox keys of every episode in one vectorised pass
-(SeedSequence's hash, ported to numpy) and re-keys one reused generator per
-stream on its first draw. The keys are SeedSequence's, so the values are
-the same either way. An episode with a finite change point and no horizon
+generator per stream. The estimators' episodes instead draw from an
+EpisodeKeys table: it hashes the Philox keys of every episode in one
+vectorised pass (SeedSequence's hash, ported to numpy) and re-keys one
+reused generator per stream on its first draw. The keys are SeedSequence's,
+so the values are the same either way. An episode with a finite change point and no horizon
 stops at the estimators' safety horizon, 1e4 * e^A steps, so no episode
 runs unbounded.
 
@@ -34,14 +34,15 @@ post-change steps, and every step of a recorded episode. The tests that
 compare recorded with unrecorded episodes check the recursion against
 _EngineCore.run, and both against tests/straightline.py.
 
-From metrics._LOCKSTEP_TRIALS trials on, the estimators run their episodes
-in lockstep (_lockstep): a batch of up to _KEY_CHUNK trials advances one
-time step per numpy pass, every trial's state held in arrays, with the
-regime switch at pass nu and the horizon shared. Each trial reads its own
+The estimators take their episodes as a table of arrays (_scalar_table).
+From metrics._LOCKSTEP_TRIALS trials on, they run them in lockstep
+(_lockstep): a batch of up to _KEY_CHUNK trials advances one time step per
+numpy pass, every trial's state held in arrays, with the regime switch at
+pass nu and the horizon shared. Each trial reads its own
 streams, keyed from the same EpisodeKeys table, in blocks whose sizes do
 not change Philox's values, and each pass does the scalar loop's float
-operations in its order, so every summary is the one its episode gives
-alone. Single episodes, traces and step() keep the scalar loops.
+operations in its order, so every row is the one its episode gives alone.
+Single episodes, traces and step() keep the scalar loops.
 """
 
 from __future__ import annotations
@@ -52,11 +53,11 @@ from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import partial
 from struct import pack
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .densities import ExperimentModel, _count, check_models
+from .densities import ExperimentModel, _count, _real, check_models
 from .engine import (
     Action,
     EngineState,
@@ -222,16 +223,6 @@ class EpisodeKeys:
                       "buffer": [0, 0, 0, 0], "buffer_pos": 4,
                       "has_uint32": 0, "uinteger": 0}
 
-    def generators(
-        self, entropy: tuple[int, ...]
-    ) -> Callable[[tuple[int, ...]], np.random.Generator]:
-        """The generator source of the episode seeded entropy."""
-        t = entropy[-1]
-        if entropy[:-1] != self.base or not 0 <= t < self.trials:
-            raise ValueError(f"seed {entropy} is not base {self.base} plus a trial "
-                             f"below {self.trials}")
-        return partial(self.rekey, t)
-
     def rekey(self, t: int, tag: tuple[int, ...]) -> np.random.Generator:
         """Tag's generator, keyed for trial t with a fresh counter and buffer."""
         start = t - t % _KEY_CHUNK
@@ -297,7 +288,8 @@ class Scenario:
         object.__setattr__(self, "models", tuple(self.models))
         object.__setattr__(self, "by_id", check_models(self.models))
         nu = self.change_point
-        if math.isinf(nu) and nu > 0:
+        # a bool is a real number, but no change point: it fails the range check
+        if not isinstance(nu, bool) and _real("change_point", nu) == math.inf:
             object.__setattr__(self, "change_point", math.inf)
         elif not isinstance(nu, bool) and float(nu).is_integer() and nu >= 1:
             object.__setattr__(self, "change_point", int(nu))
@@ -358,17 +350,9 @@ def episode_summary(
     params: PolicyParams | RssParams,
     scenario: Scenario,
     seed: int | Sequence[int],
-    *,
-    keys: EpisodeKeys | None = None,
 ) -> EpisodeSummary:
-    """Simulate one episode, keeping only the stopping time and counts.
-
-    With keys, a table whose trials include seed, the streams re-key its
-    generators instead of building fresh ones; the values are the same.
-    """
-    entropy = seed_entropy(seed)
-    make_gen = None if keys is None else keys.generators(entropy)
-    stopping_time, stop_reason, counts = _drive(params, scenario, entropy, make_gen=make_gen)
+    """Simulate one episode, keeping only the stopping time and counts."""
+    stopping_time, stop_reason, counts = _drive(params, scenario, seed_entropy(seed))
     return EpisodeSummary(stopping_time, stop_reason, counts, sum(counts.values()))
 
 
@@ -853,10 +837,21 @@ class _TrialStreams:
                     self.buf[part] = self._score(i, z) if i else z
 
 
+def _scalar_table(params, scenario, keys):
+    """The stopping times (-1 for none) and the steps per experiment id of
+    every episode of keys, as int64 arrays in trial order: one episode
+    after another, each as episode_summary runs it, its streams re-keyed
+    from keys."""
+    runs = [_drive(params, scenario, keys.base + (t,), make_gen=partial(keys.rekey, t))
+            for t in range(keys.trials)]
+    return (np.array([-1 if stop is None else stop for stop, _, _ in runs], np.int64),
+            np.array([list(counts.values()) for _, _, counts in runs], np.int64))
+
+
 def _lockstep(params, scenario, keys):
-    """The summaries of every episode of keys, in trial order, as
-    episode_summary gives them: each _KEY_CHUNK of trials runs as one
-    batch, all of its episodes stepped together, one pass per time step."""
+    """_scalar_table's arrays, the same values: each _KEY_CHUNK of trials
+    runs as one batch, all of its episodes stepped together, one pass per
+    time step."""
     by_id, nu, horizon = _setup(params, scenario)
     if isinstance(params, RssParams):
         run, coins = _lockstep_rss, True
@@ -865,20 +860,19 @@ def _lockstep(params, scenario, keys):
         top = params.top_truncation
         coins = (top is not None and not top.is_integer()
                  or None in params.fixed_budgets[0 if params.data_efficient else 1:])
-    reasons = (None, "threshold", "truncation")
+    parts = []
     for first in range(0, keys.trials, _KEY_CHUNK):
         rows = min(_KEY_CHUNK, keys.trials - first)
-        # the streams go when the run returns, before the summaries are built
-        times, why, counts = run(params, nu, horizon,
-                                 _TrialStreams(keys, first, rows, by_id, nu, coins), rows)
-        for t, w, c in zip(times.tolist(), why.tolist(), counts.tolist()):
-            yield EpisodeSummary(None if t < 0 else t, reasons[w], dict(enumerate(c)), sum(c))
+        # the streams go when the run returns
+        parts.append(run(params, nu, horizon,
+                         _TrialStreams(keys, first, rows, by_id, nu, coins), rows))
+    times, counts = zip(*parts)
+    return np.concatenate(times), np.concatenate(counts)
 
 
 def _lockstep_engine(params, nu, horizon, streams, k):
     """_EngineCore.run's decision tree over k trials at once: returns the
-    stopping times (-1 for none), the stop reasons (0 none, 1 threshold,
-    2 truncation) and the steps per level.
+    stopping times (-1 for none) and the steps per level.
 
     Row r of the arrays holds the statistic, level, stream, visit start,
     floor, ceiling and budget left of trial rows[r]; floors[r, j] and
@@ -910,7 +904,6 @@ def _lockstep_engine(params, nu, horizon, streams, k):
     bounces = coins or not budget[lowest:m].all()
     # row k of the results is the ghosts'
     times = np.full(k + 1, -1, np.int64)
-    why = np.zeros(k + 1, np.int8)
     counts = np.zeros((k + 1, m + 1), np.int64)
     rows = np.arange(k)
     D = np.zeros(k)
@@ -935,7 +928,6 @@ def _lockstep_engine(params, nu, horizon, streams, k):
     # a ghost reads a ghost stream, stays in band and counts for row k
     gone = (rem == 0.0).nonzero()[0]  # stopped at time 0
     times[gone] = 0
-    why[gone] = 2
     rows[gone] = k
     floor[gone] = -math.inf
     ceil[gone] = rem[gone] = math.inf
@@ -956,7 +948,6 @@ def _lockstep_engine(params, nu, horizon, streams, k):
                               ctrl, nu, horizon)
                 if core.stopped:
                     times[t] = core.time
-                    why[t] = 1 if core.stop_reason == "threshold" else 2
                 counts[t] = core.counts
                 rows[r] = k
                 rem[r] = math.inf
@@ -979,13 +970,10 @@ def _lockstep_engine(params, nu, horizon, streams, k):
         out = low | high | spent  # the steps that leave the band or spend the budget
         if not out.any():
             continue
-        stop = out & (lvl == m) & (high | spent)
-        gone = stop.nonzero()[0]
+        gone = (out & (lvl == m) & (high | spent)).nonzero()[0]
         if gone.size:
             slot = rows[gone]
             times[slot] = n
-            why[slot] = 2
-            why[rows[(stop & high).nonzero()[0]]] = 1
             counts[slot, m] += n - start[gone]
             out[gone] = False
         if not de:
@@ -1047,7 +1035,7 @@ def _lockstep_engine(params, nu, horizon, streams, k):
                 rows, D, lvl, start, rem, floor, ceil, floors, budgets = (
                     a[keep] for a in (rows, D, lvl, start, rem, floor, ceil, floors, budgets))
     counts[rows, lvl] += n - start
-    return times[:k], why[:k], counts[:k]
+    return times[:k], counts[:k]
 
 
 def _lockstep_rss(params, nu, horizon, streams, k):
@@ -1101,4 +1089,4 @@ def _lockstep_rss(params, nu, horizon, streams, k):
     counts = np.zeros((k, 3), np.int64)
     counts[:, 1] = lows[:k]
     counts[:, 2] = np.where(times[:k] < 0, n, times[:k]) - lows[:k]
-    return times[:k], (times[:k] >= 0).astype(np.int8), counts
+    return times[:k], counts

@@ -1,13 +1,14 @@
-"""Shared fixtures: Gaussian model builders, observation crafting, and the
-two paths of the estimators' trial loop."""
+"""Shared fixtures: Gaussian model builders, observation crafting, the
+two paths of the estimators' trial loop, and a check of its table."""
 
 from __future__ import annotations
 
 import sys
 
+import numpy as np
 import pytest
 
-from mecusum import DensitySpec, ExperimentModel, metrics, simulate
+from mecusum import DensitySpec, ExperimentModel, episode_summary, metrics, simulate
 
 
 def gaussian_model(exp_id: int, post_mean: float, pre_mean: float = 0.0,
@@ -29,6 +30,18 @@ def obs_for(model: ExperimentModel, llr: float) -> float:
     return (llr * var + (m1 * m1 - m0 * m0) / 2.0) / (m1 - m0)
 
 
+def assert_rows_are_episodes(table, params, scenario, base):
+    """Row t of a trial table (times, counts) against episode_summary of
+    the seed base + (t,): the stopping time, -1 for none, and the steps per
+    experiment id. Returns the summaries."""
+    times, counts = table
+    fresh = [episode_summary(params, scenario, base + (t,)) for t in range(len(times))]
+    assert times.dtype == counts.dtype == np.int64
+    assert times.tolist() == [-1 if s.stopping_time is None else s.stopping_time for s in fresh]
+    assert [dict(enumerate(row)) for row in counts.tolist()] == [s.counts for s in fresh]
+    return fresh
+
+
 @pytest.fixture
 def models2():
     return (gaussian_model(1, 0.75), gaussian_model(2, 1.0))
@@ -41,7 +54,7 @@ def models3():
 
 @pytest.fixture(params=["scalar", "lockstep"])
 def trial_path(request, monkeypatch):
-    """Runs a test once on each path of metrics._trial_summaries: the scalar
+    """Runs a test once on each path of metrics._trial_table: the scalar
     episode loop, with the dispatch constant past any trial count, and the
     lockstep runner, with the constant lowered to 1. There the rows compact
     down to 4 and the last 2 trials go to the scalar loops, so that small

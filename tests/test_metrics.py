@@ -36,8 +36,8 @@ from mecusum import (
 )
 import mecusum
 from mecusum import engine, metrics, simulate
-from mecusum.metrics import _trial_summaries, _z_value
-from conftest import gaussian_model
+from mecusum.metrics import _trial_table, _z_value
+from conftest import assert_rows_are_episodes, gaussian_model
 
 
 def test_wadd_penalty_budget_products(models2):
@@ -74,7 +74,7 @@ def test_bad_confidence_fails_before_any_trial(models2, monkeypatch):
     def no_simulation(*args, **kwargs):
         raise AssertionError("simulated before checking confidence")
 
-    monkeypatch.setattr("mecusum.metrics.episode_summary", no_simulation)
+    monkeypatch.setattr("mecusum.metrics._scalar_table", no_simulation)
     monkeypatch.setattr("mecusum.metrics._lockstep", no_simulation)
     monkeypatch.setattr("mecusum.metrics._RenewalKernel", no_simulation)
     params = PolicyParams(m=2, A=3.0, scales={2: 1.0}, budgets={1: 2})
@@ -95,7 +95,7 @@ def test_bad_seed_fails_before_any_trial(models2, monkeypatch):
     def no_simulation(*args, **kwargs):
         raise AssertionError("simulated before checking the seed")
 
-    monkeypatch.setattr("mecusum.metrics.episode_summary", no_simulation)
+    monkeypatch.setattr("mecusum.metrics._scalar_table", no_simulation)
     monkeypatch.setattr("mecusum.metrics._lockstep", no_simulation)
     params = PolicyParams(m=2, A=3.0, scales={2: 1.0}, budgets={1: 2})
     for n in _TRIAL_COUNTS:
@@ -137,17 +137,12 @@ def test_keyed_episodes_equal_fresh_ones(models2, models3, monkeypatch, chunk, t
     for params, models in policies:
         for change_point, horizon in itertools.product((1, 7, 300, math.inf), horizons):
             scenario = Scenario(models, change_point, horizon=horizon)
-            keyed = list(_trial_summaries(params, models, change_point, horizon, 200, base, 0.95))
-            fresh = [episode_summary(params, scenario, base + (t,)) for t in range(200)]
-            assert keyed == fresh, (params, change_point, horizon)
-            stops.update((s.stop_reason, s.stopping_time == 0) for s in keyed)
+            table = _trial_table(params, models, change_point, horizon, 200, base, 0.95)
+            fresh = assert_rows_are_episodes(table, params, scenario, base)
+            stops.update((s.stop_reason, s.stopping_time == 0) for s in fresh)
     assert stops == {("threshold", False), ("truncation", False), ("truncation", True),
                      (None, False)}
 
-    table = simulate.EpisodeKeys(base, 200)
-    for seed in (base + (200,), (2**40 + 3, 8, 0), (7, 0)):
-        with pytest.raises(ValueError):
-            episode_summary(two, Scenario(models2, 1), seed, keys=table)
     with pytest.raises(ValueError):
         simulate.EpisodeKeys(base, 2**32 + 1)  # a trial number past one uint32 word
 
@@ -411,6 +406,10 @@ _BAD_REALS = {
     "gamma-grid-str": (lambda models: tradeoff_curve(_POLICY2, models, "ab", 2, 0), "gamma"),
     "gamma-grid-mixed": (lambda models: tradeoff_curve(_POLICY2, models, [10.0, "ab"], 2, 0),
                          "gamma"),
+    "change-point-str": (lambda models: Scenario(models, "3"), "change_point"),
+    "change-point-none": (lambda models: Scenario(models, None), "change_point"),
+    "confidence-str": (lambda models: estimate_wadd(_POLICY2, models, 2, 0, confidence="x"),
+                       "confidence"),
 }
 
 

@@ -29,9 +29,9 @@ from mecusum import (
     run_rss,
     step,
 )
-from mecusum import simulate
+from mecusum import metrics, simulate
 from mecusum.densities import llr_from_terms, llr_terms
-from mecusum.metrics import _trial_summaries
+from mecusum.metrics import _trial_table
 from mecusum.simulate import (
     RENEWAL_TAG,
     EpisodeKeys,
@@ -41,7 +41,7 @@ from mecusum.simulate import (
     seed_entropy,
 )
 from mecusum.engine import _Stream
-from conftest import gaussian_model
+from conftest import assert_rows_are_episodes, gaussian_model
 
 
 def make_scenario(models, change_point, horizon=None):
@@ -384,13 +384,17 @@ def _lockstep_cases(draw):
 def test_lockstep_summaries_equal_scalar_episodes(case, seed, min_rows, handoff):
     # the lockstep runner steps 40 episodes together, compacting its rows
     # down to min_rows and handing the last handoff trials to the scalar
-    # loops; each summary must be the one its own scalar episode gives
+    # loops; each row must be the one its own scalar episode gives, and the
+    # scalar table must hold the same rows
     params, models, change_point, horizon = case
     scenario = make_scenario(models, change_point, horizon)
     with patch.object(simulate, "_MIN_ROWS", min_rows), \
             patch.object(simulate, "_HANDOFF_ROWS", handoff):
-        lockstep = list(simulate._lockstep(params, scenario, EpisodeKeys((seed,), 40)))
-    assert lockstep == [episode_summary(params, scenario, (seed, t)) for t in range(40)]
+        lockstep = simulate._lockstep(params, scenario, EpisodeKeys((seed,), 40))
+    assert_rows_are_episodes(lockstep, params, scenario, (seed,))
+    scalar = simulate._scalar_table(params, scenario, EpisodeKeys((seed,), 40))
+    for got, want in zip(scalar, lockstep):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
 _HANDED_OFF = {
@@ -421,11 +425,11 @@ def test_handed_off_trials_run_on_the_kernel(monkeypatch, models3, name, nu, han
 
     monkeypatch.setattr(simulate, "_HANDOFF_ROWS", handoff)
     monkeypatch.setattr(_RenewalKernel, "pre_change", counted)
-    lockstep = list(simulate._lockstep(params, scenario, EpisodeKeys((5,), 40)))
+    lockstep = simulate._lockstep(params, scenario, EpisodeKeys((5,), 40))
     assert len(runs) == handoff
     if handoff == 40:
         assert min(runs) > 0
-    assert lockstep == [episode_summary(params, scenario, (5, t)) for t in range(40)]
+    assert_rows_are_episodes(lockstep, params, scenario, (5,))
 
 
 def test_rss_episode_trace(models2):
@@ -701,6 +705,9 @@ def test_bad_seed_fails_on_an_episode_that_never_draws(models2, built):
 
 
 def test_estimator_episodes_rekey_only_the_streams_they_draw_from(models2, built, monkeypatch):
+    # the scalar loop re-keys a stream's slot once per episode that draws
+    # from it; the lockstep runner re-keys once per block of trials, so there
+    # only the tags drawn from are checked
     rekeyed = []
     rekey = EpisodeKeys.rekey
 
@@ -710,29 +717,40 @@ def test_estimator_episodes_rekey_only_the_streams_they_draw_from(models2, built
 
     monkeypatch.setattr(EpisodeKeys, "rekey", spy)
 
-    def summaries(params, models, trials):
+    def table(params, models, trials):
         rekeyed.clear()
-        out = list(_trial_summaries(params, models, 1, None, trials, 3, 0.95))
-        assert len(set(rekeyed)) == len(rekeyed)  # a slot at most once per episode
-        return out
-
-    summaries(PolicyParams(m=1, A=3.0), (gaussian_model(1, 1.0),), 50)
-    assert rekeyed == [(t, (1, 1)) for t in range(50)]
+        out = _trial_table(params, models, 1, None, trials, 3, 0.95)
+        assert built == []
+        if scalar:
+            assert len(set(rekeyed)) == len(rekeyed)  # a slot at most once per episode
+        tags = {tag for _, tag in rekeyed}
+        assert_rows_are_episodes(out, params, make_scenario(models, 1), (3,))
+        built.clear()
+        return tags, out[1]
 
     two = PolicyParams(m=2, A=3.0, scales={2: 1.0}, budgets={1: 2})
-    out = summaries(two, models2, 50)
-    descended = [t for t, s in enumerate(out) if s.counts[1] > 0]
-    assert 0 < len(descended) < 50
-    assert sorted(rekeyed) == sorted([(t, (1, 2)) for t in range(50)]
-                                     + [(t, (1, 1)) for t in descended])
+    for scalar in (True, False):
+        monkeypatch.setattr(metrics, "_LOCKSTEP_TRIALS", 1000 if scalar else 1)
+        tags, _ = table(PolicyParams(m=1, A=3.0), (gaussian_model(1, 1.0),), 50)
+        assert tags == {(1, 1)}
+        if scalar:
+            assert rekeyed == [(t, (1, 1)) for t in range(50)]
 
-    out = summaries(RssParams(A=3.0, p_hi=0.5), models2, 20)
-    assert {tag for _, tag in rekeyed} == {(1, 1), (1, 2), (2,)}
-    assert any(s.counts[1] > 0 and s.counts[2] > 0 for s in out)
+        tags, counts = table(two, models2, 50)
+        descended = (counts[:, 1] > 0).nonzero()[0].tolist()
+        assert 0 < len(descended) < 50
+        assert tags == {(1, 1), (1, 2)}
+        if scalar:
+            assert sorted(rekeyed) == sorted([(t, (1, 2)) for t in range(50)]
+                                             + [(t, (1, 1)) for t in descended])
 
-    estimate_wadd(two, models2, 20, 4)
-    estimate_arlfa(RssParams(A=3.0, p_hi=0.5), models2, 5, 4, safety_horizon=100)
-    assert built == []
+        tags, counts = table(RssParams(A=3.0, p_hi=0.5), models2, 20)
+        assert tags == {(1, 1), (1, 2), (2,)}
+        assert ((counts[:, 1] > 0) & (counts[:, 2] > 0)).any()
+
+        estimate_wadd(two, models2, 20, 4)
+        estimate_arlfa(RssParams(A=3.0, p_hi=0.5), models2, 5, 4, safety_horizon=100)
+        assert built == []
 
 
 def _state(bit_generator):
