@@ -188,18 +188,22 @@ def resolve_truncation(budget: float, rng: np.random.Generator | None = None) ->
 
     Integers pass through without touching the rng. A fractional value N
     resolves to floor(N) with probability ceil(N) - N and to ceil(N)
-    otherwise, so the resolved budget has mean N.
+    otherwise, so the resolved budget has mean N. An rng without random(),
+    None among them, fails here, where the coin is read.
     """
-    # a float skips _real's isinstance tests: each renewal-cycle coin comes here
+    # a float skips _real's isinstance tests: each engine coin comes here
     b = budget if type(budget) is float else _real("budget", budget)
     if not (math.isfinite(b) and b >= 0.0):
         raise ValueError(f"budget must be >= 0 and finite, got {budget}")
     low = math.floor(b)
     if low == b:
         return int(low)
-    if rng is None:
-        raise ValueError("a random generator is required to resolve a fractional budget")
-    if rng.random() < (low + 1.0 - b):
+    try:
+        coin = rng.random()
+    except AttributeError:
+        raise ValueError(f"rng must be a random generator to resolve the fractional "
+                         f"budget {b}, got {rng!r}") from None
+    if coin < (low + 1.0 - b):
         return int(low)
     return int(low) + 1
 

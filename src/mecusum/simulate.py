@@ -26,7 +26,10 @@ An episode's steps run on two loops. An unrecorded episode takes its
 pre-change steps on the renewal kernel's visit recursion
 (_RenewalKernel.pre_change), the loop that estimate_por_renewal and
 calibrate run, on the episode's streams and control coins: so the direct
-and renewal POR routes share it. It hands the episode to _EngineCore.run at
+and renewal POR routes share it. Its top walk reads the top stream a block
+slice at a time and runs level m - 1's visits inline; the levels below
+run as visit closures, built per call, that read fractional-budget coins
+inline. It hands the episode to _EngineCore.run at
 the top level once a top step and the longest visit below it might pass
 the change or the horizon, or the next top step might spend a top
 truncation. The engine takes the rest: those last pre-change steps, the
@@ -68,7 +71,6 @@ from .engine import (
     _EngineCore,
     _llrs,
     _Stream,
-    resolve_truncation,
 )
 
 OBS_STREAM_TAG = 1
@@ -494,19 +496,18 @@ class _RenewalKernel:
     estimate_por_direct and estimate_arlfa among others, through
     pre_change().
 
-    run() holds the renewal top excursion and _sub() one visit of a lower
-    level, recursing into the level below on an undershoot. Each keeps the
-    visited level's stream (buf, pos, end) in locals and moves the statistic
-    by d += buf[pos]. The level streams are scored: each block already holds
-    its observations' LLR increments, llr_from_terms(terms, pre_mean +
-    pre_std * z), computed in numpy in that function's operation order, so
-    the sums are the bits a scalar loop would give. The
-    tables are built once on the frozen inputs: ExperimentModel.terms and
-    PolicyParams.fixed_budgets, so only a fractional budget calls
-    resolve_truncation, with budget_rng, a _Stream of uniforms read one at
-    a time. With record = j, run() also appends the steps of each level-j
-    visit to self.visits, as native int64 in visit order: the calibration
-    search reads them.
+    run() and pre_change() hold the top walk; each call builds one visit
+    closure per lower level (_visit), which keeps its stream's buf, pos and
+    end in its cells from visit to visit and goes when the call returns, so
+    no reference cycle outlives it. pre_change() runs level m - 1 inline.
+    The statistic moves by d += buf[pos]: the level streams are scored, each
+    block holding its LLR increments, computed in numpy in llr_from_terms's
+    operation order, so the sums are the bits a scalar loop would give. A
+    fractional budget reads a coin from budget_rng, a _Stream of uniforms,
+    at each entry, as resolve_truncation does. With record = j, run() also
+    appends the steps of each level-j visit to self.visits, as native int64
+    in visit order: the calibration search reads them. The top walk is the
+    top experiment's CUSUM; tests/test_oracles.py pins that identity.
 
     The renewal constructor draws from streams of its own, keyed by the
     seed and RENEWAL_TAG; of_episode() builds a kernel on an episode's
@@ -555,6 +556,85 @@ class _RenewalKernel:
         self.N = params.budgets
         self.fixed = params.fixed_budgets
 
+    def _budget(self, j: int) -> tuple:
+        """Level j's (fixed, coin, low, below): an integer budget and None, or
+        None and budget_rng.random, whose coin < below resolves to low, else low + 1."""
+        fixed = self.fixed[j]
+        if fixed is not None:
+            return fixed, None, 0, 0.0
+        low = math.floor(self.N[j])
+        return None, self.budget_rng.random, low, low + 1.0 - self.N[j]
+
+    def _visit(self, j: int, out, flush: list):
+        """Level j's visit as a closure visit(floor, ceiling, at), which adds
+        its steps to out[at + j], or None where no visit opens: below the
+        lowest level, and at a fixed budget of 0, where the level above
+        reflects instead. flush gets a function that writes the level's
+        stream position back."""
+        if j < (0 if self.de else 1) or self.fixed[j] == 0:
+            return None
+        child = self._visit(j - 1, out, flush)
+        fixed, coin, low, below = self._budget(j)
+        record = self.visits.extend if j == self.recorded else None
+        if j == 0:
+            mu = self.mu
+
+            def visit(floor, ceiling, at):
+                budget = fixed if coin is None else low if coin() < below else low + 1
+                if not budget:
+                    return
+                used = 0
+                d = floor
+                while True:
+                    d += mu
+                    used += 1
+                    if d > ceiling or used == budget:
+                        break
+                out[at] += used
+                if record is not None:
+                    record(pack("q", used))
+            return visit
+        a = self.a[j]
+        # nothing opens below level 1 of a plain policy, nor below a fixed
+        # budget of 0 (which draws nothing), so there the level reflects
+        reflects = child is None
+        s = self.streams[j]
+        buf, pos, end = s.buf, s.pos, s.end
+
+        def visit(floor, ceiling, at):
+            nonlocal buf, pos, end
+            budget = fixed if coin is None else low if coin() < below else low + 1
+            if not budget:
+                return
+            used = 0
+            d = floor
+            while True:
+                if pos == end:
+                    s.refill()
+                    buf, end, pos = s.buf, s.end, 0
+                d += buf[pos]
+                pos += 1
+                used += 1
+                if reflects and d < floor:
+                    d = floor
+                if d > ceiling:
+                    break
+                if d < floor:
+                    # the budget's last observation may still open the
+                    # level below; the level closes when that one does
+                    child(floor + a * (d - floor), floor, at)
+                    d = floor
+                if used == budget:
+                    break
+            out[at + j] += used
+            if record is not None:
+                record(pack("q", used))
+
+        def done():
+            s.pos = pos
+        flush.append(done)
+        return visit
+
     def run(self, cycles: int) -> memoryview:
         """Steps spent at each source in the next `cycles` cycles, as a flat
         memoryview of doubles: cycle k's count for source j (0 = idle) is at
@@ -563,7 +643,8 @@ class _RenewalKernel:
         width = m + 1
         # zeroed doubles over a bytearray, which numpy views without a copy
         out = memoryview(bytearray(8 * width * cycles)).cast("d")
-        sub = self._sub if m > 1 or self.de else None
+        flush = []
+        visit = self._visit(m - 1, out, flush)
         a = self.a[m]
         s = self.streams[m]
         buf, pos, end = s.buf, s.pos, s.end
@@ -580,28 +661,31 @@ class _RenewalKernel:
                 if d < 0.0:
                     break
             out[at + m] = steps
-            if sub is not None:
-                sub(m - 1, a * d, 0.0, out, at)
+            if visit is not None:
+                visit(a * d, 0.0, at)
         s.pos = pos
+        for done in flush:
+            done()
         return out
 
     def pre_change(self, core: _EngineCore, stop: int) -> None:
         """Take the pre-change steps of core's episode, from its state at the
         top level, up to time stop, and leave the rest to core.
 
-        The top loop adds the top stream's increments and stops above A; an
-        undershoot opens _sub below, and the statistic then starts again at
-        0.0, as the engine's ascent to the top floor sets it (a plain m = 1
-        policy reflects instead). These are _EngineCore.run's steps: the
-        same increments in the same order, and the same budget coins at the
-        same descents. The loop runs while a top step and the visit below it
-        end by stop, and takes at most all but one of the top budget's
-        steps, so the engine takes the step that spends it. The core goes on
-        from the top level, with the statistic, time, counts and top budget,
-        and the streams become engine streams again at the same position. A
-        run with stop within reach of the core's time goes to the engine
-        whole. The time, the sum of the counts, is summed once per stride of
-        top steps that all begin in time and within the budget.
+        The top loop adds the top stream's increments, a block slice at a
+        time, and stops above A; an undershoot opens a visit of level m - 1,
+        run inline, and the statistic then starts again at 0.0, as the
+        engine's ascent to the top floor sets it (a plain m = 1 policy
+        reflects instead). These are _EngineCore.run's steps: the same
+        increments in the same order, and the same budget coins at the same
+        descents. The loop runs while a top step and the visit below it end
+        by stop, and takes at most all but one of the top budget's steps,
+        so the engine takes the step that spends it. The core goes on from
+        the top level, with the statistic, time, counts and top budget, and
+        the streams become engine streams again at the same position. A run
+        with stop within reach of the core's time goes to the engine whole.
+        The time, the sum of the counts, is summed once per stride of top
+        steps that all begin in time and within the budget.
         """
         m, A, counts = self.m, core.A, core.counts
         width = 1 + self.reach  # the most steps of a top step and its visit below
@@ -614,7 +698,19 @@ class _RenewalKernel:
         streams = self.streams
         for s in streams[1:]:
             s.score()
-        sub = self._sub if m > 1 or self.de else None
+        flush = []
+        # level j = m - 1's visits run in the top loop, on locals, when they
+        # read a stream; an m = 1 policy has at most the idle level's closure
+        j = m - 1
+        inline = j > 0 and self.fixed[j] != 0
+        visit = None if inline else self._visit(j, counts, flush)
+        if inline:
+            child = self._visit(j - 1, counts, flush)
+            reflects = child is None
+            fixed, coin, low, below = self._budget(j)
+            aj = self.a[j]
+            sj = streams[j]
+            jbuf, jpos, jend = sj.buf, sj.pos, sj.end
         a = self.a[m]
         s = streams[m]
         buf, pos, end = s.buf, s.pos, s.end
@@ -624,22 +720,49 @@ class _RenewalKernel:
         while n <= last and top < most and not stopped:
             # each top step up to this one begins by last
             upto = min(top + (last - n) // width + 1, most)
-            while top < upto:
+            while top < upto and not stopped:
                 if pos == end:
                     s.refill()
                     buf, end, pos = s.buf, s.end, 0
-                d += buf[pos]
-                pos += 1
-                top += 1
-                if d < 0.0:
-                    if sub is not None:
-                        sub(m - 1, a * d, 0.0, counts, 0)
-                    d = 0.0
-                elif d > A:
-                    stopped = True
-                    break
+                start = pos
+                for pos, x in enumerate(buf[pos:min(end, pos + int(upto - top))], pos + 1):
+                    d += x
+                    if d < 0.0:
+                        if inline:
+                            budget = fixed if coin is None else low if coin() < below else low + 1
+                            if budget:
+                                floor = v = a * d
+                                used = 0
+                                while True:
+                                    if jpos == jend:
+                                        sj.refill()
+                                        jbuf, jend, jpos = sj.buf, sj.end, 0
+                                    v += jbuf[jpos]
+                                    jpos += 1
+                                    used += 1
+                                    if reflects and v < floor:
+                                        v = floor
+                                    if v > 0.0:
+                                        break
+                                    if v < floor:
+                                        child(floor + aj * (v - floor), floor, 0)
+                                        v = floor
+                                    if used == budget:
+                                        break
+                                counts[j] += used
+                        elif visit is not None:
+                            visit(a * d, 0.0, 0)
+                        d = 0.0
+                    elif d > A:
+                        stopped = True
+                        break
+                top += pos - start
             n = top + sum(counts)
         s.pos = pos
+        if inline:
+            sj.pos = jpos
+        for done in flush:
+            done()
         for s in streams[1:]:
             s.unscore()
         core.remaining[m] = most + 1.0 - top
@@ -648,66 +771,19 @@ class _RenewalKernel:
         if stopped:
             core.stopped, core.stop_reason = True, "threshold"
 
-    def _sub(self, j: int, floor: float, ceiling: float, out: memoryview | list[int],
-             at: int) -> None:
-        """One visit of level j: its steps go to out[at + j]."""
-        budget = self.fixed[j]
-        if budget is None:
-            budget = resolve_truncation(self.N[j], self.budget_rng)
-        if budget == 0:
-            return
-        used = 0
-        d = floor
-        if j == 0:
-            mu = self.mu
-            while True:
-                d += mu
-                used += 1
-                if d > ceiling or used == budget:
-                    break
-        else:
-            a = self.a[j]
-            # nothing opens below level 1 of a plain policy, nor below a fixed
-            # budget of 0 (which draws nothing), so there the level reflects
-            reflects = self.fixed[j - 1] == 0 or j == 1 and not self.de
-            s = self.streams[j]
-            buf, pos, end = s.buf, s.pos, s.end
-            while True:
-                if pos == end:
-                    s.refill()
-                    buf, end, pos = s.buf, s.end, 0
-                d += buf[pos]
-                pos += 1
-                used += 1
-                if reflects and d < floor:
-                    d = floor
-                if d > ceiling:
-                    break
-                if d < floor:
-                    # the budget-consuming observation may still open the level
-                    # below; the exhaustion return happens once it closes. The
-                    # visit below reads only its own stream, so these locals
-                    # stay valid across it.
-                    self._sub(j - 1, floor + a * (d - floor), floor, out, at)
-                    d = floor
-                if used == budget:
-                    break
-            s.pos = pos
-        out[at + j] += used
-        if j == self.recorded:
-            self.visits += pack("q", used)
-
 
 # A lockstep stream is read in blocks of _ROW values; a refill draws and
 # scores the blocks of at most _FILL_ROWS streams at a time. A batch's
 # arrays keep at least _MIN_ROWS rows: numpy keeps freed arrays under 1 KiB
 # for reuse, a few of each size, so masks of every size below 1024 rows,
 # from a set of trials that shrank step by step, would pile up there. A
-# pass costs ~100 us however few trials are left, against ~0.6 us per
-# scalar step, so a run that can hand its trials to the scalar loops (one
-# that starts before the change, and so keeps normals) does so at
-# _HANDOFF_ROWS live trials: an uncapped 1200-trial 2e estimate_arlfa at
-# gamma = 1000 took 7.4, 5.5 and 5.9 s with 64, 128 and 256 (scalar 8.2 s).
+# pass costs ~100 us however few trials are left, against 0.13-0.32 us per
+# pre-change scalar step on the renewal kernel, so a run that can hand its
+# trials to the scalar loops (one that starts before the change, and so
+# keeps normals) does so at _HANDOFF_ROWS live trials. Criterion 1's four
+# 5000-trial estimate_arlfa calls took a median 12.2, 12.2 and 12.4 s of
+# CPU with 64, 128 and 256 (4 runs each, 10.6-14.3 s, on a shared 2-CPU
+# VM): no value is faster beyond the spread, and 128 stays.
 _ROW = 32
 _FILL_ROWS = 128
 _MIN_ROWS = 1024

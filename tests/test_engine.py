@@ -353,6 +353,32 @@ def test_fractional_top_truncation_needs_rng():
     assert state.stopped == (state.stack[0].remaining == 0.0)
 
 
+_NOT_RNGS = {"str": "x", "int": 5, "bool": True, "none": None}
+
+
+def _init_coin(models, rng):
+    return init(PolicyParams(m=1, A=5.0, top_truncation=0.5), rng)
+
+
+def _descent_coin(models, rng):
+    params = make_params2(budgets={1: 1.5})
+    return step(init(params), params, models, obs_for(models[1], -1.0), rng)
+
+
+@pytest.mark.parametrize("rng", _NOT_RNGS.values(), ids=list(_NOT_RNGS))
+@pytest.mark.parametrize("call", [_init_coin, _descent_coin], ids=["init", "step"])
+def test_fractional_budgets_need_a_real_rng(models2, call, rng):
+    # init with a fractional top truncation, and step() on a descent into a
+    # fractional budget, read a coin: an rng without random() fails there
+    # with a ValueError that names rng, not with an AttributeError
+    with pytest.raises(ValueError, match="^rng must be a random generator"):
+        call(models2, rng)
+    # an integer budget reads no coin, so the rng is never looked at
+    params = make_params2()
+    r = step(init(params), params, models2, obs_for(models2[1], -1.0), rng)
+    assert (r.event, r.state.stack[-1]) == ("descend", LevelState(1, -1.0, 2.0))
+
+
 def test_truncated_top_stops_on_budget():
     params = PolicyParams(m=1, A=100.0, top_truncation=2)
     models = (gaussian_model(1, 1.0),)

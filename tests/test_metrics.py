@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import itertools
 import math
 import os
@@ -454,6 +455,29 @@ def test_por_routes_agree(models2):
     direct = estimate_por_direct(params, models2, 100_000, 3, base_seed=68)
     for key in (1, 2):
         assert direct[key].mean == pytest.approx(renewal[key].mean, abs=0.015)
+
+
+def test_estimators_leave_no_cyclic_garbage(models2, trial_path):
+    # the renewal kernel's visit closures go when its call returns, with
+    # nothing that refers back to them: no estimator leaves a reference
+    # cycle for the collector, on either trial path
+    params = PolicyParams(m=2, A=3.0, scales={1: 0.7, 2: 1.3}, budgets={0: 1.5, 1: 2.5},
+                          mu=0.2, data_efficient=True)
+    target = CalibrationTarget(100.0, {1: 0.3, 2: 0.4}, data_efficient=True)
+    config = CalibrationConfig(search_cycles=500, final_cycles=1000)
+    calls = {
+        "estimate_arlfa": lambda: estimate_arlfa(params, models2, 20, 3),
+        "estimate_por_renewal": lambda: estimate_por_renewal(params, models2, 1000, 3),
+        "calibrate": lambda: calibrate(target, models2, config, 3),
+    }
+    gc.collect()
+    gc.disable()
+    try:
+        for name, call in calls.items():
+            call()
+            assert (name, gc.collect()) == (name, 0)
+    finally:
+        gc.enable()
 
 
 def test_tradeoff_curve_validation(models2, monkeypatch):

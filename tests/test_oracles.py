@@ -11,7 +11,9 @@ every cycle's steps per source must match exactly.
 from __future__ import annotations
 
 import math
+import sys
 from collections import Counter
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -19,7 +21,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mecusum import PolicyParams, Scenario, episode_summary, resolve_truncation, run_episode
+from mecusum import metrics, simulate
 from mecusum.densities import llr_from_terms, llr_terms
+from mecusum.metrics import _trial_table
 from mecusum.simulate import (RENEWAL_TAG, _RenewalKernel, control_generator,
                               observation_generator, seed_entropy)
 from conftest import gaussian_model, obs_for
@@ -330,6 +334,56 @@ def _long_episodes(seed, A, horizon):
                                 lambda v: resolve_truncation(v, ctrl),
                                 max_steps=horizon)
         yield episode_summary(params, scenario, seed), stop, records
+
+
+@st.composite
+def _top_walk_policies(draw):
+    m = draw(st.integers(2, 3))
+    de = draw(st.booleans())
+    # two decimals in [0, 3], with integers and zeros drawn often
+    budget = st.one_of(st.floats(0.0, 3.0).map(lambda b: round(b, 2)),
+                       st.integers(0, 3).map(float))
+    top = st.one_of(st.none(), st.floats(0.0, 30.0).map(lambda t: round(t, 1)))
+    return PolicyParams(
+        m=m,
+        A=draw(st.floats(0.5, 3.0)),
+        scales={i: draw(st.floats(0.25, 4.0)) for i in range(1 if de else 2, m + 1)},
+        budgets={j: draw(budget) for j in range(0 if de else 1, m)},
+        mu=draw(st.floats(0.05, 0.3)) if de else None,
+        data_efficient=de,
+        top_truncation=draw(top),
+    )
+
+
+@settings(deadline=None, max_examples=40)
+@given(params=_top_walk_policies(), nu=st.sampled_from([1, math.inf]),
+       seed=st.integers(0, 2**32 - 1))
+def test_top_walk_is_the_top_experiments_cusum(params, nu, seed):
+    # with the change at 1 or never, an episode's top steps are the plain
+    # CUSUM (m = 1, same A) on the top experiment's stream: a visit below
+    # the top reads only lower streams and control coins, and the top
+    # starts again at 0.0, where the CUSUM reflects. A top truncation K,
+    # resolved by the control stream's first coin, stops the walk at
+    # min(T, K) top steps; an episode that the horizon cuts short has
+    # taken fewer
+    m = params.m
+    models = _MODELS3[:m]
+    terms = llr_terms(models[-1])
+    trials, horizon = 6, 20_000
+    want = []
+    for t in range(trials):
+        T = straightline.run_cusum(params.A, lambda x: llr_from_terms(terms, x),
+                                   _observations(models[-1], (seed, t), horizon, nu),
+                                   max_steps=horizon)
+        K = math.inf if params.top_truncation is None else \
+            resolve_truncation(params.top_truncation, control_generator((seed, t)))
+        want.append(min(math.inf if T is None else T, K))
+    for lockstep in (sys.maxsize, 1):
+        with patch.object(metrics, "_LOCKSTEP_TRIALS", lockstep), \
+                patch.object(simulate, "_MIN_ROWS", 4), patch.object(simulate, "_HANDOFF_ROWS", 2):
+            times, counts = _trial_table(params, models, nu, horizon, trials, seed, 0.95)
+        for time, got, top in zip(times.tolist(), counts[:, m].tolist(), want):
+            assert got == top if time >= 0 else got < top
 
 
 def test_unrecorded_long_episodes_match_the_flat_loops():
