@@ -143,11 +143,18 @@ class OrderingViolation:
 
 
 def _layout(models: Sequence[ExperimentModel], m: int | None) -> list:
+    # step() calls this per observation: concrete type checks, not ABCs,
+    # in the one pass over the set
+    wrong = "models must be a list or tuple of ExperimentModel, got {!r}"
+    if not isinstance(models, (tuple, list)):
+        raise ValueError(wrong.format(models))
     if m is None:
         m = len(models) or 1
     slots = [None] * (m + 1)
     filled = 0
     for mdl in models:
+        if not isinstance(mdl, ExperimentModel):
+            raise ValueError(wrong.format(models))
         if 0 < mdl.id <= m and slots[mdl.id] is None:
             slots[mdl.id] = mdl
             filled += 1
@@ -175,9 +182,10 @@ def validate_ordering(models: Sequence[ExperimentModel]) -> OrderingViolation | 
 
 
 def check_models(models: Sequence[ExperimentModel], m: int | None = None) -> list:
-    """[None, model 1, ..., model m], or ValueError unless models are m models
-    with the ids 1..m, KL non-decreasing in id. m defaults to the number of
-    models, or 1 for none. Every route that takes models calls it once."""
+    """[None, model 1, ..., model m], or ValueError unless models are a list
+    or tuple of m ExperimentModel with the ids 1..m, KL non-decreasing in
+    id. m defaults to the number of models, or 1 for none. Every route that
+    takes models calls it once."""
     slots = _layout(models, m)
     violation = _violation(slots)
     if violation is not None:

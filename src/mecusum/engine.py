@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import math
 import warnings
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from numbers import Real
 from typing import Callable, Sequence
@@ -87,6 +88,9 @@ class PolicyParams:
         object.__setattr__(self, "m", _count("m", self.m, 1))
         if math.isnan(_real("threshold A", self.A)) or self.A < 0.0:
             raise ValueError(f"threshold A must be >= 0, got {self.A}")
+        for name, levels in (("scales", self.scales), ("budgets", self.budgets)):
+            if not isinstance(levels, Mapping):
+                raise ValueError(f"{name} must be a mapping of level to value, got {levels!r}")
         # a key is a level: 3.0 reads as 3, but a bool or 1.5 is not one
         scales = {_count("scales key", k, 0): _real(f"scale a_{k}", v)
                   for k, v in self.scales.items()}

@@ -5,8 +5,8 @@ estimate_por_direct averages the time shares of long pre-change episodes,
 while estimate_por_renewal takes ratios of expected per-cycle times over the
 regenerative cycles (top-level excursion, then the recursive truncated
 sub-policy below). Both run on the visit recursion of the renewal kernel
-(simulate._RenewalKernel): below _LOCKSTEP_TRIALS trials, the direct
-route's episodes take their pre-change steps on it until a few steps
+(simulate._RenewalKernel): the direct route's episodes, once handed to
+the scalar loops, take their pre-change steps on it until a few steps
 before the horizon, and the renewal route runs its cycles from a seed of
 its own. The two routes check the time average against the cycle ratio;
 the recursion itself is checked against _EngineCore.run by the tests that
@@ -14,17 +14,16 @@ compare recorded with unrecorded episodes, and against
 tests/straightline.py.
 
 The stopping-time and direct estimators share one trial loop, _trial_table,
-which returns each trial's stopping time and steps per experiment as arrays.
-Below _LOCKSTEP_TRIALS trials it runs one episode at a time; from there on it
-steps a key chunk's episodes together (simulate._lockstep): the same arrays.
+which returns each trial's stopping time and steps per experiment as arrays
+from one runner, simulate._lockstep.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
 from statistics import NormalDist
-from typing import Sequence
 
 import numpy as np
 
@@ -38,25 +37,10 @@ from .simulate import (  # noqa: F401
     _default_safety_horizon,
     _lockstep,
     _RenewalKernel,
-    _scalar_table,
     episode_summary,
     seed_entropy,
 )
 
-# _trial_table steps its episodes in lockstep from this many trials on,
-# the CLI's default. Lockstep against scalar on a 2-CPU VM:
-# - estimate_wadd on the benchmark's gamma = 1000 policies (medians of 7
-#   alternating runs, lockstep faster in 7 of 7 each): at 1000 trials cusum
-#   22.9 -> 13.8 ms, 2e 30.0 -> 19.2, 3e 33.2 -> 23.3, rss 36.5 -> 24.6; at
-#   1200, 30.5 -> 17.2, 39.6 -> 23.5, 44.8 -> 28.3, 29.9 -> 18.8. Below
-#   that a pass costs more than it saves: at 300 trials 3e took 11.6 ->
-#   13.0 ms.
-# - estimate_arlfa with no change: criterion 1's calls (5000 trials capped
-#   at 4000 steps) cusum 5.2 -> 1.9 s, 2e 10.1 -> 5.2, 3e 10.9 -> 5.9, de2e
-#   8.5 -> 4.3; an uncapped 1000-trial 2e call (mean 12755 steps) 9.4 ->
-#   7.6 s, which took 12.2 s in lockstep before the last trials went to
-#   the scalar loop (simulate._HANDOFF_ROWS).
-_LOCKSTEP_TRIALS = 1000
 
 
 @dataclass(frozen=True)
@@ -124,20 +108,16 @@ def _trial_table(
     and counts[t, i] its steps of experiment id i (0 for idle), as int64.
 
     The arguments are checked before the first episode runs; the episodes
-    run on the generators of one EpisodeKeys table. Below _LOCKSTEP_TRIALS
-    trials they run one after another, each as episode_summary runs it.
-    From there on, simulate._lockstep steps each _KEY_CHUNK of them
-    together, one numpy pass per time step, and gives the same table: each
-    trial's streams are keyed as its episode's are, Philox gives the same
-    values whatever the block sizes, and every float operation is the
-    scalar loop's, in its order.
+    run on the generators of one EpisodeKeys table, in simulate._lockstep:
+    a call of at most _HANDOFF_ROWS trials on the scalar loops from time 0,
+    a larger one in lockstep, but a pre-change run's last _HANDOFF_ROWS live
+    trials on the scalar loops. Each row is the one its episode gives.
     """
     trials = _count("trials", trials, 1)
     _z_value(confidence)
     base = seed_entropy(base_seed)
-    scenario = Scenario(tuple(models), change_point, horizon=horizon)
-    run = _lockstep if trials >= _LOCKSTEP_TRIALS else _scalar_table
-    return run(params, scenario, EpisodeKeys(base, trials))
+    scenario = Scenario(models, change_point, horizon=horizon)
+    return _lockstep(params, scenario, EpisodeKeys(base, trials))
 
 
 def _stopping_time_estimate(
@@ -322,6 +302,9 @@ def tradeoff_curve(
     every gamma checked before the first estimate runs; the rest of the
     parameters stay fixed.
     """
+    # a str is a sequence, whose characters fail set_threshold's check
+    if not (isinstance(gammas, Sequence) or isinstance(gammas, np.ndarray) and gammas.ndim == 1):
+        raise ValueError(f"the gamma grid must be a sequence of numbers, got {gammas!r}")
     if len(gammas) == 0:
         raise ValueError("the gamma grid must not be empty")
     # set_threshold checks that each gamma is a real number before they are compared

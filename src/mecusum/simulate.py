@@ -37,15 +37,14 @@ post-change steps, and every step of a recorded episode. The tests that
 compare recorded with unrecorded episodes check the recursion against
 _EngineCore.run, and both against tests/straightline.py.
 
-The estimators take their episodes as a table of arrays (_scalar_table).
-From metrics._LOCKSTEP_TRIALS trials on, they run them in lockstep
-(_lockstep): a batch of up to _KEY_CHUNK trials advances one time step per
-numpy pass, every trial's state held in arrays, with the regime switch at
-pass nu and the horizon shared. Each trial reads its own
-streams, keyed from the same EpisodeKeys table, in blocks whose sizes do
-not change Philox's values, and each pass does the scalar loop's float
-operations in its order, so every row is the one its episode gives alone.
-Single episodes, traces and step() keep the scalar loops.
+The estimators run their episodes on one runner, _lockstep: a batch of up
+to _KEY_CHUNK trials advances one time step per numpy pass, every trial's
+state held in arrays, and the scalar loops take its last _HANDOFF_ROWS
+trials (the rule is at _HANDOFF_ROWS). Each trial reads its own streams,
+keyed from the same EpisodeKeys table, in blocks whose sizes do not change
+Philox's values, and each pass does the scalar loop's float operations in
+its order, so every row is the one its episode gives alone. Single
+episodes, traces and step() run on the scalar loops only.
 """
 
 from __future__ import annotations
@@ -275,7 +274,8 @@ class EpisodeKeys:
 @dataclass(frozen=True)
 class Scenario:
     """Experiment set plus the change point nu (integer >= 1, or math.inf for
-    a run that never changes). horizon caps the episode length.
+    a run that never changes). horizon caps the episode length. models is
+    a list or tuple of ExperimentModel (check_models), kept as a tuple.
 
     by_id, check_models' [None, model 1, ..., model m], is kept as a plain
     attribute, not a field, so an episode of an m-experiment policy reuses
@@ -287,8 +287,8 @@ class Scenario:
     horizon: int | None = None
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "models", tuple(self.models))
         object.__setattr__(self, "by_id", check_models(self.models))
+        object.__setattr__(self, "models", tuple(self.models))
         nu = self.change_point
         # a bool is a real number, but no change point: it fails the range check
         if not isinstance(nu, bool) and _real("change_point", nu) == math.inf:
@@ -379,23 +379,19 @@ def _setup(params, scenario):
     return by_id, nu, horizon
 
 
-def _drive(params, scenario, entropy, record=None, make_gen=None):
+def _drive(params, scenario, entropy, record=None):
     """Run one episode; returns (stopping time, stop reason, counts).
 
     record, when given, gets each step as a TraceStep when it is taken.
     The callers pass entropy through seed_entropy, so a bad seed fails
-    before the first step even when the episode never draws. make_gen(tag)
-    gives the generator of the stream tagged tag, on the stream's first
-    draw; by default a fresh one, built through the module-level
-    observation_generator and control_generator.
+    before the first step even when the episode never draws. Each stream
+    gets a fresh generator on its first draw (_fresh_generator).
     """
-    if make_gen is None:
-        make_gen = partial(_fresh_generator, entropy)
     by_id, nu, horizon = _setup(params, scenario)
     # streams[i] is experiment i's observation stream
-    streams = [None] + [_Stream(partial(make_gen, (OBS_STREAM_TAG, mdl.id)), mdl)
-                        for mdl in by_id[1:]]
-    ctrl = _Stream(partial(make_gen, (CONTROL_STREAM_TAG,)))
+    streams = [None] + [_Stream(partial(_fresh_generator, entropy, (OBS_STREAM_TAG, mdl.id)),
+                                mdl) for mdl in by_id[1:]]
+    ctrl = _Stream(partial(_fresh_generator, entropy, (CONTROL_STREAM_TAG,)))
     on_step = None
     if record is not None:
         def on_step(n, lvl, x, d, event):
@@ -770,18 +766,29 @@ class _RenewalKernel:
 # scores the blocks of at most _FILL_ROWS streams at a time. A batch's
 # arrays keep at least _MIN_ROWS rows: numpy keeps freed arrays under 1 KiB
 # for reuse, a few of each size, so masks of every size below 1024 rows,
-# from a set of trials that shrank step by step, would pile up there. A
-# pass costs ~100 us however few trials are left, against 0.13-0.32 us per
-# pre-change scalar step on the renewal kernel, so a run that can hand its
-# trials to the scalar loops (one that starts before the change, and so
-# keeps normals) does so at _HANDOFF_ROWS live trials. Criterion 1's four
-# 5000-trial estimate_arlfa calls took a median 12.2, 12.2 and 12.4 s of
-# CPU with 64, 128 and 256 (4 runs each, 10.6-14.3 s, on a shared 2-CPU
-# VM): no value is faster beyond the spread, and 128 stays.
+# from a set of trials that shrank step by step, would pile up there.
+# _HANDOFF_ROWS is the one rule that picks a trial's loop. A pass costs
+# ~100 us however few trials are left, so once at most _HANDOFF_ROWS trials
+# of a batch are live, each goes to the scalar loops at the top level if
+# its normals are known: at time 0 in a call of at most _HANDOFF_ROWS
+# trials, or in a run that starts before the change, which keeps them.
+# CPU on a 2-CPU VM, alternating runs, the same estimates:
+# - a batch that starts in lockstep with no threshold never hands off: a
+#   20k-step 2e estimate_por_direct took 1.90 s at 150 trials and 2.16 s
+#   at 300 in lockstep, 0.50 and 1.02 s on the scalar loops;
+# - a hand-off at 999 live pre-change trials, not 128: uncapped 1000-trial
+#   estimate_arlfa 2e 6.35 -> 3.34 s, 3e 13.50 -> 7.96 s; criterion 1's
+#   four 5000-trial calls 16.3-17.1 -> 14.9-15.0 s;
+# - a batch handed off at time 0 still builds its arrays: 0.1-0.3 ms more
+#   per 30-300-trial estimate_wadd than a loop of single episodes;
+# - after the change lockstep pays from about 1000 trials on: 5000-trial
+#   estimate_wadd calls (batches of 4096 and 904) on cusum/2e/3e/rss took
+#   22.7/37.3/44.7/58.2 ms with the 904 in lockstep, 29.6/44.8/56.7/62.7
+#   with them handed off at time 0 (medians of 10 rounds).
 _ROW = 32
 _FILL_ROWS = 128
 _MIN_ROWS = 1024
-_HANDOFF_ROWS = 128
+_HANDOFF_ROWS = 999
 
 
 def _mapped(streams: int) -> np.ndarray:
@@ -907,21 +914,11 @@ class _TrialStreams:
                     self.buf[part] = self._score(i, z) if i else z
 
 
-def _scalar_table(params, scenario, keys):
-    """The stopping times (-1 for none) and the steps per experiment id of
-    every episode of keys, as int64 arrays in trial order: one episode
-    after another, each as episode_summary runs it, its streams re-keyed
-    from keys."""
-    runs = [_drive(params, scenario, keys.base + (t,), make_gen=partial(keys.rekey, t))
-            for t in range(keys.trials)]
-    return (np.array([-1 if stop is None else stop for stop, _, _ in runs], np.int64),
-            np.array([list(counts.values()) for _, _, counts in runs], np.int64))
-
-
 def _lockstep(params, scenario, keys):
-    """_scalar_table's arrays, the same values: each _KEY_CHUNK of trials
-    runs as one batch, all of its episodes stepped together, one pass per
-    time step."""
+    """The stopping times (-1 for none) and the steps per experiment id of
+    the episodes of keys, as int64 arrays in trial order, each row the one
+    episode_summary gives: each _KEY_CHUNK of trials runs as one batch, its
+    episodes stepped together, one pass per time step."""
     by_id, nu, horizon = _setup(params, scenario)
     if isinstance(params, RssParams):
         run, coins = _lockstep_rss, True
@@ -930,17 +927,18 @@ def _lockstep(params, scenario, keys):
         top = params.top_truncation
         coins = (top is not None and not top.is_integer()
                  or None in params.fixed_budgets[0 if params.data_efficient else 1:])
+    small = keys.trials <= _HANDOFF_ROWS  # by the call's trials, not a batch's
     parts = []
     for first in range(0, keys.trials, _KEY_CHUNK):
         rows = min(_KEY_CHUNK, keys.trials - first)
         # the streams go when the run returns
         parts.append(run(params, nu, horizon,
-                         _TrialStreams(keys, first, rows, by_id, nu, coins), rows))
+                         _TrialStreams(keys, first, rows, by_id, nu, coins), rows, small))
     times, counts = zip(*parts)
     return np.concatenate(times), np.concatenate(counts)
 
 
-def _lockstep_engine(params, nu, horizon, streams, k):
+def _lockstep_engine(params, nu, horizon, streams, k, small):
     """_EngineCore.run's decision tree over k trials at once: returns the
     stopping times (-1 for none) and the steps per level.
 
@@ -951,11 +949,12 @@ def _lockstep_engine(params, nu, horizon, streams, k):
     ceiling is the floor above it. A stopped trial's row becomes a ghost:
     trial k, which reads a ghost stream and never leaves its band. The
     rows are compacted when half of them are ghosts, down to _MIN_ROWS
-    rows, so every mask of a pass spans the rows. A run that starts before
-    the change hands its last _HANDOFF_ROWS trials to the scalar loops, each
-    as it reaches the top level, its core loaded with its row's state.
-    Every float operation is the scalar loop's, in its order, so the values
-    are the same bits.
+    rows, so every mask of a pass spans the rows. The last _HANDOFF_ROWS
+    trials go to the scalar loops, each as it reaches the top level, its
+    core loaded with its row's state: at time 0 if small (a call of at
+    most _HANDOFF_ROWS trials), or later in a run that starts before the
+    change, which keeps its normals. Every float operation is the scalar
+    loop's, in its order, so the values are the same bits.
     """
     m, A, de = params.m, params.A, params.data_efficient
     mu = params.mu if params.mu is not None else 0.0
@@ -1004,7 +1003,7 @@ def _lockstep_engine(params, nu, horizon, streams, k):
     live = k - gone.size
     n = 0
     while live and n < horizon:
-        if live <= _HANDOFF_ROWS and streams.raw is not None:
+        if live <= _HANDOFF_ROWS and (streams.raw is not None or n == 0 and small):
             # the scalar loops run the last trials on, each from its row at
             # the top level; a row below it is back there within B_(m-1) passes
             for r in ((lvl == m) & (rows < k)).nonzero()[0].tolist():
@@ -1022,6 +1021,8 @@ def _lockstep_engine(params, nu, horizon, streams, k):
                 rows[r] = k
                 rem[r] = math.inf
                 live -= 1
+            if not live:
+                break
         n += 1
         if n == nu and n > 1:
             streams.switch()
@@ -1108,11 +1109,11 @@ def _lockstep_engine(params, nu, horizon, streams, k):
     return times[:k], counts[:k]
 
 
-def _lockstep_rss(params, nu, horizon, streams, k):
+def _lockstep_rss(params, nu, horizon, streams, k, small):
     """_run_rss over k trials at once, returning what _lockstep_engine
     returns: the coin rule, the LLR sum and the reflection are the scalar
     loop's operations, in its order. Stopped trials become ghosts, and the
-    last trials go on in _run_rss, as in _lockstep_engine."""
+    last trials go on in _run_rss, under _lockstep_engine's rule."""
     A, p_hi = params.A, params.p_hi
     stride = streams.stride
     times = np.full(k + 1, -1, np.int64)
@@ -1122,7 +1123,7 @@ def _lockstep_rss(params, nu, horizon, streams, k):
     live = k
     n = 0
     while live and n < horizon:
-        if live <= _HANDOFF_ROWS and streams.raw is not None:
+        if live <= _HANDOFF_ROWS and (streams.raw is not None or n == 0 and small):
             # the scalar loop runs the last trials on, each from its row
             for r in (rows < k).nonzero()[0].tolist():
                 t = int(rows[r])

@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from mecusum import DensitySpec, ExperimentModel, episode_summary, metrics, simulate
+from mecusum import DensitySpec, ExperimentModel, episode_summary, simulate
 
 
 def gaussian_model(exp_id: int, post_mean: float, pre_mean: float = 0.0,
@@ -54,15 +54,15 @@ def models3():
 
 @pytest.fixture(params=["scalar", "lockstep"])
 def trial_path(request, monkeypatch):
-    """Runs a test once on each path of metrics._trial_table: the scalar
-    episode loop, with the dispatch constant past any trial count, and the
-    lockstep runner, with the constant lowered to 1. There the rows compact
+    """Runs a test once on each path of the lockstep runner that
+    metrics._trial_table calls: the scalar episode loops, with the hand-off
+    size past any trial count, so every trial is handed off at time 0, and
+    the lockstep passes, with the size lowered to 2. There the rows compact
     down to 4 and the last 2 trials go to the scalar loops, so that small
     batches compact and hand trials over as well."""
     if request.param == "lockstep":
-        monkeypatch.setattr(metrics, "_LOCKSTEP_TRIALS", 1)
         monkeypatch.setattr(simulate, "_MIN_ROWS", 4)
         monkeypatch.setattr(simulate, "_HANDOFF_ROWS", 2)
     else:
-        monkeypatch.setattr(metrics, "_LOCKSTEP_TRIALS", sys.maxsize)
+        monkeypatch.setattr(simulate, "_HANDOFF_ROWS", sys.maxsize)
     return request.param

@@ -73,6 +73,19 @@ def test_policy_params_validation():
     assert init(ok).stack[0].remaining == math.inf
 
 
+def test_policy_params_maps_must_be_mappings():
+    # scales and budgets map levels to values: anything else fails with
+    # the field's name, not an AttributeError of .items()
+    for scales, budgets, name in (
+        (None, {1: 2.0}, "scales"),
+        ([1.0], {1: 2.0}, "scales"),
+        ({2: 1.0}, [2.0], "budgets"),
+        ({2: 1.0}, None, "budgets"),
+    ):
+        with pytest.raises(ValueError, match=f"^{name} must be a mapping of level to value"):
+            PolicyParams(m=2, A=3.0, scales=scales, budgets=budgets)
+
+
 def test_rss_params_validation():
     with pytest.raises(ValueError):
         RssParams(A=0.0, p_hi=0.5)

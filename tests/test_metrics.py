@@ -67,15 +67,14 @@ def test_estimate_arlfa_validation():
         estimate_arlfa(params, models, 10, 1, confidence=1.5)
 
 
-# a scalar trial loop, and one at the dispatch constant, which runs in lockstep
-_TRIAL_COUNTS = (10, metrics._LOCKSTEP_TRIALS)
+# a batch handed to the scalar loops at time 0, and one that runs in lockstep
+_TRIAL_COUNTS = (10, simulate._HANDOFF_ROWS + 1)
 
 
 def test_bad_confidence_fails_before_any_trial(models2, monkeypatch):
     def no_simulation(*args, **kwargs):
         raise AssertionError("simulated before checking confidence")
 
-    monkeypatch.setattr("mecusum.metrics._scalar_table", no_simulation)
     monkeypatch.setattr("mecusum.metrics._lockstep", no_simulation)
     monkeypatch.setattr("mecusum.metrics._RenewalKernel", no_simulation)
     params = PolicyParams(m=2, A=3.0, scales={2: 1.0}, budgets={1: 2})
@@ -96,7 +95,6 @@ def test_bad_seed_fails_before_any_trial(models2, monkeypatch):
     def no_simulation(*args, **kwargs):
         raise AssertionError("simulated before checking the seed")
 
-    monkeypatch.setattr("mecusum.metrics._scalar_table", no_simulation)
     monkeypatch.setattr("mecusum.metrics._lockstep", no_simulation)
     params = PolicyParams(m=2, A=3.0, scales={2: 1.0}, budgets={1: 2})
     for n in _TRIAL_COUNTS:
@@ -309,6 +307,25 @@ def test_every_route_rejects_a_bad_model_set_alike(route, case):
     assert str(info.value) == message
 
 
+_NOT_MODEL_SETS = {
+    "none": lambda: None,
+    "ints": lambda: [1, 2],
+    "str": lambda: "ab",
+    "generator": lambda: (gaussian_model(i, 0.5 + 0.25 * i) for i in (1, 2)),
+}
+
+
+@pytest.mark.parametrize("route", _ROUTES)
+@pytest.mark.parametrize("case", _NOT_MODEL_SETS)
+def test_every_route_rejects_what_is_no_model_set(route, case):
+    # a set that is no list or tuple, or holds anything but ExperimentModel,
+    # fails in densities' one check with its name, not an AttributeError
+    # or TypeError of the first use
+    message = "^models must be a list or tuple of ExperimentModel, got "
+    with pytest.raises(ValueError, match=message):
+        _ROUTES[route](_NOT_MODEL_SETS[case]())
+
+
 @pytest.mark.parametrize("params", [RssParams(A=3.0, p_hi=0.5), _POLICY2],
                          ids=["rss", "2e"])
 def test_an_estimate_checks_its_model_set_once(monkeypatch, models2, params):
@@ -497,6 +514,10 @@ def test_tradeoff_curve_validation(models2, monkeypatch):
         tradeoff_curve(params, models2, [0.5, 10.0], 10, 1)
     with pytest.raises(ValueError, match="gamma must be >= 1, got nan"):
         tradeoff_curve(params, models2, [10.0, math.nan], 10, 1)
+    # a grid that is no sequence fails with its name, not a TypeError of len()
+    for grid in (5.0, None, (g for g in (10.0, 20.0)), {10.0, 20.0}, np.array(10.0)):
+        with pytest.raises(ValueError, match="^the gamma grid must be a sequence of numbers"):
+            tradeoff_curve(params, models2, grid, 10, 1)
 
 
 def test_tradeoff_curve_monotone_smoke():

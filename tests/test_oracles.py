@@ -21,7 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mecusum import PolicyParams, Scenario, episode_summary, resolve_truncation, run_episode
-from mecusum import metrics, simulate
+from mecusum import simulate
 from mecusum.densities import llr_from_terms, llr_terms
 from mecusum.metrics import _trial_table
 from mecusum.simulate import (RENEWAL_TAG, _RenewalKernel, control_generator,
@@ -378,9 +378,9 @@ def test_top_walk_is_the_top_experiments_cusum(params, nu, seed):
         K = math.inf if params.top_truncation is None else \
             resolve_truncation(params.top_truncation, control_generator((seed, t)))
         want.append(min(math.inf if T is None else T, K))
-    for lockstep in (sys.maxsize, 1):
-        with patch.object(metrics, "_LOCKSTEP_TRIALS", lockstep), \
-                patch.object(simulate, "_MIN_ROWS", 4), patch.object(simulate, "_HANDOFF_ROWS", 2):
+    for handoff in (sys.maxsize, 2):
+        with patch.object(simulate, "_MIN_ROWS", 4), \
+                patch.object(simulate, "_HANDOFF_ROWS", handoff):
             times, counts = _trial_table(params, models, nu, horizon, trials, seed, 0.95)
         for time, got, top in zip(times.tolist(), counts[:, m].tolist(), want):
             assert got == top if time >= 0 else got < top

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import sys
 import time
 from collections.abc import Iterable
 from dataclasses import replace
@@ -29,7 +30,7 @@ from mecusum import (
     run_rss,
     step,
 )
-from mecusum import metrics, simulate
+from mecusum import simulate
 from mecusum.densities import llr_from_terms, llr_terms
 from mecusum.metrics import _trial_table
 from mecusum.simulate import (
@@ -384,17 +385,14 @@ def _lockstep_cases(draw):
 def test_lockstep_summaries_equal_scalar_episodes(case, seed, min_rows, handoff):
     # the lockstep runner steps 40 episodes together, compacting its rows
     # down to min_rows and handing the last handoff trials to the scalar
-    # loops; each row must be the one its own scalar episode gives, and the
-    # scalar table must hold the same rows
+    # loops, or all 40 at time 0 from a handoff of 40 on; each row must be
+    # the one its own scalar episode gives
     params, models, change_point, horizon = case
     scenario = make_scenario(models, change_point, horizon)
     with patch.object(simulate, "_MIN_ROWS", min_rows), \
             patch.object(simulate, "_HANDOFF_ROWS", handoff):
         lockstep = simulate._lockstep(params, scenario, EpisodeKeys((seed,), 40))
     assert_rows_are_episodes(lockstep, params, scenario, (seed,))
-    scalar = simulate._scalar_table(params, scenario, EpisodeKeys((seed,), 40))
-    for got, want in zip(scalar, lockstep):
-        assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
 _HANDED_OFF = {
@@ -430,6 +428,48 @@ def test_handed_off_trials_run_on_the_kernel(monkeypatch, models3, name, nu, han
     if handoff == 40:
         assert min(runs) > 0
     assert_rows_are_episodes(lockstep, params, scenario, (5,))
+
+
+@pytest.mark.parametrize("split", [False, True], ids=["one-batch", "split"])
+@pytest.mark.parametrize("rss", [False, True])
+def test_small_post_change_calls_run_on_the_scalar_loops(monkeypatch, models2, rss, split):
+    # with the change at 1 no normals are kept, yet a call of at most
+    # _HANDOFF_ROWS trials goes to the scalar loops at time 0, before any
+    # observation is read: each trial runs its whole episode there. The
+    # engine's top truncation coin is read before the hand-off, so the
+    # scalar control stream goes on past it. The rule goes by the call's
+    # trials, not a batch's: split into batches of 32 and 8 against a
+    # hand-off size of 20, both batches run in lockstep, and with no normals
+    # kept none is handed off later
+    if split:
+        monkeypatch.setattr(simulate, "_KEY_CHUNK", 32)
+        monkeypatch.setattr(simulate, "_MIN_ROWS", 4)
+        monkeypatch.setattr(simulate, "_HANDOFF_ROWS", 20)
+    params = (RssParams(A=3.0, p_hi=0.5) if rss else
+              PolicyParams(m=2, A=3.0, scales={2: 1.0}, budgets={1: 2.5}, top_truncation=20.5))
+    starts = []
+    if rss:
+        run_rss = simulate._run_rss
+
+        def spy(params, streams, ctrl, nu, horizon, record=None, n=0, d=0.0, lows=0):
+            starts.append((n, d, lows))
+            return run_rss(params, streams, ctrl, nu, horizon, record, n, d, lows)
+
+        monkeypatch.setattr(simulate, "_run_rss", spy)
+    else:
+        episode_runs = simulate._episode_runs
+
+        def spy(params, core, *args, **kwargs):
+            starts.append((core.time, core.D, core.level, tuple(core.counts)))
+            return episode_runs(params, core, *args, **kwargs)
+
+        monkeypatch.setattr(simulate, "_episode_runs", spy)
+    trials = 40
+    scenario = make_scenario(models2, 1, 500)
+    table = simulate._lockstep(params, scenario, EpisodeKeys((7,), trials))
+    start = (0, 0.0, 0) if rss else (0, 0.0, 2, (0, 0, 0))
+    assert starts == ([] if split else [start] * trials)
+    assert_rows_are_episodes(table, params, scenario, (7,))
 
 
 def test_rss_episode_trace(models2):
@@ -705,9 +745,10 @@ def test_bad_seed_fails_on_an_episode_that_never_draws(models2, built):
 
 
 def test_estimator_episodes_rekey_only_the_streams_they_draw_from(models2, built, monkeypatch):
-    # the scalar loop re-keys a stream's slot once per episode that draws
-    # from it; the lockstep runner re-keys once per block of trials, so there
-    # only the tags drawn from are checked
+    # the scalar loops, which take every trial at time 0 here, re-key a
+    # stream's slot once per episode that draws from it; the lockstep
+    # passes re-key once per block of trials, so there only the tags drawn
+    # from are checked
     rekeyed = []
     rekey = EpisodeKeys.rekey
 
@@ -730,7 +771,7 @@ def test_estimator_episodes_rekey_only_the_streams_they_draw_from(models2, built
 
     two = PolicyParams(m=2, A=3.0, scales={2: 1.0}, budgets={1: 2})
     for scalar in (True, False):
-        monkeypatch.setattr(metrics, "_LOCKSTEP_TRIALS", 1000 if scalar else 1)
+        monkeypatch.setattr(simulate, "_HANDOFF_ROWS", sys.maxsize if scalar else 2)
         tags, _ = table(PolicyParams(m=1, A=3.0), (gaussian_model(1, 1.0),), 50)
         assert tags == {(1, 1)}
         if scalar:
