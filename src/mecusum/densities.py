@@ -3,9 +3,10 @@
 Each experiment is a pre-change / post-change density pair. Everything else in
 the package touches observations only through the log-likelihood ratio, so
 this module is the single home for that arithmetic. It also holds the one
-check of a model set, check_models, which every route calls, step() included:
-m models carry the ids 1..m in quality order, a higher id having a larger KL
-divergence. validate_ordering reports a disorder instead of raising.
+check of a model set, check_models, which every route calls (step() once per
+tuple of models, and on every call with a list): m models carry the ids
+1..m in quality order, a higher id having a larger KL divergence.
+validate_ordering reports a disorder instead of raising.
 _count and _real, the checks of an integer and of a real argument, live
 here because every module imports this one.
 """
@@ -143,8 +144,8 @@ class OrderingViolation:
 
 
 def _layout(models: Sequence[ExperimentModel], m: int | None) -> list:
-    # step() calls this per observation: concrete type checks, not ABCs,
-    # in the one pass over the set
+    # step() calls this per observation when the models are a list (a tuple
+    # it checks once): concrete type checks, not ABCs, in one pass
     wrong = "models must be a list or tuple of ExperimentModel, got {!r}"
     if not isinstance(models, (tuple, list)):
         raise ValueError(wrong.format(models))

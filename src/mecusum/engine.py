@@ -23,7 +23,9 @@ its own loop: the public run_rss, fed by callbacks, is the reference for
 the private locals loop that simulated RSS episodes run (simulate._run_rss).
 All of them report each step to record(n, experiment, x, statistic, event).
 The core takes no models (its streams carry their LLR terms); callers check
-them.
+them. The public step() checks a tuple of models once, keeps the stack
+entries that a step leaves as they were, and builds its records with
+_frozen, past the field checks that a state built by hand goes through.
 
 Every random value a loop reads comes through one buffered class, _Stream:
 an experiment's standard normals, an episode's control coins, and the
@@ -163,21 +165,57 @@ class RssParams:
 class LevelState:
     """One open level: its floor and the observations it may still take.
 
-    remaining is math.inf for the unbounded top level.
+    remaining is math.inf for the unbounded top level. A state built by
+    hand is checked here, field by field; the library builds its own with
+    _frozen, past the checks.
     """
 
     level: int
     floor: float
     remaining: float
 
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "level", _count("level", self.level, 0))
+        floor = _real("floor", self.floor)
+        if math.isnan(floor):
+            raise ValueError(f"floor must not be NaN, got {floor}")
+        remaining = _real("remaining", self.remaining)
+        if not (remaining >= 0.0 and (remaining == math.inf or remaining.is_integer())):
+            raise ValueError(f"remaining must be a whole number >= 0 or inf, got {remaining}")
+        object.__setattr__(self, "floor", floor)
+        object.__setattr__(self, "remaining", remaining)
+
+
+_STOP_REASONS = ("threshold", "truncation")
+
 
 @dataclass(frozen=True)
 class EngineState:
+    """The policy state between steps. A state built by hand is checked
+    here, field by field; whether its stack fits a policy (levels m, m - 1,
+    ... down) is checked when it is stepped, against the policy's m."""
+
     statistic: float
     stack: tuple[LevelState, ...]  # level m first, active level last
     stopped: bool
     stop_reason: str | None
     time: int
+
+    def __post_init__(self) -> None:
+        statistic = _real("statistic", self.statistic)
+        if math.isnan(statistic):
+            raise ValueError(f"statistic must not be NaN, got {statistic}")
+        if not (isinstance(self.stack, tuple)
+                and all(isinstance(entry, LevelState) for entry in self.stack)):
+            raise ValueError(f"stack must be a tuple of LevelState, got {self.stack!r}")
+        if not isinstance(self.stopped, bool):
+            raise ValueError(f"stopped must be a bool, got {self.stopped!r}")
+        if self.stop_reason not in (_STOP_REASONS if self.stopped else (None,)):
+            want = f"one of {_STOP_REASONS}" if self.stopped else "None"
+            raise ValueError(f"stop_reason of a state with stopped={self.stopped} must be "
+                             f"{want}, got {self.stop_reason!r}")
+        object.__setattr__(self, "statistic", statistic)
+        object.__setattr__(self, "time", _count("time", self.time, 0))
 
 
 @dataclass(frozen=True)
@@ -185,6 +223,18 @@ class StepResult:
     state: EngineState
     event: str  # "", "reflect", "descend", "bounce", "ascend", "stop"
     action: Action
+
+
+def _frozen(cls, **fields):
+    """An instance of the frozen dataclass cls with the given fields, every
+    one named, built without cls.__init__. That __init__ pays one
+    object.__setattr__ per field and runs __post_init__'s checks; the
+    states and results the library builds from values it has checked come
+    through here instead. The instance equals, hashes, prints, pickles and
+    goes through dataclasses.replace as cls(**fields) does."""
+    obj = object.__new__(cls)
+    obj.__dict__.update(fields)
+    return obj
 
 
 def resolve_truncation(budget: float, rng: np.random.Generator | None = None) -> int:
@@ -520,11 +570,13 @@ class _EngineCore:
         return event
 
     def snapshot(self, kept: tuple[LevelState, ...] = ()) -> EngineState:
-        """The state as an EngineState.
+        """The state as an EngineState, built with _frozen: the core's values
+        need no second check.
 
         kept holds entries of the top levels (level m first) that are known
         to be unchanged, and are reused instead of built again: one step
-        writes only the level it starts at and the levels below it.
+        writes only the level it starts at and the levels below it, and
+        leaves the starting level's floor as it was.
         """
         level = self.level
         depth = self.m - level + 1
@@ -533,10 +585,11 @@ class _EngineCore:
         else:
             floors, remaining = self.floors, self.remaining
             stack = kept + tuple([
-                LevelState(i, floors[i], remaining[i])
+                _frozen(LevelState, level=i, floor=floors[i], remaining=remaining[i])
                 for i in range(self.m - len(kept), level - 1, -1)
             ])
-        return EngineState(self.D, stack, self.stopped, self.stop_reason, self.time)
+        return _frozen(EngineState, statistic=self.D, stack=stack, stopped=self.stopped,
+                       stop_reason=self.stop_reason, time=self.time)
 
 
 def _observed(x: float | None, terms: tuple | None) -> _Stream:
@@ -570,14 +623,33 @@ def init(params: PolicyParams, rng: np.random.Generator | None = None) -> Engine
     rng is needed only when top_truncation is fractional. A top budget that
     resolves to zero yields a state that is already stopped at time 0.
     """
+    _check_params(params)
     return _EngineCore(params, rng).snapshot()
+
+
+def _check_state(state: EngineState) -> None:
+    if not isinstance(state, EngineState):
+        raise ValueError(f"state must be an EngineState, got {state!r}")
+
+
+def _check_params(params: PolicyParams) -> None:
+    if not isinstance(params, PolicyParams):
+        raise ValueError(f"params must be PolicyParams, got {params!r}")
 
 
 def next_action(state: EngineState) -> Action:
     """The action the policy requests from the current state."""
+    _check_state(state)
     if state.stopped:
         raise RuntimeError("the engine has stopped; no further action exists")
     return _action(state.stack[-1].level)
+
+
+# step()'s one-entry cache of a checked model set: (models, m, by_id). Only
+# a tuple is kept: a tuple of frozen ExperimentModel cannot change, so it
+# passes check_models for that m for as long as it lives, and holding it
+# keeps its id from going to another object.
+_checked: tuple = (None, 0, None)
 
 
 def step(
@@ -590,13 +662,26 @@ def step(
     """Pure one-step transition: (state, observation) -> (state, event, action).
 
     observation must be None exactly when the active level is the idle level.
-    rng is consumed only when a descent resolves a fractional budget. Models
-    that check_models rejects, or levels not running m, m-1, ... raise ValueError.
+    rng is consumed only when a descent resolves a fractional budget. A state
+    that is no EngineState, params that are no PolicyParams, models that
+    check_models rejects, or levels not running m, m-1, ... raise ValueError.
+    A tuple of models is checked on its first step for an m and then kept,
+    one set at a time; a list, which can change between steps, is checked on
+    every call. The new state reuses the state's entries of the levels above
+    the starting one, and the starting one's while its budget is unspent (the
+    untruncated top's is inf), and the result is built with _frozen.
     """
+    global _checked
+    _check_state(state)
+    _check_params(params)
     if state.stopped:
         raise RuntimeError("cannot step a stopped engine")
     m = params.m
-    by_id = check_models(models, m)
+    known, known_m, by_id = _checked
+    if models is not known or m != known_m:
+        by_id = check_models(models, m)
+        if type(models) is tuple:
+            _checked = (models, m, by_id)
     core = _EngineCore(params, rng, state)
     level = core.level
     if level == 0:
@@ -616,9 +701,14 @@ def step(
     # obs maps its normal to x in the post-change regime, which scores x
     # inline: the step reads x, whichever side of a change it is on
     event = core.run([obs] * (m + 1), True, state.time + 1)
-    # the levels above the starting one are as the state had them
-    new_state = core.snapshot(state.stack[:m - level])
-    return StepResult(new_state, event, STOP if core.stopped else _action(core.level))
+    # the levels above the starting one are as the state had them, and so
+    # is the starting one when its budget is as it was
+    stack = state.stack
+    kept = m - level
+    if core.remaining[level] == stack[-1].remaining:
+        kept += 1
+    return _frozen(StepResult, state=core.snapshot(stack[:kept]), event=event,
+                   action=STOP if core.stopped else _action(core.level))
 
 
 @dataclass(frozen=True)

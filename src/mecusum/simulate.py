@@ -68,6 +68,7 @@ from .engine import (
     RssParams,
     _action,
     _EngineCore,
+    _frozen,
     _llrs,
     _Stream,
 )
@@ -673,7 +674,8 @@ class _RenewalKernel:
         by stop, and takes at most all but one of the top budget's steps,
         so the engine takes the step that spends it. The core goes on from
         the top level, with the statistic, time, counts and top budget, and
-        the streams become engine streams again at the same position. A run
+        the streams become engine streams again at the same position, unless
+        the walk stopped: no step follows a stop, so they stay scored. A run
         with stop within reach of the core's time goes to the engine whole.
         The time, the sum of the counts, is summed once per stride of top
         steps that all begin in time and within the budget.
@@ -753,13 +755,14 @@ class _RenewalKernel:
         s.pos = pos
         if inline:
             sj.pos = jpos
-        for s in streams[1:]:
-            s.unscore()
         core.remaining[m] = most + 1.0 - top
         counts[m] = top
         core.D, core.time = d, n
         if stopped:
             core.stopped, core.stop_reason = True, "threshold"
+        else:
+            for s in streams[1:]:
+                s.unscore()
 
 
 # A lockstep stream is read in blocks of _ROW values; a refill draws and
@@ -1009,8 +1012,10 @@ def _lockstep_engine(params, nu, horizon, streams, k, small):
             for r in ((lvl == m) & (rows < k)).nonzero()[0].tolist():
                 t = int(rows[r])
                 ctrl = streams.scalar(m, t) if coins else None
-                core = _EngineCore(params, ctrl, EngineState(
-                    float(D[r]), (LevelState(m, 0.0, float(rem[r])),), False, None, n))
+                entry = _frozen(LevelState, level=m, floor=0.0, remaining=float(rem[r]))
+                core = _EngineCore(params, ctrl, _frozen(
+                    EngineState, statistic=float(D[r]), stack=(entry,), stopped=False,
+                    stop_reason=None, time=n))
                 core.counts = counts[t].tolist()
                 core.counts[m] += n - int(start[r])
                 _episode_runs(params, core, [None] + [streams.scalar(i, t) for i in range(m)],

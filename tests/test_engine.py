@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import math
+import pickle
 from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -21,8 +23,9 @@ from mecusum import (
     run_rss,
     step,
 )
-from mecusum.densities import llr_from_terms, llr_terms
-from mecusum.engine import _EngineCore, _observed
+from mecusum import engine
+from mecusum.densities import check_models, llr_from_terms, llr_terms
+from mecusum.engine import STOP, StepResult, _EngineCore, _frozen, _observed
 from conftest import gaussian_model, obs_for
 
 
@@ -460,6 +463,140 @@ def test_state_of_another_policy_rejected(models2, models3):
     with pytest.raises(ValueError):
         step(idle, params2, models2, None)
 
+
+
+_TOP = LevelState(2, 0.0, math.inf)
+_FINE = dict(statistic=0.5, stack=(_TOP,), stopped=False, stop_reason=None, time=3)
+
+
+@pytest.mark.parametrize("field, build", [
+    # each of these stepped on, or failed with a TypeError or an
+    # AttributeError, before the states checked their fields
+    ("statistic", lambda: EngineState(**{**_FINE, "statistic": math.nan})),
+    ("time", lambda: EngineState(**{**_FINE, "time": -5})),
+    ("time", lambda: EngineState(**{**_FINE, "time": 2.5})),
+    ("time", lambda: EngineState(**{**_FINE, "time": "3"})),
+    ("time", lambda: EngineState(**{**_FINE, "time": True})),
+    ("stack", lambda: EngineState(**{**_FINE, "stack": [_TOP]})),
+    ("stack", lambda: EngineState(**{**_FINE, "stack": ((2, 0.0, math.inf),)})),
+    ("stopped", lambda: EngineState(**{**_FINE, "stopped": "no"})),
+    ("stop_reason", lambda: EngineState(**{**_FINE, "stop_reason": "threshold"})),
+    ("stop_reason", lambda: EngineState(**{**_FINE, "stopped": True})),
+    ("stop_reason", lambda: EngineState(**{**_FINE, "stopped": True, "stop_reason": "bored"})),
+    ("floor", lambda: LevelState(1, math.nan, 2.0)),
+    ("floor", lambda: LevelState(1, "-1", 2.0)),
+    ("level", lambda: LevelState(-1, -1.0, 2.0)),
+    ("level", lambda: LevelState(True, -1.0, 2.0)),
+    ("remaining", lambda: LevelState(1, -1.0, -1.0)),
+    ("remaining", lambda: LevelState(1, -1.0, 1.5)),
+    ("remaining", lambda: LevelState(1, -1.0, math.nan)),
+    ("state", lambda: step(None, make_params2(), (), 0.0)),
+    ("state", lambda: step(_TOP, make_params2(), (), 0.0)),
+    ("params", lambda: step(EngineState(**_FINE), None, (), 0.0)),
+    ("params", lambda: step(EngineState(**_FINE), RssParams(A=1.0, p_hi=0.5), (), 0.0)),
+    ("params", lambda: init(RssParams(A=1.0, p_hi=0.5))),
+    ("state", lambda: next_action(None)),
+])
+def test_hand_built_states_fail_loudly(field, build):
+    with pytest.raises(ValueError, match=f"^{field} "):
+        build()
+
+
+def test_hand_built_states_take_any_real_numbers():
+    # 3.0 reads as the time 3, an int 0 as the statistic 0.0; a state that
+    # passes its checks steps like the one init builds
+    params = make_params2()
+    state = EngineState(np.float64(0.0), (LevelState(2.0, 0, math.inf),), False, None, 0.0)
+    assert type(state.statistic) is float and type(state.time) is int
+    assert state == init(params)
+    assert type(state.stack[0].level) is int and type(state.stack[0].floor) is float
+
+
+def test_step_checks_a_model_tuple_once_and_a_list_every_time(models2, monkeypatch):
+    # the one-entry cache skips check_models for the tuple it checked last,
+    # and for nothing else; the count, not a timing, is the guard
+    calls = []
+
+    def counting(models, m=None):
+        calls.append(models)
+        return check_models(models, m)
+
+    monkeypatch.setattr(engine, "check_models", counting)
+    params = make_params2()
+    xs = np.random.default_rng(5).normal(0.5, 1.0, 40).tolist()
+
+    def walk(models):
+        state = init(params)
+        for x in xs:
+            if state.stopped:
+                state = init(params)
+            state = step(state, params, models, None if next_action(state).kind == "idle"
+                         else x).state
+        return state
+
+    models = (models2[0], models2[1])  # a tuple no other test has stepped
+    assert walk(models) == walk(list(models))
+    assert calls == [models] + [list(models)] * len(xs)
+    # a list can change between steps, so each step checks it again
+    listed = list(models)
+    state = step(init(params), params, listed, 0.5).state
+    listed[:] = (gaussian_model(1, 1.0), gaussian_model(2, 0.75))
+    with pytest.raises(ValueError, match="quality ordering"):
+        step(state, params, listed, 0.5)
+    # a set that fails is never kept: each call raises again
+    bad = (gaussian_model(1, 1.0), gaussian_model(2, 0.75))
+    del calls[:]
+    for _ in range(3):
+        with pytest.raises(ValueError, match="quality ordering"):
+            step(state, params, bad, 0.5)
+    assert calls == [bad] * 3
+    # the cached tuple is checked again for another m
+    params3 = PolicyParams(m=3, A=5.0, scales={2: 1.0, 3: 1.0}, budgets={1: 1, 2: 1})
+    step(state, params, models, 0.5)
+    with pytest.raises(ValueError, match="m=3"):
+        step(init(params3), params3, models, 0.5)
+
+
+@pytest.mark.parametrize("cls, fields", [
+    (LevelState, dict(level=1, floor=-0.75, remaining=2.0)),
+    (EngineState, dict(statistic=-0.75, stack=(_TOP, LevelState(1, -0.75, 2.0)),
+                       stopped=False, stop_reason=None, time=4)),
+    (EngineState, dict(statistic=5.5, stack=(_TOP,), stopped=True,
+                       stop_reason="threshold", time=9)),
+    (StepResult, dict(state=EngineState(**_FINE), event="", action=Action("sample", 2))),
+    (StepResult, dict(state=EngineState(**_FINE), event="stop", action=STOP)),
+], ids=["level", "engine", "stopped", "step", "step-stop"])
+def test_frozen_builds_what_the_constructor_builds(cls, fields):
+    built, made = _frozen(cls, **fields), cls(**fields)
+    assert type(built) is cls
+    assert built == made and hash(built) == hash(made) and repr(built) == repr(made)
+    assert pickle.loads(pickle.dumps(built)) == made
+    assert replace(built) == made
+    name = next(iter(fields))
+    assert replace(built, **{name: fields[name]}) == made
+
+
+def test_untruncated_top_step_keeps_the_top_entry(models2):
+    # a step leaves its starting level's floor alone, and the untruncated
+    # top's budget at inf, so the new state holds the state's own entry
+    params = make_params2()
+    state = init(params)
+    top = state.stack[0]
+    r = step(state, params, models2, obs_for(models2[1], 0.5))
+    assert r.event == "" and r.state.stack[0] is top
+    r = step(r.state, params, models2, obs_for(models2[1], -1.0))
+    assert r.event == "descend" and r.state.stack[0] is top
+    # a level-1 step spends its budget: the entry is built again
+    low = r.state.stack[1]
+    r = step(r.state, params, models2, obs_for(models2[0], -0.2))
+    assert r.state.stack[0] is top
+    assert r.state.stack[1] is not low and r.state.stack[1] == LevelState(1, -0.5, 1.0)
+    # so does a truncated top step
+    truncated = make_params2(top_truncation=5)
+    state = init(truncated)
+    r = step(state, truncated, models2, obs_for(models2[1], 0.5))
+    assert r.state.stack[0] is not state.stack[0]
+    assert r.state.stack == (LevelState(2, 0.0, 4.0),)
 
 def test_random_episode_invariants(models3):
     params_rng = np.random.default_rng(2024)

@@ -337,13 +337,16 @@ def _long_episodes(seed, A, horizon):
 
 
 @st.composite
-def _top_walk_policies(draw):
-    m = draw(st.integers(2, 3))
+def _top_walk_policies(draw, ms=st.integers(2, 3), flat=False):
+    """Policies for the top-walk identity; flat: ones the straight-line
+    loops run, which have no top truncation in the data-efficient scheme."""
+    m = draw(ms)
     de = draw(st.booleans())
     # two decimals in [0, 3], with integers and zeros drawn often
     budget = st.one_of(st.floats(0.0, 3.0).map(lambda b: round(b, 2)),
                        st.integers(0, 3).map(float))
-    top = st.one_of(st.none(), st.floats(0.0, 30.0).map(lambda t: round(t, 1)))
+    top = st.none() if flat and de else \
+        st.one_of(st.none(), st.floats(0.0, 30.0).map(lambda t: round(t, 1)))
     return PolicyParams(
         m=m,
         A=draw(st.floats(0.5, 3.0)),
@@ -384,6 +387,49 @@ def test_top_walk_is_the_top_experiments_cusum(params, nu, seed):
             times, counts = _trial_table(params, models, nu, horizon, trials, seed, 0.95)
         for time, got, top in zip(times.tolist(), counts[:, m].tolist(), want):
             assert got == top if time >= 0 else got < top
+
+
+def _top_steps_and_cusum(params, seed, nu, horizon):
+    """An episode of tests/straightline.py's two-experiment loops seeded
+    seed, as (stopping time or None, its steps of experiment 2), and the
+    plain CUSUM's stopping time capped by the top truncation, min(T, K),
+    on the episode's experiment-2 stream."""
+    models = _MODELS3[:2]
+    terms_y, terms_x = llr_terms(models[1]), llr_terms(models[0])
+    ctrl = control_generator(seed)
+    streams = (lambda v: llr_from_terms(terms_y, v), lambda v: llr_from_terms(terms_x, v),
+               _observations(models[1], seed, horizon, nu),
+               _observations(models[0], seed, horizon, nu),
+               lambda v: resolve_truncation(v, ctrl))
+    a = params.scales
+    if params.data_efficient:
+        records, stop, _ = straightline.run_de2e(
+            a[2], a[1], params.budgets[1], params.budgets[0], params.mu, params.A, *streams,
+            max_steps=horizon)
+    else:
+        records, stop, _ = straightline.run_2e(
+            a[2], params.budgets[1], params.A, *streams,
+            top_budget=params.top_truncation, max_steps=horizon)
+    T = straightline.run_cusum(params.A, streams[0], _observations(models[1], seed, horizon, nu),
+                               max_steps=horizon)
+    K = math.inf if params.top_truncation is None else \
+        resolve_truncation(params.top_truncation, control_generator(seed))
+    top = sum(source == 2 for _, source, _, _ in records)
+    return stop, top, min(math.inf if T is None else T, K)
+
+
+@settings(deadline=None, max_examples=40)
+@given(params=_top_walk_policies(st.just(2), flat=True), nu=st.sampled_from([1, math.inf]),
+       seed=st.integers(0, 2**32 - 1))
+def test_flat_loops_top_walk_is_the_top_experiments_cusum(params, nu, seed):
+    # the identity above on tests/straightline.py's run_2e and run_de2e,
+    # which share no code with the engine, the lockstep runner or the
+    # renewal kernel: an episode's experiment-2 steps are the plain CUSUM's
+    # stopping time on the experiment-2 stream, min(T, K) with a top
+    # truncation K, and fewer when the horizon cuts the episode short
+    for t in range(6):
+        stop, top, want = _top_steps_and_cusum(params, (seed, t), nu, 2000)
+        assert top == want if stop is not None else top < want
 
 
 def test_unrecorded_long_episodes_match_the_flat_loops():
