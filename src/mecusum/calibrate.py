@@ -13,16 +13,18 @@ clipped to budget_cap) and stop at the first whose rate reaches the target.
 When even budget_cap falls short, the scale feeding level j is escalated by
 10x and the passes start again at cap 16. The passes run the renewal kernel,
 whose streams hand it each observation's LLR increment, scored in numpy a
-block at a time.
+block at a time; with record = j it appends each level-j visit's steps to
+kernel.visits, an array('q') in visit order, which the root reads as it is.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass, replace
 from typing import Sequence
 
-from .densities import ExperimentModel, _count, check_models
+from .densities import ExperimentModel, _count, _real, check_models
 from .engine import PolicyParams, set_threshold
 from .metrics import PorVector, estimate_por_renewal
 from .simulate import _RenewalKernel, seed_entropy
@@ -51,11 +53,15 @@ class CalibrationTarget:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "threshold", set_threshold(self.gamma))
-        betas = {int(k): float(v) for k, v in self.betas.items()}
+        if not isinstance(self.data_efficient, bool):
+            raise ValueError(f"data_efficient must be a bool, got {self.data_efficient!r}")
+        if not isinstance(self.betas, Mapping):
+            raise ValueError(f"betas must be a mapping of experiment id to rate, "
+                             f"got {self.betas!r}")
+        # a key is an experiment id: 2.0 reads as 2, but a bool or 1.5 is not one
+        betas = {_count("beta key", k, 1): _real(f"beta_{k}", v) for k, v in self.betas.items()}
         object.__setattr__(self, "betas", betas)
         for k, v in betas.items():
-            if k < 1:
-                raise ValueError(f"beta keys are experiment ids >= 1, got {k}")
             if not (0.0 <= v <= 1.0):
                 raise ValueError(f"beta_{k} must be in [0, 1], got {v}")
 
@@ -225,9 +231,9 @@ def calibrate(
             at_cap = replace(start, scales=scales, budgets={**budgets, j: cap})
             kernel = _RenewalKernel(at_cap, models, search_seed, j)
             top = sum(kernel.run(config.search_cycles)[m::m + 1])
-            visits = memoryview(kernel.visits).cast("q")
-            reach = sum(visits)
-            budget = min(_budget_root(visits, want * top), cap) if reach >= want * top else None
+            reach = sum(kernel.visits)
+            budget = (min(_budget_root(kernel.visits, want * top), cap)
+                      if reach >= want * top else None)
             passes.append(SearchPass(j, dict(scales), cap, reach / top, budget))
             if budget is not None:
                 budgets[j] = budget

@@ -88,6 +88,8 @@ class PolicyParams:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "m", _count("m", self.m, 1))
+        if not isinstance(self.data_efficient, bool):
+            raise ValueError(f"data_efficient must be a bool, got {self.data_efficient!r}")
         if math.isnan(_real("threshold A", self.A)) or self.A < 0.0:
             raise ValueError(f"threshold A must be >= 0, got {self.A}")
         for name, levels in (("scales", self.scales), ("budgets", self.budgets)):
@@ -192,8 +194,11 @@ _STOP_REASONS = ("threshold", "truncation")
 @dataclass(frozen=True)
 class EngineState:
     """The policy state between steps. A state built by hand is checked
-    here, field by field; whether its stack fits a policy (levels m, m - 1,
-    ... down) is checked when it is stepped, against the policy's m."""
+    here: each field, a stack whose floors start at 0.0 at the top and do
+    not rise down the stack, and a live statistic between the active floor
+    and the floor above. Whether it fits a policy (levels m, m - 1, ...
+    down, and a live top statistic at most A) is checked when it is
+    stepped, against the policy."""
 
     statistic: float
     stack: tuple[LevelState, ...]  # level m first, active level last
@@ -214,6 +219,20 @@ class EngineState:
             want = f"one of {_STOP_REASONS}" if self.stopped else "None"
             raise ValueError(f"stop_reason of a state with stopped={self.stopped} must be "
                              f"{want}, got {self.stop_reason!r}")
+        stack = self.stack
+        if stack and stack[0].floor != 0.0:
+            raise ValueError(f"stack must start with the top floor 0.0, got {stack[0].floor}")
+        for upper, lower in zip(stack, stack[1:]):
+            if lower.floor > upper.floor:
+                raise ValueError(f"stack floors must not rise down the stack: level "
+                                 f"{lower.level}'s {lower.floor} > level {upper.level}'s "
+                                 f"{upper.floor}")
+        # a live statistic lies in [the active floor, the floor above]; the
+        # top's ceiling, A, is the policy's, checked when the state loads
+        if stack and not self.stopped and not (
+                stack[-1].floor <= statistic <= (stack[-2].floor if len(stack) > 1 else math.inf)):
+            raise ValueError(f"statistic {statistic} of a live state must lie between the "
+                             f"active floor and the floor above, got the stack {stack!r}")
         object.__setattr__(self, "statistic", statistic)
         object.__setattr__(self, "time", _count("time", self.time, 0))
 
@@ -421,6 +440,9 @@ class _EngineCore:
                 f"a policy with m={m} needs a state whose levels run {m}, {m - 1}, ... "
                 f"down to {lowest} at the lowest, got {[e.level for e in state.stack]}"
             )
+        if level == m and not state.stopped and state.statistic > self.A:
+            raise ValueError(f"statistic {state.statistic} of a live state at the top level "
+                             f"must not exceed the threshold A = {self.A}")
         self.D = state.statistic
         self.level = level
         self.stopped = state.stopped

@@ -26,16 +26,17 @@ An episode's steps run on two loops. An unrecorded episode takes its
 pre-change steps on the renewal kernel's visit recursion
 (_RenewalKernel.pre_change), the loop that estimate_por_renewal and
 calibrate run, on the episode's streams and control coins: so the direct
-and renewal POR routes share it. Its top walk reads the top stream a block
-slice at a time and runs level m - 1's visits inline; the levels below
-run as visit closures, built per call, that read fractional-budget coins
-inline. It hands the episode to _EngineCore.run at
-the top level once a top step and the longest visit below it might pass
-the change or the horizon, or the next top step might spend a top
-truncation. The engine takes the rest: those last pre-change steps, the
-post-change steps, and every step of a recorded episode. The tests that
-compare recorded with unrecorded episodes check the recursion against
-_EngineCore.run, and both against tests/straightline.py.
+and renewal POR routes share it. The recursion runs as one Python
+function generated per policy shape and compiled once (_compiled): every
+level's visits nested inline in a top walk that reads the top stream a
+block slice at a time, every stream, coin and step count in its locals.
+The kernel hands the episode to _EngineCore.run at the top level once a
+top step and the longest visit below it might pass the change or the
+horizon, or the next top step might spend a top truncation. The engine
+takes the rest: those last pre-change steps, the post-change steps, and
+every step of a recorded episode. The tests that compare recorded with
+unrecorded episodes check the recursion against _EngineCore.run, and both
+against tests/straightline.py.
 
 The estimators run their episodes on one runner, _lockstep: a batch of up
 to _KEY_CHUNK trials advances one time step per numpy pass, every trial's
@@ -49,12 +50,16 @@ episodes, traces and step() run on the scalar loops only.
 
 from __future__ import annotations
 
+import linecache
 import math
 import mmap
+from array import array
 from collections.abc import Iterable
 from dataclasses import dataclass
-from functools import partial
-from struct import pack
+from functools import lru_cache, partial
+from itertools import repeat
+from operator import length_hint
+from textwrap import indent
 from typing import Sequence
 
 import numpy as np
@@ -485,6 +490,222 @@ def _run_rss(params, streams, ctrl, nu, horizon, record=None, n=0, d=0.0, lows=0
     return None, {0: 0, 1: lows, 2: n - lows}
 
 
+# The renewal kernel's source, generated per policy shape (_compiled). A
+# visit of level j below the top starts at its floor f{j} and ends above
+# its ceiling {up}, the floor of the level above, or once its budget g{j}
+# is spent. An undershoot of f{j} opens the level below ({child}) even on
+# the budget's last step, and the statistic goes back to f{j} when that
+# visit ends, or at once where no level opens below: a reflection, which
+# may follow the ceiling test, as no statistic below the floor passes it.
+# The blocks keep _EngineCore.run's float operations in their order, and a
+# fractional budget's coin makes engine.resolve_truncation's comparison:
+# below bl{j} = lo{j} + 1.0 - N_j it resolves to lo{j}, else to hi{j}. No
+# number is written into the source: the policy's numbers are arguments,
+# so one function serves every policy of a shape.
+_COIN = """\
+if cp == ce:
+    cs.refill()
+    cb, ce, cp = cs.buf, cs.end, 0
+g{j} = lo{j} if cb[cp] < bl{j} else hi{j}
+cp += 1
+if g{j}:
+"""
+_VISIT = """\
+v{j} = f{j}
+u{j} = 0
+while True:
+    if p{j} == e{j}:
+        s{j}.refill()
+        b{j}, e{j}, p{j} = s{j}.buf, s{j}.end, 0
+    v{j} += b{j}[p{j}]
+    p{j} += 1
+    u{j} += 1
+    if v{j} > {up}:
+        break
+    if v{j} < f{j}:
+{child}        v{j} = f{j}
+    if u{j} == g{j}:
+        break
+k{j} += u{j}
+"""
+# the idle level takes no observation and climbs by mu
+_IDLE = """\
+v0 = f0
+u0 = 0
+while True:
+    v0 += mu
+    u0 += 1
+    if v0 > {up} or u0 == g0:
+        break
+k0 += u0
+"""
+# run(): the top walk of each cycle reads the top stream through one list
+# iterator, and length_hint gives its position at the cycle's end; each
+# cycle's steps per level go out through put{j}
+_RUN = """\
+def run(cycles, {puts}, {params}):
+{load}    it = iter(s{m}.buf[s{m}.pos:])
+    left = hint(it)
+    for _ in repeat(None, cycles):
+        d = 0.0
+        steps = left
+        while True:
+            for x in it:
+                d += x
+                if d < 0.0:
+                    break
+            else:
+                s{m}.refill()
+                it = iter(s{m}.buf)
+                steps += s{m}.end
+                continue
+            break
+        left = hint(it)
+        put{m}(steps - left)
+{visit}    s{m}.pos = s{m}.end - left
+{store}"""
+# pre_change(): strides of top steps that all begin by last and within the
+# top budget, each read as block slices through a list iterator; time is
+# the top steps plus the steps below, counted in k0 ... k{m - 1}
+_PRE_CHANGE = """\
+def pre_change(d, n, top, most, last, width, A, {counts}, {params}):
+{load}    buf, pos, end = s{m}.buf, s{m}.pos, s{m}.end
+    stopped = False
+    while n <= last and top < most and not stopped:
+        upto = min(top + (last - n) // width + 1, most)
+        while top < upto and not stopped:
+            if pos == end:
+                s{m}.refill()
+                buf, end, pos = s{m}.buf, s{m}.end, 0
+            it = iter(buf[pos:min(end, pos + int(upto - top))])
+            took = hint(it)
+            for x in it:
+                d += x
+                if d < 0.0:
+{visit}                    d = 0.0
+                elif d > A:
+                    stopped = True
+                    break
+            took -= hint(it)
+            pos += took
+            top += took
+        n = top + {total}
+    s{m}.pos = pos
+{store}    return d, n, top, stopped, {counts}
+"""
+
+
+def _visit_source(j: int, kinds: tuple[str, ...], up: str, rec: int | None) -> str:
+    """A visit of level j, kinds[0] its budget kind, with the visits of the
+    levels below it (kinds[1:]) nested inline."""
+    if j == 0:
+        text = _IDLE.format(up=up)
+    else:
+        child = ""
+        if len(kinds) > 1:
+            child = (f"f{j - 1} = f{j} + a{j} * (v{j} - f{j})\n"
+                     + _visit_source(j - 1, kinds[1:], f"f{j}", rec))
+        text = _VISIT.format(j=j, up=up, child=indent(child, " " * 8))
+    if j == rec:
+        text += f"rec(u{j})\n"
+    if kinds[0] == "coin":
+        text = _COIN.format(j=j) + indent(text, " " * 4)
+    return text
+
+
+@lru_cache(maxsize=64)
+def _compiled(entry: str, shape: tuple):
+    """The kernel function entry ("run" or "pre_change") for a policy shape
+    (_layout), compiled once. Its source is registered with linecache
+    under a name that gives the shape, so tracebacks, cProfile, pdb and
+    inspect.getsource show its lines."""
+    m, de, kinds, rec = shape
+    levels = range(m - 1, m - 1 - len(kinds), -1)
+    # in _RenewalKernel._bind's order: the streams, the coins, _layout's numbers
+    params = [f"s{j}" for j in (m, *levels) if j] + ["cs"] * ("coin" in kinds)
+    for j, kind in zip(levels, kinds):
+        params += [f"a{j + 1}"] + ([f"lo{j}", f"hi{j}", f"bl{j}"] if kind == "coin" else [f"g{j}"])
+    if 0 in levels:
+        params.append("mu")
+    if rec is not None:
+        params.append("rec")
+    load = [f"b{j}, p{j}, e{j} = s{j}.buf, s{j}.pos, s{j}.end" for j in levels if j]
+    store = [f"s{j}.pos = p{j}" for j in levels if j]
+    if "coin" in kinds:
+        load.append("cb, cp, ce = cs.buf, cs.pos, cs.end")
+        store.append("cs.pos = cp")
+    visit = ""
+    if kinds:
+        visit = f"f{m - 1} = a{m} * d\n" + _visit_source(m - 1, kinds, "0.0", rec)
+    if entry == "run":
+        visit = ([f"k{j} = 0" for j in levels] + visit.splitlines()
+                 + [f"put{j}(k{j})" for j in levels])
+        source = _RUN.format(m=m, puts=", ".join(f"put{j}" for j in (m, *levels)),
+                             params=", ".join(params), load=_lines(load, 4),
+                             visit=_lines(visit, 8), store=_lines(store, 4))
+    else:
+        counts = ", ".join(f"k{j}" for j in range(m))
+        source = _PRE_CHANGE.format(m=m, params=", ".join(params), counts=counts,
+                                    total=counts.replace(",", " +"), load=_lines(load, 4),
+                                    visit=_lines(visit.splitlines(), 20),
+                                    store=_lines(store, 4))
+    name = (f"<mecusum kernel {entry} m={m} de={int(de)} levels={','.join(kinds) or 'none'} "
+            f"rec={'none' if rec is None else rec}>")
+    linecache.cache[name] = (len(source), None, source.splitlines(True), name)
+    namespace = {"hint": length_hint, "repeat": repeat}
+    exec(compile(source, name, "exec"), namespace)
+    return namespace[entry]
+
+
+def _lines(lines: Sequence[str], depth: int) -> str:
+    """lines as source, each indented by depth spaces."""
+    return "".join(" " * depth + line + "\n" for line in lines)
+
+
+def _layout(params: PolicyParams, record: int = -1) -> tuple[tuple, list, int]:
+    """A policy's kernel shape, the numbers its kernel functions take, and
+    the most steps one visit below the top can take.
+
+    The shape is (m, data_efficient, kinds, recorded level or None); kinds
+    gives the budget kind of each level a visit can open, from m - 1 down:
+    "int" for an integer budget, "coin" for a fractional one. The levels
+    stop at the lowest level (0 when data-efficient, else 1) or above a
+    fixed budget of 0, which is never entered: the level above it reflects
+    at its floor. The numbers go in the order of the functions' parameters:
+    for each level j entered, the scale a{j + 1} that gives its floor, then
+    its budget g{j} or a coin's lo{j}, hi{j} and bl{j}; then mu, when the
+    idle level is entered. The most steps, B_(m-1), follows
+    B_j = ceil(N_j) * (1 + B_(j-1)); from the top down it is the sum of the
+    products ceil(N_(m-1)) * ... * ceil(N_j) over the levels entered, as a
+    budget of 0 leaves none below it.
+    """
+    m = params.m
+    fixed, budgets, scales = params.fixed_budgets, params.budgets, params.scales
+    numbers = []
+    kinds = []
+    reach = 0
+    product = 1
+    j = m - 1
+    while j >= (0 if params.data_efficient else 1) and fixed[j] != 0:
+        numbers.append(scales[j + 1])
+        if fixed[j] is None:
+            low = math.floor(budgets[j])
+            numbers += (low, low + 1, low + 1.0 - budgets[j])
+            kinds.append("coin")
+            product *= low + 1
+        else:
+            numbers.append(int(fixed[j]))
+            kinds.append("int")
+            product *= int(fixed[j])
+        reach += product
+        j -= 1
+    if j < 0:
+        numbers.append(params.mu)
+    # a level the kernel never enters records no visit
+    rec = record if j < record < m else None
+    return (m, params.data_efficient, tuple(kinds), rec), numbers, reach
+
+
 class _RenewalKernel:
     """The pre-change policy as a visit recursion: a zero-floor excursion at
     the top level, then the recursive truncated sub-policy opened by the
@@ -493,19 +714,20 @@ class _RenewalKernel:
     estimate_por_direct and estimate_arlfa among others, through
     pre_change().
 
-    run() and pre_change() hold the top walk; each call builds one visit
-    closure per lower level (_visit), which loads its stream's buf, pos and
-    end when a visit starts and stores pos when it ends. The closures go
-    when the call returns, so no reference cycle outlives it. pre_change()
-    runs level m - 1 inline, on locals held for the whole call.
-    The statistic moves by d += buf[pos]: the level streams are scored, each
-    block holding its LLR increments, computed in numpy in llr_from_terms's
-    operation order, so the sums are the bits a scalar loop would give. A
-    fractional budget reads a coin from budget_rng, a _Stream of uniforms,
-    at each entry, as resolve_truncation does. With record = j, run() also
-    appends the steps of each level-j visit to self.visits, as native int64
-    in visit order: the calibration search reads them. The top walk is the
-    top experiment's CUSUM; tests/test_oracles.py pins that identity.
+    Each of run() and pre_change() calls one Python function generated for
+    the policy's shape (_layout) and compiled once per shape (_compiled):
+    the visits of every level below the top are nested inline in its top
+    walk, and every level's stream, the coin stream and the per-level step
+    counts live in its locals for the whole call; the policy's numbers come
+    in as arguments. The statistic moves by d += x, x read from a level
+    stream: the level streams are scored, each block holding its LLR
+    increments, computed in numpy in llr_from_terms's operation order, so
+    the sums are the bits a scalar loop would give. A fractional budget
+    reads a coin from the kernel's _Stream of uniforms at each entry, as
+    resolve_truncation does. With record = j, run() also appends the steps
+    of each level-j visit to self.visits, an array('q'), in visit order:
+    the calibration search reads them. The top walk is the top experiment's
+    CUSUM; tests/test_oracles.py pins that identity.
 
     The renewal constructor draws from streams of its own, keyed by the
     seed and RENEWAL_TAG; of_episode() builds a kernel on an episode's
@@ -516,171 +738,75 @@ class _RenewalKernel:
                  record: int = -1) -> None:
         m = params.m
         by_id = check_models(models, m)
-        self._tables(params)
         entropy = seed_entropy(base_seed) + (RENEWAL_TAG,)
         children = np.random.SeedSequence(entropy).spawn(m + 1)
         # by level, as the engine reads them; pre-change draws only
         self.streams = [None] + [_Stream(partial(_philox, children[mdl.id - 1]), mdl,
                                          scored=True) for mdl in by_id[1:]]
-        self.budget_rng = _Stream(partial(_philox, children[m]))
-        self.recorded = record
-        self.visits = bytearray()
+        self.visits = array("q")
+        self._bind(params, _Stream(partial(_philox, children[m])), record)
 
     @classmethod
     def of_episode(cls, params: PolicyParams, streams: list, ctrl: _Stream) -> _RenewalKernel:
         """A kernel on an episode's streams: level j reads streams[j] and
         the budget coins come from ctrl, so it draws what _EngineCore.run
-        draws. reach is the most steps one visit below the top can take:
-        B_j = ceil(N_j) * (1 + B_(j-1)) at level j, B_(m-1) in all."""
+        draws. reach (_layout) is the most steps one visit below the top
+        can take."""
         self = cls.__new__(cls)
-        self._tables(params)
         self.streams = streams
-        self.budget_rng = ctrl
-        self.recorded = -1
-        reach = 0
-        for j in range(0 if self.de else 1, self.m):
-            reach = math.ceil(params.budgets[j]) * (1 + reach)
-        self.reach = reach
+        self._bind(params, ctrl, -1)
         return self
 
-    def _tables(self, params: PolicyParams) -> None:
-        self.m = m = params.m
-        self.de = params.data_efficient
-        self.mu = params.mu if params.mu is not None else 0.0
-        # keyed by level: a descent from level j reads a[j] and the budget of j - 1
-        self.a = [0.0] * (m + 1)
-        for i, v in params.scales.items():
-            self.a[i] = v
-        self.N = params.budgets
-        self.fixed = params.fixed_budgets
-
-    def _budget(self, j: int) -> tuple:
-        """Level j's (fixed, coin, low, below): an integer budget and None, or
-        None and budget_rng.random, whose coin < below resolves to low, else low + 1."""
-        fixed = self.fixed[j]
-        if fixed is not None:
-            return fixed, None, 0, 0.0
-        low = math.floor(self.N[j])
-        return None, self.budget_rng.random, low, low + 1.0 - self.N[j]
-
-    def _visit(self, j: int, out):
-        """Level j's visit as a closure visit(floor, ceiling, at), which adds
-        its steps to out[at + j], or None where no visit opens: below the
-        lowest level, and at a fixed budget of 0, where the level above
-        reflects instead."""
-        if j < (0 if self.de else 1) or self.fixed[j] == 0:
-            return None
-        child = self._visit(j - 1, out)
-        fixed, coin, low, below = self._budget(j)
-        record = self.visits.extend if j == self.recorded else None
-        if j == 0:
-            mu = self.mu
-
-            def visit(floor, ceiling, at):
-                budget = fixed if coin is None else low if coin() < below else low + 1
-                if not budget:
-                    return
-                used = 0
-                d = floor
-                while True:
-                    d += mu
-                    used += 1
-                    if d > ceiling or used == budget:
-                        break
-                out[at] += used
-                if record is not None:
-                    record(pack("q", used))
-            return visit
-        a = self.a[j]
-        # nothing opens below level 1 of a plain policy, nor below a fixed
-        # budget of 0 (which draws nothing), so there the level reflects
-        reflects = child is None
-        s = self.streams[j]
-
-        def visit(floor, ceiling, at):
-            budget = fixed if coin is None else low if coin() < below else low + 1
-            if not budget:
-                return
-            used = 0
-            d = floor
-            buf, pos, end = s.buf, s.pos, s.end
-            while True:
-                if pos == end:
-                    s.refill()
-                    buf, end, pos = s.buf, s.end, 0
-                d += buf[pos]
-                pos += 1
-                used += 1
-                if reflects and d < floor:
-                    d = floor
-                if d > ceiling:
-                    break
-                if d < floor:
-                    # the budget's last observation may still open the level
-                    # below; the level closes when that one does. The visit
-                    # below reads only its own stream, so these locals stay
-                    # valid across it.
-                    child(floor + a * (d - floor), floor, at)
-                    d = floor
-                if used == budget:
-                    break
-            s.pos = pos
-            out[at + j] += used
-            if record is not None:
-                record(pack("q", used))
-        return visit
+    def _bind(self, params: PolicyParams, coins: _Stream, record: int) -> None:
+        """The shape and reach (_layout), and the arguments the shape's
+        functions share, in _compiled's order: the streams of the top and of
+        each level entered, from the top down, the coins, _layout's numbers
+        and the visit recorder."""
+        self.shape, numbers, self.reach = _layout(params, record)
+        m, _, kinds, rec = self.shape
+        args = self.streams[m:max(1, m - len(kinds)) - 1:-1]
+        if "coin" in kinds:
+            args.append(coins)
+        args += numbers
+        if rec is not None:
+            args.append(self.visits.append)
+        self.args = args
 
     def run(self, cycles: int) -> memoryview:
         """Steps spent at each source in the next `cycles` cycles, as a flat
         memoryview of doubles: cycle k's count for source j (0 = idle) is at
         index k * (m + 1) + j."""
-        m = self.m
-        width = m + 1
-        # zeroed doubles over a bytearray, which numpy views without a copy
-        out = memoryview(bytearray(8 * width * cycles)).cast("d")
-        visit = self._visit(m - 1, out)
-        a = self.a[m]
-        s = self.streams[m]
-        buf, pos, end = s.buf, s.pos, s.end
-        for at in range(0, width * cycles, width):
-            d = 0.0
-            steps = 0
-            while True:
-                if pos == end:
-                    s.refill()
-                    buf, end, pos = s.buf, s.end, 0
-                d += buf[pos]
-                pos += 1
-                steps += 1
-                if d < 0.0:
-                    break
-            out[at + m] = steps
-            if visit is not None:
-                visit(a * d, 0.0, at)
-        s.pos = pos
-        return out
+        m, _, kinds, _ = self.shape
+        # the top's steps, then each level's from m - 1 down
+        cols = {j: array("q") for j in range(m, m - len(kinds) - 1, -1)}
+        _compiled("run", self.shape)(cycles, *[col.append for col in cols.values()],
+                                     *self.args)
+        out = np.zeros((cycles, m + 1))
+        for j, col in cols.items():
+            out[:, j] = np.frombuffer(col, np.int64)
+        return memoryview(out.reshape(-1))
 
     def pre_change(self, core: _EngineCore, stop: int) -> None:
         """Take the pre-change steps of core's episode, from its state at the
         top level, up to time stop, and leave the rest to core.
 
-        The top loop adds the top stream's increments, a block slice at a
-        time, and stops above A; an undershoot opens a visit of level m - 1,
-        run inline, and the statistic then starts again at 0.0, as the
-        engine's ascent to the top floor sets it (a plain m = 1 policy
-        reflects instead). These are _EngineCore.run's steps: the same
-        increments in the same order, and the same budget coins at the same
-        descents. The loop runs while a top step and the visit below it end
-        by stop, and takes at most all but one of the top budget's steps,
-        so the engine takes the step that spends it. The core goes on from
-        the top level, with the statistic, time, counts and top budget, and
-        the streams become engine streams again at the same position, unless
-        the walk stopped: no step follows a stop, so they stay scored. A run
-        with stop within reach of the core's time goes to the engine whole.
+        The top walk adds the top stream's increments, a block slice at a
+        time, and stops above A; an undershoot opens a visit of level
+        m - 1, and the statistic then starts again at 0.0, as the engine's
+        ascent to the top floor sets it (a plain m = 1 policy reflects
+        instead). These are _EngineCore.run's steps: the same increments in
+        the same order, and the same budget coins at the same descents. The
+        walk runs while a top step and the visit below it end by stop, and
+        takes at most all but one of the top budget's steps, so the engine
+        takes the step that spends it. The core goes on from the top level,
+        with the statistic, time, counts and top budget, and the streams
+        become engine streams again at the same position, unless the walk
+        stopped: no step follows a stop, so they stay scored. A run with
+        stop within reach of the core's time goes to the engine whole.
         The time, the sum of the counts, is summed once per stride of top
         steps that all begin in time and within the budget.
         """
-        m, A, counts = self.m, core.A, core.counts
+        m, counts = self.shape[0], core.counts
         width = 1 + self.reach  # the most steps of a top step and its visit below
         last = stop - width  # the latest time a top step may begin at
         n = core.time
@@ -691,70 +817,10 @@ class _RenewalKernel:
         streams = self.streams
         for s in streams[1:]:
             s.score()
-        # level j = m - 1's visits run in the top loop, on locals, when they
-        # read a stream; an m = 1 policy has at most the idle level's closure.
-        # Against a level m - 1 closure, this took false_alarm's op_ms_p50
-        # from 1206 to 1122 ms (medians of 10 runs each, 2-CPU Xeon VM).
-        j = m - 1
-        inline = j > 0 and self.fixed[j] != 0
-        visit = None if inline else self._visit(j, counts)
-        if inline:
-            child = self._visit(j - 1, counts)
-            reflects = child is None
-            fixed, coin, low, below = self._budget(j)
-            aj = self.a[j]
-            sj = streams[j]
-            jbuf, jpos, jend = sj.buf, sj.pos, sj.end
-        a = self.a[m]
-        s = streams[m]
-        buf, pos, end = s.buf, s.pos, s.end
-        d = core.D
-        counts[m] = 0  # top counts the top steps until the end
-        stopped = False
-        while n <= last and top < most and not stopped:
-            # each top step up to this one begins by last
-            upto = min(top + (last - n) // width + 1, most)
-            while top < upto and not stopped:
-                if pos == end:
-                    s.refill()
-                    buf, end, pos = s.buf, s.end, 0
-                start = pos
-                for pos, x in enumerate(buf[pos:min(end, pos + int(upto - top))], pos + 1):
-                    d += x
-                    if d < 0.0:
-                        if inline:
-                            budget = fixed if coin is None else low if coin() < below else low + 1
-                            if budget:
-                                floor = v = a * d
-                                used = 0
-                                while True:
-                                    if jpos == jend:
-                                        sj.refill()
-                                        jbuf, jend, jpos = sj.buf, sj.end, 0
-                                    v += jbuf[jpos]
-                                    jpos += 1
-                                    used += 1
-                                    if reflects and v < floor:
-                                        v = floor
-                                    if v > 0.0:
-                                        break
-                                    if v < floor:
-                                        child(floor + aj * (v - floor), floor, 0)
-                                        v = floor
-                                    if used == budget:
-                                        break
-                                counts[j] += used
-                        elif visit is not None:
-                            visit(a * d, 0.0, 0)
-                        d = 0.0
-                    elif d > A:
-                        stopped = True
-                        break
-                top += pos - start
-            n = top + sum(counts)
-        s.pos = pos
-        if inline:
-            sj.pos = jpos
+        # the walk holds the counts below the top in locals k0 ... k{m - 1}
+        # and the top's in top
+        d, n, top, stopped, *counts[:m] = _compiled("pre_change", self.shape)(
+            core.D, n, top, most, last, width, core.A, *counts[:m], *self.args)
         core.remaining[m] = most + 1.0 - top
         counts[m] = top
         core.D, core.time = d, n

@@ -155,7 +155,7 @@ def run_de2e(a_y, a_x, n_x, n_0, mu, threshold, llr_y, llr_x, next_y, next_x,
     return records, None, "max-steps"
 
 
-def renewal_cycle(m, data_efficient, a, n, mu, llr, next_obs, resolve):
+def renewal_cycle(m, data_efficient, a, n, mu, llr, next_obs, resolve, visits=None):
     """Steps per source (index 0 = idle) of one pre-change renewal cycle.
 
     The cycle starts at the top level m with statistic 0 and ends when the
@@ -168,7 +168,9 @@ def renewal_cycle(m, data_efficient, a, n, mu, llr, next_obs, resolve):
     snaps back to the floor when that visit ends. Level 1 reflects at its
     floor unless the scheme is data-efficient; level 0 takes no
     observations and climbs by mu per step. a, n, llr and next_obs are
-    indexed by level (= experiment id).
+    indexed by level (= experiment id). visits, when given, is indexed by
+    level too: each entered visit appends its steps to visits[j] when it
+    returns.
     """
     steps = [0] * (m + 1)
 
@@ -184,20 +186,23 @@ def renewal_cycle(m, data_efficient, a, n, mu, llr, next_obs, resolve):
                 steps[0] += 1
                 used += 1
                 if d > ceiling or used == budget:
-                    return
-        while True:
-            d = d + llr[j](next_obs[j]())
-            steps[j] += 1
-            used += 1
-            if j == 1 and not data_efficient:
-                d = max(d, floor)
-            if d > ceiling:
-                return
-            if d < floor:
-                visit(j - 1, floor + a[j] * (d - floor), floor)
-                d = floor
-            if used == budget:
-                return
+                    break
+        else:
+            while True:
+                d = d + llr[j](next_obs[j]())
+                steps[j] += 1
+                used += 1
+                if j == 1 and not data_efficient:
+                    d = max(d, floor)
+                if d > ceiling:
+                    break
+                if d < floor:
+                    visit(j - 1, floor + a[j] * (d - floor), floor)
+                    d = floor
+                if used == budget:
+                    break
+        if visits is not None:
+            visits[j].append(used)
 
     d = 0.0
     while True:

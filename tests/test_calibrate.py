@@ -41,7 +41,7 @@ def test_target_validation(models2):
         CalibrationTarget(gamma=100.0, betas={1: -0.1, 2: 1.1})
     with pytest.raises(ValueError):
         CalibrationTarget(gamma=100.0, betas={1: 1.5})
-    ok = CalibrationTarget(gamma=100.0, betas={1: 0.25, 2: 0.75})
+    ok = CalibrationTarget(gamma=100.0, betas={1.0: 0.25, 2: 0.75})
     assert ok.betas == {1: 0.25, 2: 0.75}
     assert ok.threshold == set_threshold(100.0)
     # gamma is checked by set_threshold's rule, with its message
@@ -55,6 +55,23 @@ def test_target_validation(models2):
         result = calibrate(degenerate, models2,
                            CalibrationConfig(search_cycles=1000, final_cycles=1000))
     assert result.params.A == 0.0
+
+
+@pytest.mark.parametrize("field, betas, de", [
+    # each built a target: 1.5 and True read as experiment 1, "0.3" as 0.3,
+    # True as 1.0, and "no" as data-efficient
+    ("beta key", {1.5: 0.3, 2: 0.4}, False),
+    ("beta key", {True: 0.3, 2: 0.4}, False),
+    ("beta_1", {1: "0.3", 2: 0.4}, False),
+    ("beta_1", {1: True, 2: 0.0}, False),
+    ("data_efficient", {1: 0.3, 2: 0.4}, "no"),
+    # these failed with an AttributeError of .items()
+    ("betas", [0.3, 0.4], False),
+    ("betas", None, False),
+])
+def test_target_rejects_loose_keys_values_and_flags(field, betas, de):
+    with pytest.raises(ValueError, match=f"^{field} "):
+        CalibrationTarget(1000.0, betas, de)
 
 
 def test_config_rejects_non_integer_counts():

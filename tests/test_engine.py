@@ -76,6 +76,15 @@ def test_policy_params_validation():
     assert init(ok).stack[0].remaining == math.inf
 
 
+@pytest.mark.parametrize("flag, plain", [("no", False), (None, True), (1, False)])
+def test_policy_params_flag_must_be_a_bool(flag, plain):
+    # each built a policy, data-efficient as its truth value gave it
+    keys = (dict(scales={2: 1.0}, budgets={1: 2}) if plain else
+            dict(scales={1: 1.0, 2: 1.0}, budgets={0: 3, 1: 2}, mu=0.1))
+    with pytest.raises(ValueError, match="^data_efficient must be a bool"):
+        PolicyParams(m=2, A=5.0, data_efficient=flag, **keys)
+
+
 def test_policy_params_maps_must_be_mappings():
     # scales and budgets map levels to values: anything else fails with
     # the field's name, not an AttributeError of .items()
@@ -458,8 +467,8 @@ def test_state_of_another_policy_rejected(models2, models3):
     with pytest.raises(ValueError):
         step(empty, params2, models2, 0.0)
     # level 0 exists only in data-efficient policies
-    idle = EngineState(0.0, (LevelState(2, 0.0, math.inf), LevelState(1, -1.0, 1.0),
-                             LevelState(0, -2.0, 1.0)), False, None, 2)
+    idle = EngineState(-1.5, (LevelState(2, 0.0, math.inf), LevelState(1, -1.0, 1.0),
+                              LevelState(0, -2.0, 1.0)), False, None, 2)
     with pytest.raises(ValueError):
         step(idle, params2, models2, None)
 
@@ -496,6 +505,22 @@ _FINE = dict(statistic=0.5, stack=(_TOP,), stopped=False, stop_reason=None, time
     ("params", lambda: step(EngineState(**_FINE), RssParams(A=1.0, p_hi=0.5), (), 0.0)),
     ("params", lambda: init(RssParams(A=1.0, p_hi=0.5))),
     ("state", lambda: next_action(None)),
+    # these stepped on: a level-1 floor above the top floor to an ascend, a
+    # top statistic above A to a stop below it, a top floor of 5.0 to a
+    # statistic of 5.0 on the next ascent, a negative top statistic to a
+    # descent, a level-1 statistic above the top floor
+    pytest.param("stack", lambda: EngineState(0.0, (_TOP, LevelState(1, 5.0, 2.0)),
+                                              False, None, 1), id="stack-rising-floor"),
+    pytest.param("statistic", lambda: step(EngineState(9.0, (_TOP,), False, None, 1),
+                                           make_params2(), (gaussian_model(1, 0.75),
+                                                            gaussian_model(2, 1.0)), 0.0),
+                 id="statistic-above-A"),
+    pytest.param("stack", lambda: EngineState(0.0, (LevelState(2, 5.0, math.inf),),
+                                              False, None, 1), id="stack-top-floor"),
+    pytest.param("statistic", lambda: EngineState(-3.0, (_TOP,), False, None, 1),
+                 id="statistic-below-floor"),
+    pytest.param("statistic", lambda: EngineState(0.5, (_TOP, LevelState(1, -2.0, 2.0)),
+                                                  False, None, 1), id="statistic-above-ceiling"),
 ])
 def test_hand_built_states_fail_loudly(field, build):
     with pytest.raises(ValueError, match=f"^{field} "):

@@ -156,18 +156,21 @@ def test_flat_single_level_stopping_time():
 
 
 _RENEWAL_MODELS = (
-    (gaussian_model(1, 0.5), gaussian_model(2, 0.75), gaussian_model(3, 1.0)),
+    (gaussian_model(1, 0.5), gaussian_model(2, 0.75), gaussian_model(3, 1.0),
+     gaussian_model(4, 1.25)),
     # unequal pre/post stds, so every LLR constant matters
     (gaussian_model(1, 0.5, std=1.2), gaussian_model(2, 0.8, pre_mean=0.1),
-     gaussian_model(3, 1.1, pre_mean=0.1, std=0.9)),
+     gaussian_model(3, 1.1, pre_mean=0.1, std=0.9),
+     gaussian_model(4, 1.3, pre_mean=-0.1, std=1.1)),
 )
 
 
-def renewal_oracle(params, models, seed, cycles, visits=None):
+def renewal_oracle(params, models, seed, cycles, visits=None, lengths=None):
     """The first `cycles` oracle cycles, fed from the kernel's spawned
     children: one standard_normal() per observation, and the budget generator
     for the fractional budgets. visits, when given, gets at every visit entry
-    the observations drawn so far per level."""
+    the observations drawn so far per level; lengths, when given, gets each
+    entered level-j visit's steps in lengths[j] as the visit ends."""
     m = params.m
     children = np.random.SeedSequence(seed_entropy(seed) + (RENEWAL_TAG,)).spawn(m + 1)
     gens = [np.random.Generator(np.random.Philox(child)) for child in children]
@@ -194,7 +197,7 @@ def renewal_oracle(params, models, seed, cycles, visits=None):
     llrs = [None] + [llr(mdl) for mdl in by_id[1:]]
     obs = [None] + [observe(mdl) for mdl in by_id[1:]]
     return [straightline.renewal_cycle(m, params.data_efficient, params.scales,
-                                       params.budgets, params.mu, llrs, obs, resolve)
+                                       params.budgets, params.mu, llrs, obs, resolve, lengths)
             for _ in range(cycles)]
 
 
@@ -206,7 +209,7 @@ def kernel_rows(params, models, seed, cycles):
 
 @st.composite
 def _renewal_policies(draw):
-    m = draw(st.integers(1, 3))
+    m = draw(st.integers(1, 4))
     de = draw(st.booleans())
     # two decimals in [0, 4], with integers and zeros drawn often
     budget = st.one_of(st.floats(0.0, 4.0).map(lambda b: round(b, 2)),
@@ -228,6 +231,22 @@ def test_renewal_kernel_matches_flat_cycle(params, models, seed, cycles):
     models = models[:params.m]
     assert kernel_rows(params, models, seed, cycles) == \
         renewal_oracle(params, models, seed, cycles)
+
+
+@settings(deadline=None, max_examples=60)
+@given(params=_renewal_policies(), models=st.sampled_from(_RENEWAL_MODELS),
+       seed=st.integers(0, 2**32 - 1), cycles=st.integers(1, 40))
+def test_recorded_visits_are_the_oracles_visit_lengths(params, models, seed, cycles):
+    # with record = j the kernel lists the steps of each level-j visit, in
+    # visit order, as the calibration search reads them; a level that no
+    # visit enters, the top among them, lists none
+    models = models[:params.m]
+    lengths = [[] for _ in range(params.m + 1)]
+    renewal_oracle(params, models, seed, cycles, lengths=lengths)
+    for j in range(params.m + 1):
+        kernel = _RenewalKernel(params, models, seed, record=j)
+        kernel.run(cycles)
+        assert list(kernel.visits) == lengths[j]
 
 
 def test_renewal_kernel_refills_mid_visit():

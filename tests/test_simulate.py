@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import inspect
 import math
 import sys
 import time
@@ -248,12 +249,13 @@ def test_step_replays_run_episode(models2, models3):
 
 
 _MODELS3 = (gaussian_model(1, 0.5), gaussian_model(2, 0.75), gaussian_model(3, 1.0))
+_MODELS4 = _MODELS3 + (gaussian_model(4, 1.25),)
 _HORIZON = 600
 
 
 @st.composite
 def _policies(draw):
-    m = draw(st.integers(1, 3))
+    m = draw(st.integers(1, 4))
     de = draw(st.booleans())
     # two decimals, so most budgets are fractional and some are integers
     budget = st.floats(0.0, 4.0).map(lambda b: round(b, 2))
@@ -280,7 +282,7 @@ def test_kernel_properties(params, unbounded, change_point, horizon, seed):
     # the limit; at times A is infinite, as estimate_por_direct sets it
     if unbounded == 0:
         params = replace(params, A=math.inf)
-    models = _MODELS3[:params.m]
+    models = _MODELS4[:params.m]
     scenario = make_scenario(models, change_point, horizon)
     summary = episode_summary(params, scenario, seed)
     trace = run_episode(params, scenario, seed)
@@ -360,6 +362,29 @@ def test_false_alarm_episodes_on_the_kernel_equal_the_engine(monkeypatch, name):
         assert summary.counts[params.m] in (3000, 3001)
     else:
         assert summary.counts[params.m] > 8176 + 4096
+
+
+def test_kernel_functions_are_compiled_once_per_shape():
+    # two policies of one shape (m = 4, plain, budgets int/coin/int below
+    # the top) share one compiled function; the numbers are arguments.
+    # Each source is registered with linecache under a name giving its
+    # shape, so inspect, tracebacks and profilers show its lines
+    a = PolicyParams(m=4, A=5.0, scales={2: 1.0, 3: 1.5, 4: 2.0}, budgets={1: 2, 2: 0.5, 3: 3})
+    b = PolicyParams(m=4, A=7.0, scales={2: 0.5, 3: 2.0, 4: 1.0}, budgets={1: 9, 2: 4.2, 3: 1})
+    rows = []
+    for params, seed in ((a, 1), (b, 2)):
+        before = simulate._compiled.cache_info()
+        rows.append(list(_RenewalKernel(params, _MODELS4, seed).run(40)))
+        after = simulate._compiled.cache_info()
+    assert (after.hits, after.misses) == (before.hits + 1, before.misses)
+    assert after.currsize <= after.maxsize
+    assert rows[0] != rows[1]
+    shape = simulate._layout(a)[0]
+    assert shape == simulate._layout(b)[0] == (4, False, ("int", "coin", "int"), None)
+    run = simulate._compiled("run", shape)
+    assert run.__code__.co_filename == "<mecusum kernel run m=4 de=0 levels=int,coin,int rec=none>"
+    assert inspect.getsource(run).startswith(
+        "def run(cycles, put4, put3, put2, put1, s4, s3, s2, s1, cs, a4, g3,")
 
 
 @st.composite
