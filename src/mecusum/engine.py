@@ -7,12 +7,12 @@ level's floor opens the level below with a scaled, deeper floor and a
 floor, or exhausting the budget, closes the level again. Data-efficient
 policies add level 0, which takes no observations and climbs deterministically.
 
-_EngineCore.run is the step loop of the policy: traces, the public step(),
-every post-change step and the pre-change steps that the visit recursion
-does not take advance the policy state through it. It is one flat loop over
-locals, with the observation draw, the log-likelihood ratio and the level
-changes written inline; the tables it reads (each model's LLR terms, each
-level's integer budget) are built once, on the frozen ExperimentModel and
+_EngineCore.run is the step loop of the policy: traces, every post-change
+step and the pre-change steps that the visit recursion does not take
+advance the policy state through it. It is one flat loop over locals, with
+the observation draw, the log-likelihood ratio and the level changes
+written inline; the tables it reads (each model's LLR terms, each level's
+integer budget) are built once, on the frozen ExperimentModel and
 PolicyParams. An episode runs its pre-change steps, then its post-change
 steps, as two runs. An unrecorded episode takes its pre-change steps on the
 renewal kernel's visit recursion (simulate._RenewalKernel.pre_change) up to
@@ -23,9 +23,14 @@ its own loop: the public run_rss, fed by callbacks, is the reference for
 the private locals loop that simulated RSS episodes run (simulate._run_rss).
 All of them report each step to record(n, experiment, x, statistic, event).
 The core takes no models (its streams carry their LLR terms); callers check
-them. The public step() checks a tuple of models once, keeps the stack
-entries that a step leaves as they were, and builds its records with
-_frozen, past the field checks that a state built by hand goes through.
+them.
+
+The public step() is run's step written out on the frozen EngineState,
+with the same float operations in the same order (the replay tests feed it
+episodes' observations and control coins). It checks a tuple of models
+once, keeps the stack entries that a step leaves as they were, and builds
+its records, as init() does, with _frozen, past the field checks that a
+state built by hand goes through.
 
 Every random value a loop reads comes through one buffered class, _Stream:
 an experiment's standard normals, an episode's control coins, and the
@@ -74,8 +79,11 @@ class PolicyParams:
 
     fixed_budgets, built once here, holds by level the budgets that are
     integers and so resolve without a draw, and None where a fractional
-    budget resolves at every entry. It is a plain attribute, not a field, so
-    equality, hashing, repr and dataclasses.replace see only the fields.
+    budget resolves at every entry; kernel_layout (simulate._layout) is
+    built on first use. Both are plain attributes, not fields, so equality,
+    hashing, repr and dataclasses.replace see only the fields. As they are
+    built from scales and budgets, those are read-only dicts; a pickle or a
+    copy holds plain dicts and fixed_budgets.
     """
 
     m: int
@@ -100,8 +108,8 @@ class PolicyParams:
                   for k, v in self.scales.items()}
         budgets = {_count("budgets key", k, 0): _real(f"budget N_{k}", v)
                    for k, v in self.budgets.items()}
-        object.__setattr__(self, "scales", scales)
-        object.__setattr__(self, "budgets", budgets)
+        object.__setattr__(self, "scales", _ReadOnlyDict(scales))
+        object.__setattr__(self, "budgets", _ReadOnlyDict(budgets))
         want_scales = set(range(2, self.m + 1)) | ({1} if self.data_efficient else set())
         if set(scales) != want_scales:
             raise ValueError(
@@ -133,6 +141,31 @@ class PolicyParams:
         object.__setattr__(self, "fixed_budgets", tuple(
             n if n is not None and n.is_integer() else None
             for n in map(budgets.get, range(self.m))))
+
+    def __getstate__(self) -> dict:
+        state = dict(self.__dict__, scales=dict(self.scales), budgets=dict(self.budgets))
+        state.pop("kernel_layout", None)
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state, scales=_ReadOnlyDict(state["scales"]),
+                             budgets=_ReadOnlyDict(state["budgets"]))
+
+
+class _ReadOnlyDict(dict):
+    """A dict that refuses writes; a copy or a pickle builds another one
+    through dict's constructor."""
+
+    __slots__ = ()
+
+    def _refuse(self, *args, **kwargs):
+        raise TypeError("a policy's scales and budgets are read-only; "
+                        "dataclasses.replace builds a policy with other ones")
+
+    __setitem__ = __delitem__ = __ior__ = clear = pop = popitem = setdefault = update = _refuse
+
+    def __reduce__(self):
+        return type(self), (dict(self),)
 
 
 def set_threshold(gamma: float) -> float:
@@ -385,13 +418,15 @@ class _Stream:
 class _EngineCore:
     """Mutable policy state and the step loop that moves it.
 
-    run() takes every step of the traces, of the public step() and of an
-    episode's post-change run, and the pre-change steps that the renewal
-    kernel's visit recursion leaves to it. It is one flat loop over
-    locals, reading tables built once on the frozen inputs
-    (the streams' LLR terms, PolicyParams.fixed_budgets); it takes no models,
-    which its callers have checked. A core either starts an episode,
-    resolving a fractional top truncation with rng, or loads an EngineState.
+    run() takes every step of the traces and of an episode's post-change
+    run, and the pre-change steps that the renewal kernel's visit recursion
+    leaves to it. It is one flat loop over locals, reading tables built once
+    on the frozen inputs (the streams' LLR terms, PolicyParams.fixed_budgets);
+    it takes no models, which its callers have checked. A core starts an episode at the top
+    level with statistic 0 at time 0. Its top budget, unless given, is the
+    top truncation, resolved with rng when fractional; the lockstep runner
+    gives a trial it hands over its budget, and sets its statistic, time
+    and counts.
     """
 
     __slots__ = (
@@ -403,7 +438,7 @@ class _EngineCore:
         self,
         params: PolicyParams,
         rng: np.random.Generator | None = None,
-        state: EngineState | None = None,
+        top: float | None = None,
     ) -> None:
         self.m = m = params.m
         self.A = params.A
@@ -417,37 +452,15 @@ class _EngineCore:
         self.floors = [0.0] * (m + 1)
         self.remaining = [0.0] * (m + 1)
         self.counts = [0] * (m + 1)
-        if state is None:
+        if top is None:
             top = params.top_truncation
-            self.remaining[m] = math.inf if top is None else float(resolve_truncation(top, rng))
-            self.D = 0.0
-            self.level = m
-            self.stopped = self.remaining[m] == 0.0
-            self.stop_reason = "truncation" if self.stopped else None
-            self.time = 0
-            return
-        lowest = 0 if self.de else 1
-        level = m + 1
-        for entry in state.stack:
-            level -= 1
-            if entry.level != level or level < lowest:
-                level = m + 1  # reject below, as for an empty stack
-                break
-            self.floors[level] = entry.floor
-            self.remaining[level] = entry.remaining
-        if level > m:
-            raise ValueError(
-                f"a policy with m={m} needs a state whose levels run {m}, {m - 1}, ... "
-                f"down to {lowest} at the lowest, got {[e.level for e in state.stack]}"
-            )
-        if level == m and not state.stopped and state.statistic > self.A:
-            raise ValueError(f"statistic {state.statistic} of a live state at the top level "
-                             f"must not exceed the threshold A = {self.A}")
-        self.D = state.statistic
-        self.level = level
-        self.stopped = state.stopped
-        self.stop_reason = state.stop_reason
-        self.time = state.time
+            top = math.inf if top is None else float(resolve_truncation(top, rng))
+        self.remaining[m] = top
+        self.D = 0.0
+        self.level = m
+        self.stopped = top == 0.0
+        self.stop_reason = "truncation" if self.stopped else None
+        self.time = 0
 
     def run(
         self,
@@ -455,7 +468,7 @@ class _EngineCore:
         post: bool,
         horizon: int,
         record: Callable[[int, int, float | None, float, str], None] | None = None,
-    ) -> str:
+    ) -> None:
         """Take steps of one regime until a stop or until the time reaches
         horizon: an episode runs its pre-change steps (post False), then its
         post-change ones, on one core.
@@ -466,8 +479,7 @@ class _EngineCore:
         terms. rng, a _Stream of uniforms in an episode, resolves fractional
         budgets. counts[j] counts the steps taken at level j (0 is idle).
         record, when given, gets (n, level, x, statistic, event) after every
-        step, with x None at the idle level. Returns the last step's event
-        ("" when no step was taken).
+        step, with x None at the idle level.
 
         The state lives in locals while the loop runs and is saved back at
         the end. The active level's stream, regime mean and std, LLR
@@ -477,7 +489,7 @@ class _EngineCore:
         run ends, and the next run resumes the visit.
         """
         if self.stopped:
-            return ""
+            return
         m, A, de, mu = self.m, self.A, self.de, self.mu
         a, N, fixed, rng = self.a, self.N, self.fixed, self.rng
         floors, remaining, counts = self.floors, self.remaining, self.counts
@@ -486,7 +498,6 @@ class _EngineCore:
         n = self.time
         stopped = False
         reason = None
-        event = ""
         while n < horizon:
             # one visit of level lvl
             start = n
@@ -589,40 +600,6 @@ class _EngineCore:
         if stopped:
             self.stopped = True
             self.stop_reason = reason
-        return event
-
-    def snapshot(self, kept: tuple[LevelState, ...] = ()) -> EngineState:
-        """The state as an EngineState, built with _frozen: the core's values
-        need no second check.
-
-        kept holds entries of the top levels (level m first) that are known
-        to be unchanged, and are reused instead of built again: one step
-        writes only the level it starts at and the levels below it, and
-        leaves the starting level's floor as it was.
-        """
-        level = self.level
-        depth = self.m - level + 1
-        if len(kept) >= depth:
-            stack = kept[:depth]
-        else:
-            floors, remaining = self.floors, self.remaining
-            stack = kept + tuple([
-                _frozen(LevelState, level=i, floor=floors[i], remaining=remaining[i])
-                for i in range(self.m - len(kept), level - 1, -1)
-            ])
-        return _frozen(EngineState, statistic=self.D, stack=stack, stopped=self.stopped,
-                       stop_reason=self.stop_reason, time=self.time)
-
-
-def _observed(x: float | None, terms: tuple | None) -> _Stream:
-    """A stream that holds the one value x, with a level's LLR terms: with
-    post-change mean 0.0 and std 1.0, a post-change run reads 0.0 + 1.0 * x,
-    which is x. It is never refilled, so it skips __init__ and sets only the
-    slots a post-change run reads: step() builds one per call."""
-    s = _Stream.__new__(_Stream)
-    s.buf, s.pos, s.end, s.terms = [x], 0, 1, terms
-    s.post_mean, s.post_std = 0.0, 1.0
-    return s
 
 
 # one Action per level: Action is frozen, so the policy hands out the same one
@@ -646,7 +623,12 @@ def init(params: PolicyParams, rng: np.random.Generator | None = None) -> Engine
     resolves to zero yields a state that is already stopped at time 0.
     """
     _check_params(params)
-    return _EngineCore(params, rng).snapshot()
+    top = params.top_truncation
+    top = math.inf if top is None else float(resolve_truncation(top, rng))
+    stopped = top == 0.0
+    return _frozen(EngineState, statistic=0.0,
+                   stack=(_frozen(LevelState, level=params.m, floor=0.0, remaining=top),),
+                   stopped=stopped, stop_reason="truncation" if stopped else None, time=0)
 
 
 def _check_state(state: EngineState) -> None:
@@ -664,6 +646,8 @@ def next_action(state: EngineState) -> Action:
     _check_state(state)
     if state.stopped:
         raise RuntimeError("the engine has stopped; no further action exists")
+    if not state.stack:
+        raise ValueError(f"state has no level to act at, got the stack {state.stack!r}")
     return _action(state.stack[-1].level)
 
 
@@ -689,8 +673,9 @@ def step(
     check_models rejects, or levels not running m, m-1, ... raise ValueError.
     A tuple of models is checked on its first step for an m and then kept,
     one set at a time; a list, which can change between steps, is checked on
-    every call. The new state reuses the state's entries of the levels above
-    the starting one, and the starting one's while its budget is unspent (the
+    every call. The transition is _EngineCore.run's step, on the state's
+    stack. The new state reuses the state's entries of the levels above the
+    starting one, and the starting one's while its budget is unspent (the
     untruncated top's is inf), and the result is built with _frozen.
     """
     global _checked
@@ -704,33 +689,108 @@ def step(
         by_id = check_models(models, m)
         if type(models) is tuple:
             _checked = (models, m, by_id)
-    core = _EngineCore(params, rng, state)
-    level = core.level
+    # whether the state fits the policy: levels m, m - 1, ... down, and a
+    # live top statistic at most A
+    stack = state.stack
+    lowest = 0 if params.data_efficient else 1
+    level = m + 1
+    for entry in stack:
+        level -= 1
+        if entry.level != level or level < lowest:
+            level = m + 1  # reject below, as for an empty stack
+            break
+    if level > m:
+        raise ValueError(
+            f"a policy with m={m} needs a state whose levels run {m}, {m - 1}, ... "
+            f"down to {lowest} at the lowest, got {[e.level for e in stack]}"
+        )
+    A = params.A
+    D = state.statistic
+    if level == m and D > A:
+        raise ValueError(f"statistic {D} of a live state at the top level "
+                         f"must not exceed the threshold A = {A}")
+    # _EngineCore.run's step, in its order: the state's entries hold the
+    # active level's floor and budget and the floors and budgets above it
+    entry = stack[-1]
+    rem = entry.remaining - 1.0
     if level == 0:
         if observation is not None:
             raise ValueError("idle steps take no observation")
+        # the idle level climbs deterministically
+        d = D + params.mu
+        floor = -math.inf
     else:
         if observation is None:
             raise ValueError(f"level {level} requires an observation")
-        # a bool is not an observation, though float(True) is 1.0; a float
-        # skips the isinstance tests (an ABC check costs about 0.4 us)
-        if (type(observation) is not float
-                and (isinstance(observation, bool) or not isinstance(observation, Real))
-                or not math.isfinite(observation)):
+        x = observation
+        if type(x) is not float:
+            # a float skips the isinstance tests (an ABC check costs about
+            # 0.4 us); a bool is no observation, though float(True) is 1.0
+            try:
+                x = math.nan if isinstance(x, bool) or not isinstance(x, Real) else float(x)
+            except OverflowError:  # an int past the float range
+                x = math.nan
+        if not math.isfinite(x):
             raise ValueError(f"observation must be a finite real number, got {observation!r}")
-        observation = float(observation)
-    obs = _observed(observation, None if level == 0 else by_id[level].terms)
-    # obs maps its normal to x in the post-change regime, which scores x
-    # inline: the step reads x, whichever side of a change it is on
-    event = core.run([obs] * (m + 1), True, state.time + 1)
+        # x read as a post-change run reads its stream, 0.0 + 1.0 * x, and
+        # scored with run's operations
+        d = D + llr_from_terms(by_id[level].terms, 0.0 + 1.0 * x)
+        floor = 0.0 if level == m else entry.floor
+    ceil = A if level == m else stack[-2].floor
+    new = level
+    reason = None
+    if floor <= d <= ceil and rem > 0.0:
+        event = ""
+    elif level == m and (d > ceil or rem <= 0.0):
+        reason = "threshold" if d > ceil else "truncation"
+        event = "stop"
+    else:
+        up = False
+        event = ""
+        if d < floor and level == 1 and lowest:
+            d = floor  # the bottom level reflects at its floor
+            event = "reflect"
+        if d > ceil:
+            up = True
+        elif d < floor:
+            child = level - 1
+            budget = params.fixed_budgets[child]
+            if budget is None:
+                budget = float(resolve_truncation(params.budgets[child], rng))
+            if budget == 0.0:
+                d = floor  # never entered: snap back to the current floor
+                event = "bounce"
+                up = rem <= 0.0
+            else:
+                d = floor + params.scales[level] * (d - floor)
+                event = "descend"
+                new = child
+        elif rem <= 0.0:
+            up = True
+        if up:
+            # closing a level may land on a parent whose own budget is
+            # spent, which closes immediately as well
+            new = level + 1
+            while new < m and stack[m - new].remaining <= 0.0:
+                new += 1
+            d = stack[m - new].floor
+            event = "ascend"
     # the levels above the starting one are as the state had them, and so
-    # is the starting one when its budget is as it was
-    stack = state.stack
-    kept = m - level
-    if core.remaining[level] == stack[-1].remaining:
-        kept += 1
-    return _frozen(StepResult, state=core.snapshot(stack[:kept]), event=event,
-                   action=STOP if core.stopped else _action(core.level))
+    # is the starting one when its budget is as it was (the untruncated
+    # top's inf)
+    if new > level:
+        stack = stack[:m - new + 1]
+    else:
+        if rem != entry.remaining:
+            stack = stack[:-1] + (_frozen(LevelState, level=level, floor=entry.floor,
+                                          remaining=rem),)
+        if new < level:
+            stack += (_frozen(LevelState, level=new, floor=d, remaining=budget),)
+    stopped = reason is not None
+    return _frozen(StepResult, state=_frozen(EngineState, statistic=d, stack=stack,
+                                             stopped=stopped, stop_reason=reason,
+                                             time=state.time + 1),
+                   event=event, action=STOP if stopped else _action(new))
 
 
 @dataclass(frozen=True)

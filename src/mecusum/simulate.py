@@ -38,14 +38,18 @@ every step of a recorded episode. The tests that compare recorded with
 unrecorded episodes check the recursion against _EngineCore.run, and both
 against tests/straightline.py.
 
-The estimators run their episodes on one runner, _lockstep: a batch of up
-to _KEY_CHUNK trials advances one time step per numpy pass, every trial's
-state held in arrays, and the scalar loops take its last _HANDOFF_ROWS
-trials (the rule is at _HANDOFF_ROWS). Each trial reads its own streams,
-keyed from the same EpisodeKeys table, in blocks whose sizes do not change
-Philox's values, and each pass does the scalar loop's float operations in
-its order, so every row is the one its episode gives alone. Single
-episodes, traces and step() run on the scalar loops only.
+The estimators run their episodes on one runner, _lockstep. A call of at
+most _HANDOFF_ROWS trials runs each of them on the scalar loops, as a
+single episode runs, before any batch array is built. In a larger call a
+batch of up to _KEY_CHUNK trials advances one time step per numpy pass,
+every trial's state held in arrays, and in a run that starts before the
+change the scalar loops take its last _HANDOFF_ROWS trials (the rule is at
+_HANDOFF_ROWS). Each trial reads its own streams, keyed from the same
+EpisodeKeys table, in blocks whose sizes do not change Philox's values,
+and each pass does the scalar loop's float operations in its order, so
+every row is the one its episode gives alone. Single episodes and traces
+run on the scalar loops only; the public engine.step() is a transition of
+its own, on the frozen state.
 """
 
 from __future__ import annotations
@@ -67,13 +71,10 @@ import numpy as np
 from .densities import ExperimentModel, _count, _real, check_models
 from .engine import (
     Action,
-    EngineState,
-    LevelState,
     PolicyParams,
     RssParams,
     _action,
     _EngineCore,
-    _frozen,
     _llrs,
     _Stream,
 )
@@ -394,19 +395,27 @@ def _drive(params, scenario, entropy, record=None):
     gets a fresh generator on its first draw (_fresh_generator).
     """
     by_id, nu, horizon = _setup(params, scenario)
-    # streams[i] is experiment i's observation stream
-    streams = [None] + [_Stream(partial(_fresh_generator, entropy, (OBS_STREAM_TAG, mdl.id)),
-                                mdl) for mdl in by_id[1:]]
-    ctrl = _Stream(partial(_fresh_generator, entropy, (CONTROL_STREAM_TAG,)))
     on_step = None
     if record is not None:
         def on_step(n, lvl, x, d, event):
             record(TraceStep(n, _action(lvl), x, d, lvl, event))
+    return _episode(params, by_id, nu, horizon, partial(_fresh_generator, entropy), on_step)
+
+
+def _episode(params, by_id, nu, horizon, generator, record=None):
+    """_drive's episode on the streams whose generators generator(tag)
+    builds, each on its first draw: a fresh one per stream for a single
+    episode, a re-keyed one of an EpisodeKeys table for a trial of the
+    lockstep runner."""
+    # streams[i] is experiment i's observation stream
+    streams = [None] + [_Stream(partial(generator, (OBS_STREAM_TAG, mdl.id)), mdl)
+                        for mdl in by_id[1:]]
+    ctrl = _Stream(partial(generator, (CONTROL_STREAM_TAG,)))
     if isinstance(params, RssParams):
-        stopping_time, counts = _run_rss(params, streams, ctrl, nu, horizon, on_step)
+        stopping_time, counts = _run_rss(params, streams, ctrl, nu, horizon, record)
         return stopping_time, None if stopping_time is None else "threshold", counts
     core = _EngineCore(params, ctrl)
-    _episode_runs(params, core, streams, ctrl, nu, horizon, on_step)
+    _episode_runs(params, core, streams, ctrl, nu, horizon, record)
     stopping_time = core.time if core.stopped else None
     return stopping_time, core.stop_reason, dict(enumerate(core.counts))
 
@@ -662,7 +671,7 @@ def _lines(lines: Sequence[str], depth: int) -> str:
     return "".join(" " * depth + line + "\n" for line in lines)
 
 
-def _layout(params: PolicyParams, record: int = -1) -> tuple[tuple, list, int]:
+def _layout(params: PolicyParams, record: int = -1) -> tuple[tuple, tuple, int]:
     """A policy's kernel shape, the numbers its kernel functions take, and
     the most steps one visit below the top can take.
 
@@ -678,7 +687,15 @@ def _layout(params: PolicyParams, record: int = -1) -> tuple[tuple, list, int]:
     B_j = ceil(N_j) * (1 + B_(j-1)); from the top down it is the sum of the
     products ceil(N_(m-1)) * ... * ceil(N_j) over the levels entered, as a
     budget of 0 leaves none below it.
+
+    Every episode's layout (record -1) is built once per policy, and kept
+    on it as kernel_layout.
     """
+    if record == -1:
+        try:
+            return params.kernel_layout
+        except AttributeError:
+            pass
     m = params.m
     fixed, budgets, scales = params.fixed_budgets, params.budgets, params.scales
     numbers = []
@@ -703,7 +720,10 @@ def _layout(params: PolicyParams, record: int = -1) -> tuple[tuple, list, int]:
         numbers.append(params.mu)
     # a level the kernel never enters records no visit
     rec = record if j < record < m else None
-    return (m, params.data_efficient, tuple(kinds), rec), numbers, reach
+    layout = (m, params.data_efficient, tuple(kinds), rec), tuple(numbers), reach
+    if record == -1:
+        object.__setattr__(params, "kernel_layout", layout)
+    return layout
 
 
 class _RenewalKernel:
@@ -837,10 +857,11 @@ class _RenewalKernel:
 # for reuse, a few of each size, so masks of every size below 1024 rows,
 # from a set of trials that shrank step by step, would pile up there.
 # _HANDOFF_ROWS is the one rule that picks a trial's loop. A pass costs
-# ~100 us however few trials are left, so once at most _HANDOFF_ROWS trials
-# of a batch are live, each goes to the scalar loops at the top level if
-# its normals are known: at time 0 in a call of at most _HANDOFF_ROWS
-# trials, or in a run that starts before the change, which keeps them.
+# ~100 us however few trials are left, so a call of at most _HANDOFF_ROWS
+# trials runs each on the scalar loops from time 0, before any batch array
+# is built, and once at most _HANDOFF_ROWS trials of a larger call's batch
+# are live, each goes to the scalar loops at the top level if its normals
+# are known: in a run that starts before the change, which keeps them.
 # CPU on a 2-CPU VM, alternating runs, the same estimates:
 # - a batch that starts in lockstep with no threshold never hands off: a
 #   20k-step 2e estimate_por_direct took 1.90 s at 150 trials and 2.16 s
@@ -986,9 +1007,18 @@ class _TrialStreams:
 def _lockstep(params, scenario, keys):
     """The stopping times (-1 for none) and the steps per experiment id of
     the episodes of keys, as int64 arrays in trial order, each row the one
-    episode_summary gives: each _KEY_CHUNK of trials runs as one batch, its
-    episodes stepped together, one pass per time step."""
+    episode_summary gives. A call of at most _HANDOFF_ROWS trials runs them
+    one by one on the scalar loops; a larger one runs each _KEY_CHUNK of
+    trials as one batch, its episodes stepped together, one pass per time
+    step."""
     by_id, nu, horizon = _setup(params, scenario)
+    if keys.trials <= _HANDOFF_ROWS:
+        # a small call runs each trial on the scalar loops from time 0, as
+        # episode_summary runs it, before any batch array or stream is built
+        rows = [_episode(params, by_id, nu, horizon, partial(keys.rekey, t))
+                for t in range(keys.trials)]
+        return (np.array([-1 if time is None else time for time, _, _ in rows], np.int64),
+                np.array([list(counts.values()) for _, _, counts in rows], np.int64))
     if isinstance(params, RssParams):
         run, coins = _lockstep_rss, True
     else:
@@ -996,18 +1026,17 @@ def _lockstep(params, scenario, keys):
         top = params.top_truncation
         coins = (top is not None and not top.is_integer()
                  or None in params.fixed_budgets[0 if params.data_efficient else 1:])
-    small = keys.trials <= _HANDOFF_ROWS  # by the call's trials, not a batch's
     parts = []
     for first in range(0, keys.trials, _KEY_CHUNK):
         rows = min(_KEY_CHUNK, keys.trials - first)
         # the streams go when the run returns
         parts.append(run(params, nu, horizon,
-                         _TrialStreams(keys, first, rows, by_id, nu, coins), rows, small))
+                         _TrialStreams(keys, first, rows, by_id, nu, coins), rows))
     times, counts = zip(*parts)
     return np.concatenate(times), np.concatenate(counts)
 
 
-def _lockstep_engine(params, nu, horizon, streams, k, small):
+def _lockstep_engine(params, nu, horizon, streams, k):
     """_EngineCore.run's decision tree over k trials at once: returns the
     stopping times (-1 for none) and the steps per level.
 
@@ -1018,12 +1047,12 @@ def _lockstep_engine(params, nu, horizon, streams, k, small):
     ceiling is the floor above it. A stopped trial's row becomes a ghost:
     trial k, which reads a ghost stream and never leaves its band. The
     rows are compacted when half of them are ghosts, down to _MIN_ROWS
-    rows, so every mask of a pass spans the rows. The last _HANDOFF_ROWS
-    trials go to the scalar loops, each as it reaches the top level, its
-    core loaded with its row's state: at time 0 if small (a call of at
-    most _HANDOFF_ROWS trials), or later in a run that starts before the
-    change, which keeps its normals. Every float operation is the scalar
-    loop's, in its order, so the values are the same bits.
+    rows, so every mask of a pass spans the rows. In a run that starts
+    before the change, which keeps its normals, the last _HANDOFF_ROWS
+    trials go to the scalar loops, each as it reaches the top level, on a
+    core given its row's statistic, time, counts and top budget. Every
+    float operation is the scalar loop's, in its order, so the values are
+    the same bits.
     """
     m, A, de = params.m, params.A, params.data_efficient
     mu = params.mu if params.mu is not None else 0.0
@@ -1072,16 +1101,14 @@ def _lockstep_engine(params, nu, horizon, streams, k, small):
     live = k - gone.size
     n = 0
     while live and n < horizon:
-        if live <= _HANDOFF_ROWS and (streams.raw is not None or n == 0 and small):
+        if live <= _HANDOFF_ROWS and streams.raw is not None:
             # the scalar loops run the last trials on, each from its row at
             # the top level; a row below it is back there within B_(m-1) passes
             for r in ((lvl == m) & (rows < k)).nonzero()[0].tolist():
                 t = int(rows[r])
                 ctrl = streams.scalar(m, t) if coins else None
-                entry = _frozen(LevelState, level=m, floor=0.0, remaining=float(rem[r]))
-                core = _EngineCore(params, ctrl, _frozen(
-                    EngineState, statistic=float(D[r]), stack=(entry,), stopped=False,
-                    stop_reason=None, time=n))
+                core = _EngineCore(params, ctrl, float(rem[r]))
+                core.D, core.time = float(D[r]), n
                 core.counts = counts[t].tolist()
                 core.counts[m] += n - int(start[r])
                 _episode_runs(params, core, [None] + [streams.scalar(i, t) for i in range(m)],
@@ -1180,7 +1207,7 @@ def _lockstep_engine(params, nu, horizon, streams, k, small):
     return times[:k], counts[:k]
 
 
-def _lockstep_rss(params, nu, horizon, streams, k, small):
+def _lockstep_rss(params, nu, horizon, streams, k):
     """_run_rss over k trials at once, returning what _lockstep_engine
     returns: the coin rule, the LLR sum and the reflection are the scalar
     loop's operations, in its order. Stopped trials become ghosts, and the
@@ -1194,7 +1221,7 @@ def _lockstep_rss(params, nu, horizon, streams, k, small):
     live = k
     n = 0
     while live and n < horizon:
-        if live <= _HANDOFF_ROWS and (streams.raw is not None or n == 0 and small):
+        if live <= _HANDOFF_ROWS and streams.raw is not None:
             # the scalar loop runs the last trials on, each from its row
             for r in (rows < k).nonzero()[0].tolist():
                 t = int(rows[r])

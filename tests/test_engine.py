@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import copy
 import math
 import pickle
+import re
 from collections import Counter
-from dataclasses import replace
+from dataclasses import asdict, replace
 from fractions import Fraction
 
 import numpy as np
@@ -25,7 +27,7 @@ from mecusum import (
 )
 from mecusum import engine
 from mecusum.densities import check_models, llr_from_terms, llr_terms
-from mecusum.engine import STOP, StepResult, _EngineCore, _frozen, _observed
+from mecusum.engine import STOP, StepResult, _frozen
 from conftest import gaussian_model, obs_for
 
 
@@ -96,6 +98,54 @@ def test_policy_params_maps_must_be_mappings():
     ):
         with pytest.raises(ValueError, match=f"^{name} must be a mapping of level to value"):
             PolicyParams(m=2, A=3.0, scales=scales, budgets=budgets)
+
+
+@pytest.mark.parametrize("write", [
+    lambda p: p.budgets.__setitem__(1, 2.5),
+    lambda p: p.scales.__setitem__(2, -5.0),
+    lambda p: p.budgets.__delitem__(1),
+    lambda p: p.scales.update({2: 3.0}),
+    lambda p: p.budgets.__ior__({1: 2.5}),
+    lambda p: p.budgets.pop(1),
+    lambda p: p.scales.popitem(),
+    lambda p: p.budgets.setdefault(0, 1.0),
+    lambda p: p.scales.clear(),
+])
+def test_policy_params_maps_are_read_only(write):
+    # each write was accepted: budgets[1] = 2.5 left fixed_budgets at
+    # (None, 2.0), so the engine went on running the budget 2.0, and
+    # scales[2] = -5.0 passed though construction rejects it
+    params = PolicyParams(m=2, A=5.0, scales={2: 1.0}, budgets={1: 2.0})
+    with pytest.raises(TypeError, match="read-only"):
+        write(params)
+    assert (params.scales, params.budgets, params.fixed_budgets) == ({2: 1.0}, {1: 2.0},
+                                                                      (None, 2.0))
+
+
+def test_read_only_policies_read_copy_and_pickle_as_before():
+    params = PolicyParams(m=2, A=5.0, scales={2: 1.5}, budgets={1: 2.5}, top_truncation=9.5)
+    assert params.scales[2] == 1.5 and params.budgets.get(1) == 2.5
+    assert params.budgets == {1: 2.5} and {1: 2.5} == params.budgets
+    assert repr(params) == ("PolicyParams(m=2, A=5.0, scales={2: 1.5}, budgets={1: 2.5}, "
+                            "mu=None, data_efficient=False, top_truncation=9.5)")
+    assert asdict(params)["budgets"] == {1: 2.5}
+    with pytest.raises(TypeError):
+        hash(params)  # as with plain dicts: a policy holds two maps
+    # a pickle holds the maps as plain dicts, as it did before they were
+    # read-only, and loads them read-only
+    assert b"ReadOnly" not in pickle.dumps(params)
+    for made in (pickle.loads(pickle.dumps(params)), copy.deepcopy(params), copy.copy(params),
+                 replace(params), replace(params, A=6.0)):
+        assert made == replace(params, A=made.A)
+        assert made.fixed_budgets == (None, None)
+        with pytest.raises(TypeError, match="read-only"):
+            made.budgets[1] = 3.0
+    for made in (copy.deepcopy(params.scales), pickle.loads(pickle.dumps(params.scales))):
+        assert made == {2: 1.5}
+        with pytest.raises(TypeError, match="read-only"):
+            made[2] = 3.0
+    # a copy of a map is a plain dict, as a new policy's map may be
+    assert type(params.scales.copy()) is dict and type(dict(params.scales)) is dict
 
 
 def test_rss_params_validation():
@@ -303,33 +353,40 @@ def test_zero_budget_bounce_with_remaining_parent_stays(models3):
 
 
 def test_step_snapshot_equals_one_built_fresh(models3):
-    # step() reuses the entries of the levels above the one it starts at;
-    # each must equal a snapshot built from the core's lists alone
+    # step() reuses the state's entries of the levels above the one it
+    # starts at and builds the others with _frozen, past the checks; each
+    # state must equal the one the checked EngineState and LevelState
+    # constructors build from the same values, worked out here as the
+    # engine's float operations give them
     params = PolicyParams(m=3, A=math.inf, scales={2: 1.0, 3: 1.0},
                           budgets={1: 2, 2: 1})
-
-    def fresh(state, x):
-        core = _EngineCore(params, None, state)
-        terms = models3[state.stack[-1].level - 1].terms
-        core.run([_observed(x, terms)] * 4, True, state.time + 1)
-        return core.snapshot()
-
-    state = init(params)
-    for x, event, levels in [
-        (obs_for(models3[2], -0.5), "descend", [3, 2]),
-        # consumes level 2's only observation and descends anyway
-        (obs_for(models3[1], -0.3), "descend", [3, 2, 1]),
-        (obs_for(models3[0], 0.1), "", [3, 2, 1]),
+    levels = (3, 2, 1, 1)
+    xs = (obs_for(models3[2], -0.5), obs_for(models3[1], -0.3),
+          obs_for(models3[0], 0.1), obs_for(models3[0], 0.3))
+    llr = [llr_from_terms(models3[j - 1].terms, x) for j, x in zip(levels, xs)]
+    # below the top floor 0.0: level 2 opens at the scaled undershoot
+    f2 = 0.0 + 1.0 * ((0.0 + llr[0]) - 0.0)
+    # level 2's only observation undershoots its floor: level 1 opens anyway
+    f1 = f2 + 1.0 * ((f2 + llr[1]) - f2)
+    top = LevelState(3, 0.0, math.inf)
+    expected = [
+        ("descend", EngineState(f2, (top, LevelState(2, f2, 1.0)), False, None, 1)),
+        ("descend", EngineState(f1, (top, LevelState(2, f2, 0.0), LevelState(1, f1, 2.0)),
+                                False, None, 2)),
+        ("", EngineState(f1 + llr[2], (top, LevelState(2, f2, 0.0), LevelState(1, f1, 1.0)),
+                         False, None, 3)),
         # level 1 closes and lands on the exhausted level 2, which closes too
-        (obs_for(models3[0], 0.3), "ascend", [3]),
-    ]:
+        ("ascend", EngineState(0.0, (top,), False, None, 4)),
+    ]
+    state = init(params)
+    for x, (event, want) in zip(xs, expected):
         r = step(state, params, models3, x)
         assert r.event == event
-        assert [s.level for s in r.state.stack] == levels
-        assert r.state == fresh(state, x)
+        assert r.state == want
+        assert r.action is next_action(r.state)
+        assert r.state.stack[0] is state.stack[0]  # the top's entry is reused
         state = r.state
-    assert r.state.stack == (LevelState(3, 0.0, math.inf),)
-    assert r.action is next_action(r.state) == Action("sample", 3)
+    assert r.action == Action("sample", 3)
 
 
 def test_resolve_truncation_integers_skip_rng():
@@ -768,3 +825,63 @@ def test_rss_stops_on_reaching_threshold_exactly(models2):
     assert run.counts == {1: 0, 2: 3}
     assert rows[-1] == (3, 2, 1.5, 3.0, "stop")
     assert [row[4] for row in rows] == ["", "", "stop"]
+
+
+# The online API fuzzed one argument at a time: each of these calls, with
+# one argument swapped for one of _WRONG, must return a result, raise a
+# ValueError that names the argument, or raise the RuntimeError of a
+# stopped state. A state whose levels do not fit the policy fails with one
+# message for either argument, which names both: "a policy with m=2 needs
+# a state whose levels run ...". Two of the swaps failed otherwise: an int
+# past the float range as the observation (an OverflowError from
+# math.isfinite), and next_action() of a state with no levels (an
+# IndexError).
+_FRACTIONAL = PolicyParams(m=2, A=5.0, scales={2: 1.0}, budgets={1: 2.5}, top_truncation=10.5)
+_IDLING = PolicyParams(m=2, A=5.0, scales={1: 1.0, 2: 1.0}, budgets={0: 2.5, 1: 1.5},
+                       mu=0.1, data_efficient=True)
+_FUZZ_MODELS = (gaussian_model(1, 0.75), gaussian_model(2, 1.0))
+_AT_TOP = EngineState(0.0, (LevelState(2, 0.0, 10.0),), False, None, 0)
+_AT_IDLE = EngineState(-1.5, (LevelState(2, 0.0, math.inf), LevelState(1, -1.0, 1.0),
+                              LevelState(0, -2.0, 2.0)), False, None, 3)
+_STOPPED = EngineState(6.0, (LevelState(2, 0.0, 9.0),), True, "threshold", 4)
+_ONLINE_CALLS = {
+    # an undershoot at the top: the descent reads a coin for level 1's budget
+    "step-descent": (step, ("state", "params", "models", "observation", "rng"),
+                     (_AT_TOP, _FRACTIONAL, _FUZZ_MODELS, obs_for(_FUZZ_MODELS[1], -1.0))),
+    "step-idle": (step, ("state", "params", "models", "observation", "rng"),
+                  (_AT_IDLE, _IDLING, _FUZZ_MODELS, None)),
+    "step-stopped": (step, ("state", "params", "models", "observation", "rng"),
+                     (_STOPPED, _FRACTIONAL, _FUZZ_MODELS, 0.5)),
+    # the fractional top truncation reads a coin
+    "init": (init, ("params", "rng"), (_FRACTIONAL,)),
+    "next_action": (next_action, ("state",), (_AT_TOP,)),
+    "next_action-stopped": (next_action, ("state",), (_STOPPED,)),
+}
+_WRONG = {
+    "bool": True, "nan": math.nan, "inf": math.inf, "-inf": -math.inf, "str": "1.0",
+    "None": None, "object": object(), "empty-models": (), "huge-int": 10**400,
+    "level": LevelState(1, -1.0, 1.0), "rss": RssParams(A=1.0, p_hi=0.5),
+    "no-levels": EngineState(0.0, (), False, None, 0), "policy": _FRACTIONAL,
+    "models": _FUZZ_MODELS, "one-model": [_FUZZ_MODELS[0]],
+}
+
+
+@pytest.mark.parametrize("wrong", _WRONG)
+@pytest.mark.parametrize("call", _ONLINE_CALLS)
+def test_online_api_fails_loudly_on_any_wrong_argument(call, wrong):
+    fn, names, args = _ONLINE_CALLS[call]
+    for at, name in enumerate(names):
+        given = list(args)
+        if "rng" in names:
+            given.append(np.random.default_rng(0))
+        given[at] = _WRONG[wrong]
+        try:
+            out = fn(*given)
+        except ValueError as error:
+            # the argument is named before the value it got
+            named = "params|policy" if name == "params" else name
+            assert re.search(rf"\b({named})\b", str(error).split(", got")[0]), (name, error)
+        except RuntimeError as error:
+            assert given[0] is _STOPPED and "stopped" in str(error), (name, error)
+        else:
+            assert isinstance(out, (StepResult, EngineState, Action)), (name, out)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import inspect
 import math
+import pickle
 import sys
 import time
 from collections.abc import Iterable
@@ -13,7 +14,7 @@ from unittest.mock import patch
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mecusum import (
@@ -180,6 +181,17 @@ def test_summary_matches_trace(models2):
     assert summary.steps_run == len(trace.steps)
 
 
+class Counted:
+    """A control generator that counts its scalar draws."""
+
+    def __init__(self, gen):
+        self.gen, self.drawn = gen, 0
+
+    def random(self):
+        self.drawn += 1
+        return self.gen.random()
+
+
 def test_step_replays_run_episode(models2, models3):
     # the public step(), fed a trace's observations and the episode's control
     # stream, retraces the episode step for step, and episode_summary stops
@@ -188,15 +200,6 @@ def test_step_replays_run_episode(models2, models3):
     # refills in the middle of a visit, and the control stream its 16 -> 32
     # refills. The A = 3 runs have a horizon too, so a kernel fault that
     # makes the walk cycle fails instead of running on
-    class Counted:
-        # the control generator, counting its scalar draws
-        def __init__(self, gen):
-            self.gen, self.drawn = gen, 0
-
-        def random(self):
-            self.drawn += 1
-            return self.gen.random()
-
     policies = [
         (PolicyParams(m=1, A=3.0), (gaussian_model(1, 1.0),)),
         (PolicyParams(m=2, A=3.0, scales={2: 1.2}, budgets={1: 2.5}), models2),
@@ -316,6 +319,48 @@ def test_kernel_properties(params, unbounded, change_point, horizon, seed):
         assert (state.time, state.stop_reason) == (summary.steps_run, summary.stop_reason)
 
 
+@settings(deadline=None, max_examples=100)
+@given(params=_policies(), change_point=st.sampled_from([1, 30, math.inf]),
+       seed=st.integers(0, 2**32 - 1))
+@example(params=PolicyParams(m=4, A=4.0, scales={1: 0.7, 2: 1.3, 3: 0.9, 4: 1.1},
+                             budgets={0: 1.5, 1: 2.25, 2: 0.5, 3: 3.0}, mu=0.2,
+                             data_efficient=True, top_truncation=40.5),
+         change_point=math.inf, seed=3)
+def test_step_replays_episodes_of_any_policy(params, change_point, seed):
+    # step(), fed an episode's observations and its control generator, takes
+    # each step as the episode's engine took it: the same statistic, event,
+    # level and time, and the same control draws. A step draws one coin
+    # when its statistic undershoots a floor below which a level with a
+    # fractional budget would open (worked out here from the state and the
+    # observation's LLR), and init one for a fractional top truncation
+    models = _MODELS4[:params.m]
+    trace = run_episode(params, make_scenario(models, change_point, 300), seed)
+    rng = Counted(control_generator(seed))
+    state = init(params, rng)
+    top = params.top_truncation
+    assert rng.drawn == (top is not None and not top.is_integer())
+    lowest = 0 if params.data_efficient else 1
+    for row in trace.steps:
+        entry = state.stack[-1]
+        level = entry.level
+        assert (row.level, row.n) == (level, state.time + 1)
+        if level == 0:
+            d = state.statistic + params.mu
+        else:
+            d = state.statistic + llr_from_terms(models[level - 1].terms, row.observation)
+        floor = 0.0 if level == params.m else entry.floor
+        opens = (level > lowest and d < floor
+                 and not (level == params.m and entry.remaining <= 1.0))
+        drawn = rng.drawn
+        r = step(state, params, models, row.observation, rng)
+        state = r.state
+        assert (state.statistic, r.event, state.time) == (row.statistic, row.event, row.n)
+        assert rng.drawn - drawn == (opens and params.fixed_budgets[level - 1] is None)
+    assert (state.stopped, state.stop_reason) == (trace.stopping_time is not None,
+                                                  trace.stop_reason)
+    assert state.time == len(trace.steps)
+
+
 # the benchmark's false-alarm policies at gamma = 1000, each with a seed
 # whose episode runs past the 16 -> 4096 block schedule (8176 values) and a
 # 4096 refill at the top level, and the reason it stops for; the top
@@ -385,6 +430,34 @@ def test_kernel_functions_are_compiled_once_per_shape():
     assert run.__code__.co_filename == "<mecusum kernel run m=4 de=0 levels=int,coin,int rec=none>"
     assert inspect.getsource(run).startswith(
         "def run(cycles, put4, put3, put2, put1, s4, s3, s2, s1, cs, a4, g3,")
+
+
+def test_episode_kernel_layout_is_built_once_per_policy(monkeypatch):
+    # every episode of a policy with nu > 1 builds a kernel on its streams;
+    # the layout (record -1) is built on the first and kept on the policy,
+    # which a pickle, repr, equality and replace() do not see
+    params = PolicyParams(m=3, A=5.0, scales={2: 1.0, 3: 1.5}, budgets={1: 2.5, 2: 2.0})
+    pickled, shown = pickle.dumps(params), repr(params)
+    built = []
+    layout = simulate._layout
+
+    def counted(params, record=-1):
+        built.append(record)
+        return layout(params, record)
+
+    monkeypatch.setattr(simulate, "_layout", counted)
+    first = episode_summary(params, make_scenario(_MODELS3, math.inf, 2000), 1)
+    assert episode_summary(params, make_scenario(_MODELS3, 50, 2000), 2)
+    kept = params.kernel_layout
+    assert built == [-1, -1] and layout(params) is kept
+    assert kept == ((3, False, ("int", "coin"), None), (1.5, 2, 1.0, 2, 3, 0.5), 2 + 2 * 3)
+    # another record level is built afresh and not kept
+    assert layout(params, 1)[0] == (3, False, ("int", "coin"), 1)
+    assert params.kernel_layout is kept
+    assert (pickle.dumps(params), repr(params)) == (pickled, shown)
+    fresh = replace(params)
+    assert fresh == params and not hasattr(fresh, "kernel_layout")
+    assert episode_summary(fresh, make_scenario(_MODELS3, math.inf, 2000), 1) == first
 
 
 @st.composite
@@ -460,12 +533,12 @@ def test_handed_off_trials_run_on_the_kernel(monkeypatch, models3, name, nu, han
 def test_small_post_change_calls_run_on_the_scalar_loops(monkeypatch, models2, rss, split):
     # with the change at 1 no normals are kept, yet a call of at most
     # _HANDOFF_ROWS trials goes to the scalar loops at time 0, before any
-    # observation is read: each trial runs its whole episode there. The
-    # engine's top truncation coin is read before the hand-off, so the
-    # scalar control stream goes on past it. The rule goes by the call's
-    # trials, not a batch's: split into batches of 32 and 8 against a
-    # hand-off size of 20, both batches run in lockstep, and with no normals
-    # kept none is handed off later
+    # batch array or stream is built: each trial runs its whole episode
+    # there, and its core reads the top truncation coin itself, as a single
+    # episode's core does. The rule goes by the call's trials, not a
+    # batch's: split into batches of 32 and 8 against a hand-off size of 20,
+    # both batches run in lockstep, and with no normals kept none is handed
+    # off later
     if split:
         monkeypatch.setattr(simulate, "_KEY_CHUNK", 32)
         monkeypatch.setattr(simulate, "_MIN_ROWS", 4)
